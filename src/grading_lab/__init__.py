@@ -11,11 +11,6 @@ from .weyl import (
     GradingParams,
     WeylMonomial,
     commutation_phase,
-    elem_add,
-    elem_adjoint,
-    elem_commutator,
-    elem_mul,
-    elem_scale,
     gauge_project_symbolic,
     gauge_rotate,
     lattice_shift,
@@ -65,7 +60,6 @@ from .oneparticle import (
 from .dynamics import (
     FREE_FLOW_RATE_D2,
     QuadraticModel,
-    build_hamiltonian,
     claimed_commutator_audit,
     commutator_decay,
     d2_effective_hopping,

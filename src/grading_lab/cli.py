@@ -9,6 +9,7 @@ affects which random samples the verify suite draws, never any physics.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 
 import numpy as np
@@ -64,19 +65,13 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, complex):
-                raise ValueError("complex cells must be split into re/im columns")
-            text = _fmt(cell)
-            if "," in text or '"' in text:
-                text = '"' + text.replace('"', '""') + '"'
-            cells.append(text)
-        lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            if any(isinstance(cell, complex) for cell in row):
+                raise ValueError("complex cells must be split into re/im columns")
+            writer.writerow([_fmt(cell) for cell in row])
 
 
 def _random_monomial(rng: np.random.Generator, d: int, L: int) -> WeylMonomial:
@@ -289,10 +284,8 @@ def cmd_block(cfg: ExperimentConfig, out: str, cap: int) -> int:
 def cmd_report(paths: list[str], out: str) -> int:
     rows = []
     for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-        header = lines[0].split(",")
-        body = [ln.split(",") for ln in lines[1:]]
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, *body = [cells for cells in csv.reader(fh) if cells]
         n_exact = n_match = n_mismatch = 0
         max_dev = 0.0
         if "status" in header:

@@ -22,7 +22,6 @@ _KEY_ORDER = [
     "j_plus",
     "j_minus",
     "hopping",
-    "momentum_n",
     "t_start",
     "t_stop",
     "t_count",
@@ -30,7 +29,7 @@ _KEY_ORDER = [
     "out",
 ]
 
-_INT_KEYS = {"d", "l", "j_plus", "j_minus", "momentum_n", "t_count", "block_k"}
+_INT_KEYS = {"d", "l", "j_plus", "j_minus", "t_count", "block_k"}
 _FLOAT_KEYS = {"t_start", "t_stop"}
 
 
@@ -50,7 +49,6 @@ class ExperimentConfig:
     j_plus: int = 1
     j_minus: int = 1
     hopping: dict[int, complex] = field(default_factory=dict)
-    momentum_n: int = 1024
     t_start: float = 0.0
     t_stop: float = 1.0
     t_count: int = 2

@@ -18,12 +18,6 @@ from .weyl import AlgebraElement, WeylMonomial, gauge_project_symbolic
 
 DEFAULT_DIM_CAP = 4096
 
-# exact dense decomposition below this dimension, power iteration above
-_NORM_EXACT_DIM = 512
-_POWER_ITER_SEED = 0xC0FFEE
-_POWER_ITER_BUDGET = 500
-_POWER_ITER_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -152,32 +146,16 @@ def realize(a: AlgebraElement | WeylMonomial, chain: ChainSpec) -> DenseOperator
 
 
 def op_norm(m: DenseOperator | np.ndarray) -> float:
-    """Largest singular value.
+    """Largest singular value, exact at every dimension.
 
-    Exact dense decomposition below dimension 512; above that, power
-    iteration on M^dag M with a deterministic seeded start vector, a fixed
-    iteration budget, and convergence threshold 1e-12 on the estimate.
+    Computed as the square root of the largest eigenvalue of M^dag M from a
+    dense hermitian eigensolver; 0.0 for an empty matrix.
     """
     a = m.entries if isinstance(m, DenseOperator) else np.asarray(m, dtype=complex)
-    n = a.shape[0]
-    if n < _NORM_EXACT_DIM:
-        return float(np.linalg.norm(a, 2)) if a.size else 0.0
-    rng = np.random.default_rng(_POWER_ITER_SEED)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    ah = a.conj().T
-    est = 0.0
-    for _ in range(_POWER_ITER_BUDGET):
-        w = ah @ (a @ v)
-        lam = np.linalg.norm(w)
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-        new = float(np.sqrt(lam))
-        if abs(new - est) <= _POWER_ITER_TOL * max(new, 1.0):
-            return new
-        est = new
-    return est
+    if not a.size:
+        return 0.0
+    top = np.linalg.eigvalsh(a.conj().T @ a)[-1]
+    return float(np.sqrt(max(top, 0.0)))
 
 
 def gauge_unitary(chain: ChainSpec) -> DenseOperator:
@@ -185,6 +163,14 @@ def gauge_unitary(chain: ChainSpec) -> DenseOperator:
     chain.check_dense()
     w = np.exp(2j * np.pi / chain.d)
     return DenseOperator(chain, np.diag(w ** (chain.digit_sums() % chain.d)))
+
+
+def _project_by_diagonal(m: np.ndarray, phases: np.ndarray, order: int) -> np.ndarray:
+    acc = np.zeros_like(m)
+    for j in range(order):
+        gj = phases ** j
+        acc += (gj[:, None] * gj.conj()[None, :]) * m
+    return acc / order
 
 
 def gauge_project(a: AlgebraElement | DenseOperator):
@@ -199,11 +185,7 @@ def gauge_project(a: AlgebraElement | DenseOperator):
     chain = a.chain
     d = chain.d
     g = np.exp(2j * np.pi / d) ** (chain.digit_sums() % d)
-    acc = np.zeros_like(a.entries)
-    for j in range(d):
-        gj = g ** j
-        acc += (gj[:, None] * gj.conj()[None, :]) * a.entries
-    return DenseOperator(chain, acc / d)
+    return DenseOperator(chain, _project_by_diagonal(a.entries, g, d))
 
 
 def sector_decompose(chain: ChainSpec) -> list[DenseOperator]:
@@ -224,14 +206,6 @@ def refined_gauge_unitary(chain: ChainSpec, k: int) -> DenseOperator:
     """
     chain.check_dense()
     return DenseOperator(chain, np.diag(np.exp(2j * np.pi * chain.digit_sums() / (k * chain.d))))
-
-
-def _project_by_diagonal(m: np.ndarray, phases: np.ndarray, order: int) -> np.ndarray:
-    acc = np.zeros_like(m)
-    for j in range(order):
-        gj = phases ** j
-        acc += (gj[:, None] * gj.conj()[None, :]) * m
-    return acc / order
 
 
 @dataclass

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import ChainSpec, op_norm, realize
+from .dense import ChainSpec, realize
 from .weyl import (
     AlgebraElement,
     GradingParams,
@@ -263,18 +263,3 @@ def bilinear_connection(x: int, y: int, params: GradingParams, chain: ChainSpec)
     if dev > 1e-12:
         correction = mono_mul(lhs_mono, mono_adjoint(rhs_mono))
     return BilinearConnection(x=x, y=y, lhs=lhs, rhs=rhs, deviation=dev, correction=correction)
-
-
-def dressed_charge_weight(x: int, s: int, params: GradingParams, chain: ChainSpec) -> int:
-    """Bookkeeping identity for the total label weight of a dressed generator.
-
-    Equals s + s*j_plus*(L-1-x) + s*(j_minus-1)*x mod d; the left-string
-    exponent carries the unit offset of the exchange normalization.
-    """
-    s = s % params.d
-    return (s + s * params.j_plus * (chain.L - 1 - x) + s * (params.j_minus - 1) * x) % params.d
-
-
-def dressed_unit_norm(x: int, r: int, s: int, params: GradingParams, chain: ChainSpec) -> float:
-    """Operator norm of a dressed matrix unit (1 for any indices)."""
-    return op_norm(realize(dressed_matrix_unit(x, r, s, params, chain), chain))

@@ -94,10 +94,6 @@ class QuadraticModel:
         return self.hopping.velocity_bound()
 
 
-def build_hamiltonian(hopping: Hopping, params: GradingParams, chain: ChainSpec) -> QuadraticModel:
-    return QuadraticModel(chain, params, hopping)
-
-
 def heisenberg_evolve(a: AlgebraElement | DenseOperator, model: QuadraticModel, t: float) -> DenseOperator:
     """Conjugate by exp(iHt): the Heisenberg picture at time t."""
     dense = a if isinstance(a, DenseOperator) else realize(a, model.chain)

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_GRID = 1024
-
 
 @dataclass(frozen=True)
 class Hopping:

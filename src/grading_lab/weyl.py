@@ -325,32 +325,9 @@ class AlgebraElement:
             return "0"
         bits = []
         for key in sorted(self.terms, key=lambda k: (len(k), k)):
-            m = WeylMonomial(self.d, key, 0)
             body = " ".join(f"W_{x}({k},{l})" for x, (k, l) in key) or "1"
             bits.append(f"({self.terms[key]:.6g})*{body}")
         return " + ".join(bits)
-
-
-# -- spec-level operation aliases ---------------------------------------
-
-def elem_mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a * b
-
-
-def elem_add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a + b
-
-
-def elem_scale(c: complex, a: AlgebraElement) -> AlgebraElement:
-    return a.scale(c)
-
-
-def elem_adjoint(a: AlgebraElement) -> AlgebraElement:
-    return a.adjoint()
-
-
-def elem_commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a.commutator(b)
 
 
 def matrix_unit(d: int, r: int, s: int, site: int) -> AlgebraElement:

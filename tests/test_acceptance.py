@@ -14,7 +14,7 @@ from grading_lab.cli import main
 from grading_lab.dense import ChainSpec, block_sites, gauge_project, realize, sector_decompose
 from grading_lab.dressing import dressed_matrix_unit, dressed_weyl
 from grading_lab.dynamics import (
-    build_hamiltonian,
+    QuadraticModel,
     commutator_decay,
     d2_effective_hopping,
     gauge_invariance_defect,
@@ -126,7 +126,7 @@ def test_05_d2_free_fermion_oracle():
     t0 = time.time()
     params = GradingParams(2, 1, 1)
     chain = ChainSpec(2, 10)
-    model = build_hamiltonian(Hopping({1: -1j / 1600, -1: 1j / 1600}), params, chain)
+    model = QuadraticModel(chain, params, Hopping({1: -1j / 1600, -1: 1j / 1600}))
     f0 = OneParticleVector.from_amplitudes(2, 10, {(4, 0): 1.0, (5, 0): 0.5 - 0.125j})
     # light-cone guard: supports at sites 4-5, four sites from each boundary;
     # the effective speed 8 * 2 * |h| * 1 keeps the cone inside for t <= 2
@@ -191,11 +191,11 @@ def test_08_gauge_invariance_of_dynamics():
         if not chain.dense_allowed:
             # the verify runner clamps dense work to a 5-site subchain
             chain = ChainSpec(cfg.d, min(cfg.l, 5))
-        models.append(build_hamiltonian(Hopping(cfg.hopping), params, chain))
+        models.append(QuadraticModel(chain, params, Hopping(cfg.hopping)))
     assert len(models) >= 5
     for model in models:
         worst = max(worst, gauge_invariance_defect(model))
-    model = build_hamiltonian(Hopping({1: -0.0625j, -1: 0.0625j}), GradingParams(2, 1, 1), ChainSpec(2, 6))
+    model = QuadraticModel(ChainSpec(2, 6), GradingParams(2, 1, 1), Hopping({1: -0.0625j, -1: 0.0625j}))
     rng = np.random.default_rng(1008)
     m = realize(random_element(rng, 2, 6, terms=4), model.chain)
     lhs = gauge_project(heisenberg_evolve(m, model, 1.7)).entries
@@ -210,7 +210,7 @@ def test_09_abelianness_contrast():
     params = GradingParams(3, 1, 1)
     chain = ChainSpec(3, 6)
     hopping = Hopping({1: 0.5, -1: 0.5})
-    model = build_hamiltonian(hopping, params, chain)
+    model = QuadraticModel(chain, params, hopping)
     gi_a = dressed_matrix_unit(1, 0, 1, params, chain) * dressed_matrix_unit(2, 1, 0, params, chain)
     gi_b = dressed_matrix_unit(3, 0, 1, params, chain) * dressed_matrix_unit(4, 1, 0, params, chain)
     bare_a = WeylMonomial.single(3, 1, 0, 1).as_element()

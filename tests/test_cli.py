@@ -30,7 +30,6 @@ class TestConfig:
             j_plus=1,
             j_minus=2,
             hopping={1: 0.5 - 0.25j, -1: 0.5 + 0.25j},
-            momentum_n=96,
             t_start=0.0,
             t_stop=4.0,
             t_count=9,
@@ -198,6 +197,22 @@ class TestDecayAndReport:
         header, srows = read_rows(summary)
         assert header[0] == "file"
         assert int(srows[0]["rows"]) == 6
+
+    def test_report_reads_quoted_cells(self, tmp_path):
+        # the quoted payload holds commas and comes before status and deviation
+        src = tmp_path / "v.csv"
+        src.write_text(
+            "relation_id,oracle_payload,status,deviation\n"
+            'shift_defect,"(1)*W_0(1,0) W_1(0,1)",EXACT,2.5e-13\n'
+            'pair_expansion,"a,b",MISMATCH,0.125\n'
+        )
+        summary = tmp_path / "s.csv"
+        assert main(["report", str(src), "--out", str(summary)]) == 0
+        _, srows = read_rows(summary)
+        assert int(srows[0]["rows"]) == 2
+        assert int(srows[0]["n_exact"]) == 1
+        assert int(srows[0]["n_mismatch"]) == 1
+        assert float(srows[0]["max_value"]) == 0.125
 
 
 class TestEvolveCommand:

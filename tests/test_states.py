@@ -6,7 +6,7 @@ from scipy.special import jv
 
 from grading_lab.dense import ChainSpec, realize
 from grading_lab.dressing import dressed_matrix_unit
-from grading_lab.dynamics import build_hamiltonian, d2_effective_hopping
+from grading_lab.dynamics import QuadraticModel, d2_effective_hopping
 from grading_lab.oneparticle import Hopping, OneParticleVector, evolve
 from grading_lab.states import clustering_report, trace_state, two_point
 from grading_lab.weyl import AlgebraElement, GradingParams, WeylMonomial, gauge_rotate
@@ -57,13 +57,13 @@ class TestTraceState:
 
 class TestTwoPoint:
     def test_identity_observable_vanishes(self):
-        model = build_hamiltonian(Hopping({1: -0.125j, -1: 0.125j}), D2, ChainSpec(2, 6))
+        model = QuadraticModel(ChainSpec(2, 6), D2, Hopping({1: -0.125j, -1: 0.125j}))
         series = two_point(AlgebraElement.identity(2), WeylMonomial.single(2, 2, 1, 0).as_element(),
                            model, [0.0, 1.0, 2.0])
         assert np.abs(series.values).max() < 1e-13
 
     def test_tracial_symmetry_dense(self):
-        model = build_hamiltonian(Hopping({1: -0.125j, -1: 0.125j}), D2, ChainSpec(2, 6))
+        model = QuadraticModel(ChainSpec(2, 6), D2, Hopping({1: -0.125j, -1: 0.125j}))
         chain = model.chain
         a = dressed_matrix_unit(1, 0, 1, D2, chain)
         b = dressed_matrix_unit(3, 1, 0, D2, chain)
@@ -80,7 +80,7 @@ class TestTwoPoint:
         # the creation/annihilation pair tracks (1/4) of the one-particle
         # propagator; the propagator itself is Bessel up to the rate factor
         hop = Hopping({1: -1j / 80, -1: 1j / 80})
-        model = build_hamiltonian(hop, D2, ChainSpec(2, 10))
+        model = QuadraticModel(ChainSpec(2, 10), D2, hop)
         a = dressed_matrix_unit(3, 0, 1, D2, model.chain)
         b = dressed_matrix_unit(5, 1, 0, D2, model.chain)
         times = [0.0, 0.5, 1.0, 1.5]
@@ -96,7 +96,7 @@ class TestTwoPoint:
 
 class TestClustering:
     def test_charge_selection_rule_at_t0(self):
-        model = build_hamiltonian(Hopping({1: -0.125j, -1: 0.125j}), D2, ChainSpec(2, 6))
+        model = QuadraticModel(ChainSpec(2, 6), D2, Hopping({1: -0.125j, -1: 0.125j}))
         a = WeylMonomial.single(2, 1, 0, 1).as_element()
         b = WeylMonomial.single(2, 4, 1, 0).as_element()
         rep = clustering_report(a, b, model, [0.0, 0.5])
@@ -105,14 +105,14 @@ class TestClustering:
     def test_d2_free_envelope_drops(self):
         # frozen window [0, 15]: the dressed density correlation envelope
         # falls below 0.2 of its initial value before the revival
-        model = build_hamiltonian(Hopping({1: -1j / 16, -1: 1j / 16}), D2, ChainSpec(2, 8))
+        model = QuadraticModel(ChainSpec(2, 8), D2, Hopping({1: -1j / 16, -1: 1j / 16}))
         a = dressed_matrix_unit(3, 1, 1, D2, model.chain)
         rep = clustering_report(a, a, model, np.linspace(0.0, 15.0, 16), window=(0.0, 15.0))
         assert rep.initial > 0.1
         assert rep.min_envelope_ratio() < 0.2
 
     def test_reproducible(self):
-        model = build_hamiltonian(Hopping({1: -0.125j, -1: 0.125j}), D2, ChainSpec(2, 6))
+        model = QuadraticModel(ChainSpec(2, 6), D2, Hopping({1: -0.125j, -1: 0.125j}))
         a = dressed_matrix_unit(2, 1, 1, D2, model.chain)
         r1 = clustering_report(a, a, model, [0.0, 1.0, 2.0])
         r2 = clustering_report(a, a, model, [0.0, 1.0, 2.0])
