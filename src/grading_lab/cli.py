@@ -1,8 +1,8 @@
 """Deterministic experiment runner with stable CSV outputs.
 
 Subcommands: verify | evolve | decay | block | report.  Exit codes:
-0 success, 1 exact-tier relation failure, 2 config error, 3 dimension cap
-exceeded.  Reruns on the same config are byte-identical; --seed only
+0 success, 1 exact-tier relation failure, 2 config error or unreadable
+report input, 3 dimension cap exceeded.  Reruns on the same config are byte-identical; --seed only
 affects which random samples the verify suite draws, never any physics.
 """
 
@@ -281,11 +281,28 @@ def cmd_block(cfg: ExperimentConfig, out: str, cap: int) -> int:
     return EXIT_OK if ok else EXIT_RELATION_FAILURE
 
 
+def _read_table(path: str) -> tuple[list[str], list[list[str]]]:
+    """Header and non-blank rows of a CSV; ValueError if a row is short."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        table = [(reader.line_num, cells) for cells in reader if cells]
+    if not table:
+        raise ValueError(f"{path}: empty file")
+    (_, header), *body = table
+    for line, cells in body:
+        if len(cells) < len(header):
+            raise ValueError(f"{path}, line {line}: {len(cells)} cells, header has {len(header)}")
+    return header, [cells for _, cells in body]
+
+
 def cmd_report(paths: list[str], out: str) -> int:
+    try:
+        tables = [(path, *_read_table(path)) for path in paths]
+    except (OSError, ValueError, csv.Error) as exc:
+        print(f"report error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     rows = []
-    for path in paths:
-        with open(path, encoding="utf-8", newline="") as fh:
-            header, *body = [cells for cells in csv.reader(fh) if cells]
+    for path, header, body in tables:
         n_exact = n_match = n_mismatch = 0
         max_dev = 0.0
         if "status" in header:
@@ -321,8 +338,6 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("report")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--out", required=True)
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     try:

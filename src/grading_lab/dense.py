@@ -58,6 +58,15 @@ class ChainSpec:
         """Integer digit sums (not reduced mod d) of every basis state."""
         return self.digits().sum(axis=0)
 
+    def sectors(self) -> np.ndarray:
+        """(d, d^(L-1)) array: row c lists, ascending, the basis states of charge c.
+
+        Every charge class mod d holds exactly d^(L-1) digit strings, so the
+        rows have equal length.
+        """
+        charges = self.digit_sums() % self.d
+        return np.argsort(charges, kind="stable").reshape(self.d, -1)
+
 
 class DimensionCapError(ValueError):
     """Raised when a dense computation would exceed the configured cap."""

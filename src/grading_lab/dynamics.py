@@ -5,8 +5,10 @@ The Hamiltonian is the charge-balanced hopping form
     H = sum_z sum_x h(x) dressed(z, 1) dressed(z+x, 1)^dag  +  adjoint terms
 
 with every pair kept inside the open chain.  It is gauge invariant and
-self-adjoint by construction.  Dense evolution uses one cached
-eigendecomposition per model.
+self-adjoint by construction.  It therefore commutes with the gauge
+unitary and splits into d charge sectors of d^(L-1) states each; dense
+evolution uses one cached per-sector eigendecomposition per model and
+conjugates an operator block by block, sector r to sector c.
 
 At d = 2 the dressed generators are one-sided Majorana operators and the
 model closes on the smeared charge-0 flavor: the induced one-particle flow
@@ -52,6 +54,7 @@ class QuadraticModel:
         self._hamiltonian: AlgebraElement | None = None
         self._dense: DenseOperator | None = None
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
+        self._prop: tuple[float, np.ndarray] | None = None
 
     @property
     def hamiltonian(self) -> AlgebraElement:
@@ -77,17 +80,37 @@ class QuadraticModel:
 
     @property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-sector eigenvalues (d, m) and eigenvectors (d, m, m), m = d^(L-1).
+
+        Block c is H restricted to the basis states ``chain.sectors()[c]``.
+        Raises ValueError unless H is hermitian and maps every charge sector
+        into itself.
+        """
         if self._eig is None:
             hm = self.dense_hamiltonian.entries
             if float(np.abs(hm - hm.conj().T).max()) > 1e-12:
                 raise ValueError("dense Hamiltonian is not hermitian")
-            vals, vecs = np.linalg.eigh(hm)
-            self._eig = (vals, vecs)
+            sectors = self.chain.sectors()
+            d, m = sectors.shape
+            order = sectors.ravel()
+            # sector-ordered copy viewed as (row sector, row, column sector, column)
+            blocked = hm[np.ix_(order, order)].reshape(d, m, d, m)
+            diag = np.arange(d)
+            blocks = blocked[diag, :, diag, :]
+            blocked[diag, :, diag, :] = 0.0
+            if float(np.abs(blocked).max()) > 1e-12:
+                raise ValueError("dense Hamiltonian mixes charge sectors")
+            self._eig = np.linalg.eigh(blocks)
         return self._eig
 
     def propagator(self, t: float) -> np.ndarray:
-        vals, vecs = self.eigensystem
-        return (vecs * np.exp(1j * vals * t)[None, :]) @ vecs.conj().T
+        """Stacked sector blocks (d, m, m) of exp(iHt); the last t is memoised."""
+        if self._prop is None or self._prop[0] != t:
+            vals, vecs = self.eigensystem
+            u = (vecs * np.exp(1j * vals * t)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+            u.flags.writeable = False  # shared by every caller at this t
+            self._prop = (t, u)
+        return self._prop[1]
 
     def velocity_bound(self) -> float:
         """Speed bound 2 * sum |h(x)| * |x| of the shipped hopping."""
@@ -95,10 +118,24 @@ class QuadraticModel:
 
 
 def heisenberg_evolve(a: AlgebraElement | DenseOperator, model: QuadraticModel, t: float) -> DenseOperator:
-    """Conjugate by exp(iHt): the Heisenberg picture at time t."""
+    """Conjugate by exp(iHt): the Heisenberg picture at time t.
+
+    Each block A_rc (rows in sector r, columns in sector c) maps to
+    u_r A_rc u_c^dag; blocks that are exactly zero stay zero, so an operator
+    of definite charge costs d block conjugations.
+    """
     dense = a if isinstance(a, DenseOperator) else realize(a, model.chain)
     u = model.propagator(t)
-    return DenseOperator(model.chain, u @ dense.entries @ u.conj().T)
+    uh = u.conj().transpose(0, 2, 1)
+    sectors = model.chain.sectors()
+    out = np.zeros_like(dense.entries)
+    for r, rows in enumerate(sectors):
+        for c, cols in enumerate(sectors):
+            cut = np.ix_(rows, cols)
+            block = dense.entries[cut]
+            if block.any():
+                out[cut] = u[r] @ block @ uh[c]
+    return DenseOperator(model.chain, out)
 
 
 def smear(f: OneParticleVector, params: GradingParams, chain: ChainSpec, truncate: bool = False) -> AlgebraElement:

@@ -57,7 +57,8 @@ def two_point(
     vals = []
     for t in times:
         bt = heisenberg_evolve(bd, model, t).entries
-        vals.append(complex(np.trace(ad @ bt) / dim - wa * wb))
+        # trace(A B_t) = sum_ij A_ij (B_t)_ji without forming the product
+        vals.append(complex(np.sum(ad * bt.T) / dim - wa * wb))
     return CorrelationSeries(
         a_label=a_label, b_label=b_label, times=np.array(times), values=np.array(vals)
     )

@@ -215,6 +215,28 @@ class TestDecayAndReport:
         assert float(srows[0]["max_value"]) == 0.125
 
 
+class TestReportErrors:
+    def _report(self, tmp_path, capsys, src):
+        summary = tmp_path / "s.csv"
+        code = main(["report", str(src), "--out", str(summary)])
+        assert code == 2
+        assert "report error" in capsys.readouterr().err
+        assert not summary.exists()
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        self._report(tmp_path, capsys, tmp_path / "nope.csv")
+
+    def test_empty_file_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "empty.csv"
+        src.write_text("")
+        self._report(tmp_path, capsys, src)
+
+    def test_short_row_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "short.csv"
+        src.write_text("relation_id,tier,status,deviation\ngroup_law,exact,EXACT,0\nunit_norm,exact\n")
+        self._report(tmp_path, capsys, src)
+
+
 class TestEvolveCommand:
     def test_small_free_run(self, tmp_path):
         cfg = tmp_path / "e.cfg"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from grading_lab.dense import ChainSpec, gauge_project, op_norm, realize
 from grading_lab.dressing import dressed_matrix_unit, dressed_weyl
@@ -138,6 +139,55 @@ class TestHeisenbergEvolve:
         a = realize(smear(f1, D2, model.chain), model.chain)
         got = heisenberg_evolve(a, model, 2.0).entries
         assert np.abs(got - a.entries).max() < 1e-12
+
+
+def _charged_input(d, charges, seed):
+    """Random combination of two monomials of each listed shift charge mod d."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for q in charges:
+        q %= d
+        for labels in ({1: (0, q), 2: (1, 0)}, {0: (1, 1), 1: (0, (q - 1) % d)}):
+            coeff = complex(rng.standard_normal(), rng.standard_normal())
+            pairs.append((coeff, WeylMonomial.from_labels(d, labels)))
+    return AlgebraElement.from_monomials(pairs, d)
+
+
+class TestSectorBlocks:
+    @pytest.mark.parametrize("d, L, hopping", [
+        (2, 4, IM_NN),
+        (3, 3, Hopping({1: 0.5 - 0.25j, -1: 0.5 + 0.25j})),
+    ])
+    @pytest.mark.parametrize("charges", [(0,), (1,), (0, 1, 2)], ids=["charge0", "charge1", "mixed"])
+    def test_matches_full_expm(self, d, L, hopping, charges):
+        model = QuadraticModel(ChainSpec(d, L), GradingParams(d, 1, 1), hopping)
+        a = _charged_input(d, charges, seed=7 * d + len(charges))
+        full = realize(a, model.chain).entries
+        for t in (0.0, 1.3, 4.1):
+            u = scipy.linalg.expm(1j * t * model.dense_hamiltonian.entries)
+            want = u @ full @ u.conj().T
+            got = heisenberg_evolve(a, model, t).entries
+            assert np.abs(got - want).max() < 1e-12
+
+    def test_off_sector_entry_rejected(self):
+        model = QuadraticModel(ChainSpec(2, 4), D2, IM_NN)
+        h = model.dense_hamiltonian.entries
+        # basis states 0 (|0000>, charge 0) and 1 (|0001>, charge 1); a
+        # hermitian pair keeps the hermiticity check quiet
+        h[0, 1] += 1e-9
+        h[1, 0] += 1e-9
+        with pytest.raises(ValueError, match="mixes charge sectors"):
+            model.eigensystem
+
+    def test_propagator_memo(self):
+        model = QuadraticModel(ChainSpec(3, 3), D3, Hopping({1: 0.5, -1: 0.5}))
+        first = model.propagator(0.7)
+        assert first.shape == (3, 9, 9)
+        assert model.propagator(0.7) is first
+        other = model.propagator(1.1)
+        assert other is not first
+        assert np.abs(other - first).max() > 1e-3
+        assert np.array_equal(model.propagator(0.7), first)
 
 
 class TestCommutatorDecay:
