@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -74,6 +75,17 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(cell) for cell in row])
 
 
+@contextmanager
+def _config_values():
+    """Report a value the program rejects while building from the config as a ConfigError."""
+    try:
+        yield
+    except DimensionCapError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _random_monomial(rng: np.random.Generator, d: int, L: int) -> WeylMonomial:
     labels = {}
     for x in range(L):
@@ -84,8 +96,10 @@ def _random_monomial(rng: np.random.Generator, d: int, L: int) -> WeylMonomial:
 
 def _verify_rows(cfg: ExperimentConfig, seed: int, cap: int) -> list[list]:
     d, L = cfg.d, cfg.l
-    params = GradingParams(d, cfg.j_plus, cfg.j_minus)
-    chain = ChainSpec(d, L, cap=cap)
+    with _config_values():
+        params = GradingParams(d, cfg.j_plus, cfg.j_minus)
+        chain = ChainSpec(d, L, cap=cap)
+        hopping = Hopping(cfg.hopping)
     small = ChainSpec(d, min(L, 5), cap=cap)
     # dense-verified rows fall back to the small chain above the cap
     dense_chain = chain if chain.dense_allowed else small
@@ -183,7 +197,8 @@ def _verify_rows(cfg: ExperimentConfig, seed: int, cap: int) -> list[list]:
 
     if cfg.hopping and dense_chain.L >= 4:
         ld = dense_chain.L
-        model = QuadraticModel(dense_chain, params, Hopping(cfg.hopping))
+        with _config_values():
+            model = QuadraticModel(dense_chain, params, hopping)
         for r in claimed_commutator_audit(model, x=min(3, ld - 2), z=1):
             rows.append([r.claim_id, "audit", r.params, r.status, r.deviation, r.payload])
         if ld // 2 > 1:
@@ -203,11 +218,12 @@ def cmd_verify(cfg: ExperimentConfig, out: str, seed: int, cap: int) -> int:
 
 def cmd_evolve(cfg: ExperimentConfig, out: str, cap: int) -> int:
     d, L = cfg.d, cfg.l
-    params = GradingParams(d, cfg.j_plus, cfg.j_minus)
-    chain = ChainSpec(d, L, cap=cap)
-    model = QuadraticModel(chain, params, Hopping(cfg.hopping))
-    n = ((L + d - 1) // d) * d
-    f0 = OneParticleVector.from_amplitudes(d, n, {(L // 2 - 1, 0): 1.0, (L // 2, 0): 0.5})
+    with _config_values():
+        params = GradingParams(d, cfg.j_plus, cfg.j_minus)
+        chain = ChainSpec(d, L, cap=cap)
+        model = QuadraticModel(chain, params, Hopping(cfg.hopping))
+        n = ((L + d - 1) // d) * d
+        f0 = OneParticleVector.from_amplitudes(d, n, {(L // 2 - 1, 0): 1.0, (L // 2, 0): 0.5})
     res, _ = span_residual(model, f0)
     a0 = realize(smear(f0, params, chain), chain)
     heff = d2_effective_hopping(model) if d == 2 else None
@@ -243,10 +259,11 @@ def _decay_pairs(params: GradingParams, chain: ChainSpec):
 
 
 def cmd_decay(cfg: ExperimentConfig, out: str, cap: int) -> int:
-    params = GradingParams(cfg.d, cfg.j_plus, cfg.j_minus)
-    chain = ChainSpec(cfg.d, cfg.l, cap=cap)
-    model = QuadraticModel(chain, params, Hopping(cfg.hopping))
-    (a_gi, b_gi), (a_bare, b_bare) = _decay_pairs(params, chain)
+    with _config_values():
+        params = GradingParams(cfg.d, cfg.j_plus, cfg.j_minus)
+        chain = ChainSpec(cfg.d, cfg.l, cap=cap)
+        model = QuadraticModel(chain, params, Hopping(cfg.hopping))
+        (a_gi, b_gi), (a_bare, b_bare) = _decay_pairs(params, chain)
     grid = cfg.t_grid()
     rows = []
     for pair_id, (a, b) in (("dressed_gauge_invariant", (a_gi, b_gi)), ("bare_charged", (a_bare, b_bare))):
@@ -258,8 +275,11 @@ def cmd_decay(cfg: ExperimentConfig, out: str, cap: int) -> int:
 
 
 def cmd_block(cfg: ExperimentConfig, out: str, cap: int) -> int:
-    params = GradingParams(cfg.d, cfg.j_plus, cfg.j_minus)
-    chain = ChainSpec(cfg.d, cfg.l, cap=cap)
+    with _config_values():
+        params = GradingParams(cfg.d, cfg.j_plus, cfg.j_minus)
+        chain = ChainSpec(cfg.d, cfg.l, cap=cap)
+    if cfg.block_k < 1 or cfg.l % cfg.block_k:
+        raise ConfigError(f"block_k = {cfg.block_k} does not divide l = {cfg.l}")
     element = AlgebraElement.from_monomials(
         [
             (1.0, WeylMonomial.single(cfg.d, 0, 1, 1)),

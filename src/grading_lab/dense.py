@@ -68,6 +68,27 @@ class ChainSpec:
         return np.argsort(charges, kind="stable").reshape(self.d, -1)
 
 
+def sector_blocks(m: np.ndarray, chain: ChainSpec) -> np.ndarray:
+    """Sector-ordered copy of a full matrix, shaped (d, m, d, m).
+
+    Entry [r, i, c, j] is m[sectors[r, i], sectors[c, j]] with
+    ``sectors = chain.sectors()``, so [r, :, c, :] is the block that maps
+    charge sector c into charge sector r.
+    """
+    sectors = chain.sectors()
+    d, size = sectors.shape
+    order = sectors.ravel()
+    return m[np.ix_(order, order)].reshape(d, size, d, size)
+
+
+def sector_unblock(blocks: np.ndarray, chain: ChainSpec) -> np.ndarray:
+    """Full matrix in the site basis from its (d, m, d, m) sector blocks."""
+    order = chain.sectors().ravel()
+    out = np.empty((chain.dim, chain.dim), dtype=blocks.dtype)
+    out[np.ix_(order, order)] = blocks.reshape(chain.dim, chain.dim)
+    return out
+
+
 class DimensionCapError(ValueError):
     """Raised when a dense computation would exceed the configured cap."""
 

@@ -6,9 +6,13 @@ The Hamiltonian is the charge-balanced hopping form
 
 with every pair kept inside the open chain.  It is gauge invariant and
 self-adjoint by construction.  It therefore commutes with the gauge
-unitary and splits into d charge sectors of d^(L-1) states each; dense
-evolution uses one cached per-sector eigendecomposition per model and
-conjugates an operator block by block, sector r to sector c.
+unitary and splits into d charge sectors of d^(L-1) states each, and every
+dense computation uses one cached per-sector eigendecomposition per model.
+``heisenberg_evolve`` returns site-basis entries: it conjugates an operator
+block by block, sector r to sector c, by the memoised propagator.  The
+unitarily invariant commutator-norm series instead rotates both operators
+into the per-sector eigenbasis once, where the evolution is an element-wise
+phase exp(i (E_m - E_n) t), and takes norms block by block.
 
 At d = 2 the dressed generators are one-sided Majorana operators and the
 model closes on the smeared charge-0 flavor: the induced one-particle flow
@@ -25,7 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import ChainSpec, DenseOperator, gauge_unitary, op_norm, realize
+from .dense import (
+    ChainSpec,
+    DenseOperator,
+    gauge_unitary,
+    op_norm,
+    realize,
+    sector_blocks,
+    sector_unblock,
+)
 from .dressing import dressed_weyl, dressed_weyl_rs
 from .oneparticle import Hopping, OneParticleVector
 from .weyl import (
@@ -90,12 +102,8 @@ class QuadraticModel:
             hm = self.dense_hamiltonian.entries
             if float(np.abs(hm - hm.conj().T).max()) > 1e-12:
                 raise ValueError("dense Hamiltonian is not hermitian")
-            sectors = self.chain.sectors()
-            d, m = sectors.shape
-            order = sectors.ravel()
-            # sector-ordered copy viewed as (row sector, row, column sector, column)
-            blocked = hm[np.ix_(order, order)].reshape(d, m, d, m)
-            diag = np.arange(d)
+            blocked = sector_blocks(hm, self.chain)
+            diag = np.arange(self.chain.d)
             blocks = blocked[diag, :, diag, :]
             blocked[diag, :, diag, :] = 0.0
             if float(np.abs(blocked).max()) > 1e-12:
@@ -112,13 +120,27 @@ class QuadraticModel:
             self._prop = (t, u)
         return self._prop[1]
 
+    def eigenbasis_blocks(self, a: DenseOperator) -> dict[tuple[int, int], np.ndarray]:
+        """Nonzero sector blocks of a in the per-sector eigenbasis.
+
+        Block (r, c) is V_r^dag A_rc V_c; blocks that are exactly zero in the
+        site basis are left out.  In this basis exp(iHt) . exp(-iHt) multiplies
+        entry [m, n] of block (r, c) by the phase exp(i (E_r[m] - E_c[n]) t).
+        """
+        _, vecs = self.eigensystem
+        blocks = sector_blocks(a.entries, self.chain)
+        return {
+            (int(r), int(c)): vecs[r].conj().T @ blocks[r, :, c, :] @ vecs[c]
+            for r, c in zip(*np.nonzero(blocks.any(axis=(1, 3))))
+        }
+
     def velocity_bound(self) -> float:
         """Speed bound 2 * sum |h(x)| * |x| of the shipped hopping."""
         return self.hopping.velocity_bound()
 
 
 def heisenberg_evolve(a: AlgebraElement | DenseOperator, model: QuadraticModel, t: float) -> DenseOperator:
-    """Conjugate by exp(iHt): the Heisenberg picture at time t.
+    """Conjugate by exp(iHt): the Heisenberg picture at time t, in the site basis.
 
     Each block A_rc (rows in sector r, columns in sector c) maps to
     u_r A_rc u_c^dag; blocks that are exactly zero stay zero, so an operator
@@ -126,16 +148,10 @@ def heisenberg_evolve(a: AlgebraElement | DenseOperator, model: QuadraticModel, 
     """
     dense = a if isinstance(a, DenseOperator) else realize(a, model.chain)
     u = model.propagator(t)
-    uh = u.conj().transpose(0, 2, 1)
-    sectors = model.chain.sectors()
-    out = np.zeros_like(dense.entries)
-    for r, rows in enumerate(sectors):
-        for c, cols in enumerate(sectors):
-            cut = np.ix_(rows, cols)
-            block = dense.entries[cut]
-            if block.any():
-                out[cut] = u[r] @ block @ uh[c]
-    return DenseOperator(model.chain, out)
+    blocks = sector_blocks(dense.entries, model.chain)
+    for r, c in zip(*np.nonzero(blocks.any(axis=(1, 3)))):
+        blocks[r, :, c, :] = u[r] @ blocks[r, :, c, :] @ u[c].conj().T
+    return DenseOperator(model.chain, sector_unblock(blocks, model.chain))
 
 
 def smear(f: OneParticleVector, params: GradingParams, chain: ChainSpec, truncate: bool = False) -> AlgebraElement:
@@ -198,13 +214,41 @@ def commutator_decay(
     model: QuadraticModel,
     t_grid,
 ) -> DecayResult:
-    """Series of (t, ||[tau_t(a), b]||) over a sorted time grid."""
-    bd = realize(b, model.chain)
-    a0 = realize(a, model.chain)
+    """Series of (t, ||[tau_t(a), b]||) over a sorted time grid.
+
+    The norm is unitarily invariant, so both operators are rotated once into
+    the per-sector eigenbasis (``QuadraticModel.eigenbasis_blocks``), where
+    tau_t is an element-wise phase and the commutator is formed block by
+    block.  When no two commutator blocks share a row sector or a column
+    sector, as for any pair of definite charge, the norm is the largest
+    block norm; otherwise it is the norm of the assembled matrix.
+    """
+    at = model.eigenbasis_blocks(realize(a, model.chain))
+    bt = model.eigenbasis_blocks(realize(b, model.chain))
+    vals, _ = model.eigensystem
+    d, m = vals.shape
+    # block (r, c) of A B sums A_rk B_kc over k, and likewise for B A
+    ab = [(r, k, c) for r, k in at for k2, c in bt if k == k2]
+    ba = [(r, k, c) for r, k in bt for k2, c in at if k == k2]
+    keys = sorted({(r, c) for r, _, c in ab + ba})
+    disjoint = len({r for r, _ in keys}) == len(keys) == len({c for _, c in keys})
     pts = []
     for t in sorted(float(t) for t in t_grid):
-        at = heisenberg_evolve(a0, model, t)
-        pts.append(DecayPoint(t=t, norm=op_norm(at.commutator(bd))))
+        ph = np.exp(1j * t * vals)
+        a_t = {(r, c): ph[r][:, None] * blk * ph[c].conj() for (r, c), blk in at.items()}
+        comm = {key: np.zeros((m, m), dtype=complex) for key in keys}
+        for r, k, c in ab:
+            comm[r, c] += a_t[r, k] @ bt[k, c]
+        for r, k, c in ba:
+            comm[r, c] -= bt[r, k] @ a_t[k, c]
+        if disjoint:
+            norm = max((op_norm(blk) for blk in comm.values()), default=0.0)
+        else:
+            full = np.zeros((d, m, d, m), dtype=complex)
+            for (r, c), blk in comm.items():
+                full[r, :, c, :] = blk
+            norm = op_norm(full.reshape(d * m, d * m))
+        pts.append(DecayPoint(t=t, norm=norm))
     return DecayResult(
         points=pts,
         a_gauge_invariant=a.is_gauge_invariant(1e-14),

@@ -87,6 +87,21 @@ class TestExitCodes:
         assert code == 3
         assert "256" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, body", [
+        ("verify", "d = 1\nl = 4\n"),
+        ("verify", "d = 2\nl = 0\n"),
+        ("block", "d = 2\nl = 5\nblock_k = 2\n"),
+        ("evolve", "d = 2\nl = 4\nhopping = 7=1+0j\n"),
+        ("decay", "d = 2\nl = 4\nhopping = 7=1+0j\n"),
+        ("decay", "d = 3\nl = 4\nhopping = 1=0.5, -1=0.5\n"),
+    ], ids=["d1", "l0", "block_k_not_divisor", "evolve_non_hermitian", "decay_non_hermitian", "decay_short_chain"])
+    def test_bad_value_exits_2(self, tmp_path, capsys, command, body):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"experiment = {command}\n{body}t_start = 0\nt_stop = 1\nt_count = 2\n")
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_verify_preset_exits_0(self, tmp_path):
         out = tmp_path / "v.csv"
         assert main(["verify", "--config", preset("verify_d3.cfg"), "--out", str(out)]) == 0

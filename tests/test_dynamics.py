@@ -232,6 +232,43 @@ class TestCommutatorDecay:
         assert gi_ratio < bare_ratio
 
 
+class TestCommutatorDecayOracle:
+    @pytest.mark.parametrize("d, L, hopping", [
+        (2, 4, IM_NN),
+        (3, 3, Hopping({1: 0.5 - 0.25j, -1: 0.5 + 0.25j})),
+    ])
+    @pytest.mark.parametrize("a_charges, b_charges", [((1,), (1,)), ((0, 1), (0,))], ids=["definite", "mixed"])
+    def test_matches_expm(self, monkeypatch, d, L, hopping, a_charges, b_charges):
+        import grading_lab.dynamics as dynamics
+
+        model = QuadraticModel(ChainSpec(d, L), GradingParams(d, 1, 1), hopping)
+        a = _charged_input(d, a_charges, seed=11 * d + len(a_charges))
+        b = _charged_input(d, b_charges, seed=13 * d)
+        ad, bd = realize(a, model.chain).entries, realize(b, model.chain).entries
+        h = model.dense_hamiltonian.entries
+        shapes = []
+
+        def recording_norm(m):
+            shapes.append(np.shape(m))
+            return op_norm(m)
+
+        monkeypatch.setattr(dynamics, "op_norm", recording_norm)
+        times = [0.0, 1.3, 4.1]
+        res = commutator_decay(a, b, model, times)
+        worst = 0.0
+        for t, p in zip(times, res.points):
+            at = scipy.linalg.expm(1j * t * h) @ ad @ scipy.linalg.expm(-1j * t * h)
+            want = np.linalg.norm(at @ bd - bd @ at, 2)
+            worst = max(worst, want)
+            assert abs(p.norm - want) < 1e-12
+        assert worst > 1e-3
+        # a definite-charge commutator takes the largest of d sector-block
+        # norms; a mixed one shares sectors and takes the assembled matrix
+        m = d ** (L - 1)
+        full = len(a_charges) > 1
+        assert shapes == ([(d * m, d * m)] * len(times) if full else [(m, m)] * (d * len(times)))
+
+
 class TestClaimedCommutatorAudit:
     def test_rows_and_statuses(self):
         model = QuadraticModel(ChainSpec(3, 5), D3, Hopping({1: 0.5, -1: 0.5}))

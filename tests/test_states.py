@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import jv
 
 from grading_lab.dense import ChainSpec, realize
@@ -11,6 +12,7 @@ from grading_lab.oneparticle import Hopping, OneParticleVector, evolve
 from grading_lab.states import clustering_report, trace_state, two_point
 from grading_lab.weyl import AlgebraElement, GradingParams, WeylMonomial, gauge_rotate
 
+from test_dynamics import _charged_input
 from test_weyl import random_element
 
 D2 = GradingParams(2, 1, 1)
@@ -92,6 +94,43 @@ class TestTwoPoint:
             prop = evolve(delta, heff, t).amplitude(5)
             assert abs(v) == pytest.approx(abs(prop) / 4, abs=1e-8)
             assert abs(prop) == pytest.approx(abs(jv(2, rate * t)), abs=1e-8)
+
+
+class TestTwoPointOracle:
+    @pytest.mark.parametrize("d, L, hopping", [
+        (2, 4, Hopping({1: -1j / 16, -1: 1j / 16})),
+        (3, 3, Hopping({1: 0.5 - 0.25j, -1: 0.5 + 0.25j})),
+    ])
+    @pytest.mark.parametrize("q", [0, 1], ids=["charge0", "charged"])
+    def test_matches_expm(self, d, L, hopping, q):
+        model = QuadraticModel(ChainSpec(d, L), GradingParams(d, 1, 1), hopping)
+        chain = model.chain
+        # A has charge q and B charge -q, so trace(A tau_t(B)) need not vanish
+        a = _charged_input(d, (q,), seed=3 * d)
+        b = a.adjoint().scale(0.5) + _charged_input(d, (-q,), seed=3 * d + 1)
+        if q == 0:
+            # identity parts make omega(A) omega(B) nonzero
+            a = a + AlgebraElement.identity(d).scale(0.4)
+            b = b + AlgebraElement.identity(d).scale(0.7)
+        ad, bd = realize(a, chain).entries, realize(b, chain).entries
+        h = model.dense_hamiltonian.entries
+        times = [0.0, 0.9, 2.5, 6.3]
+        series = two_point(a, b, model, times)
+        worst = 0.0
+        for t, got in zip(times, series.values):
+            bt = scipy.linalg.expm(1j * t * h) @ bd @ scipy.linalg.expm(-1j * t * h)
+            want = np.trace(ad @ bt) / chain.dim - np.trace(ad) * np.trace(bd) / chain.dim**2
+            worst = max(worst, abs(want))
+            assert abs(got - want) < 1e-12
+        assert worst > 1e-3
+
+    def test_empty_grid_rejected(self):
+        model = QuadraticModel(ChainSpec(2, 4), D2, Hopping({1: -0.125j, -1: 0.125j}))
+        a = dressed_matrix_unit(1, 1, 1, D2, model.chain)
+        with pytest.raises(ValueError, match="empty time grid"):
+            two_point(a, a, model, [])
+        with pytest.raises(ValueError, match="empty time grid"):
+            clustering_report(a, a, model, [])
 
 
 class TestClustering:
