@@ -227,15 +227,15 @@ def cmd_evolve(cfg: ExperimentConfig, out: str, cap: int) -> int:
     res, _ = span_residual(model, f0)
     a0 = realize(smear(f0, params, chain), chain)
     heff = d2_effective_hopping(model) if d == 2 else None
+    grid = cfg.t_grid()
     rows = []
-    for t in cfg.t_grid():
+    for t, rec in zip(grid, reconstruct_spin_evolution(model, grid)):
         at = heisenberg_evolve(a0, model, t)
         if heff is not None:
             pred = realize(smear(evolve(f0, heff, t), params, chain, truncate=True), chain)
             flow_dev = float(np.abs(at.entries - pred.entries).max())
         else:
             flow_dev = float("nan")
-        rec = reconstruct_spin_evolution(model, t)
         rows.append([t, flow_dev, res, rec.deviation])
     write_csv(out, ["t", "flow_deviation", "span_residual", "reconstruction_deviation"], rows)
     return EXIT_OK

@@ -2,12 +2,14 @@
 
 Format: UTF-8 lines ``key = value``, ``#`` starts a comment, blank lines
 ignored.  The hopping list is comma-separated ``offset=complex`` pairs
-with Python complex literals.  Unknown keys are rejected.  ``canonical_text``
-round-trips through ``parse_config`` bit-for-bit.
+with Python complex literals.  Unknown keys and non-finite numbers are
+rejected.  ``canonical_text`` round-trips through ``parse_config``
+bit-for-bit.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 
@@ -96,6 +98,8 @@ def _parse_hopping(text: str) -> dict[int, complex]:
             raise ConfigError(f"cannot parse hopping pair {pair!r}: {exc}") from None
         if x in out:
             raise ConfigError(f"duplicate hopping offset {x}")
+        if not cmath.isfinite(z):
+            raise ConfigError(f"hopping value at offset {x} is not finite: {val.strip()!r}")
         out[x] = z
     return out
 
@@ -122,6 +126,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 values[key] = int(val)
             elif key in _FLOAT_KEYS:
                 values[key] = float(val)
+                if not cmath.isfinite(values[key]):
+                    raise ConfigError(f"line {lineno}: {key!r} is not finite: {val!r}")
             else:
                 values[key] = val
         except ConfigError:

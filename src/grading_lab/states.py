@@ -66,8 +66,7 @@ def two_point(
     wb = np.trace(bd.entries) / ch.dim
     at = model.eigenbasis_blocks(ad)
     bt = model.eigenbasis_blocks(bd)
-    energies, _ = model.eigensystem
-    phase = np.exp(1j * times[:, None, None] * energies)  # (time, sector, level)
+    phase = np.stack([model.propagator(t) for t in times])  # (time, sector, level)
     acc = np.zeros(times.size, dtype=complex)
     for (r, c), bb in bt.items():
         if (c, r) in at:

@@ -62,6 +62,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("d = 2\n")
 
+    @pytest.mark.parametrize("line", [
+        "t_start = nan",
+        "t_stop = inf",
+        "t_start = -inf",
+        "t_stop = 1e400",
+        "t_stop = 1+2j",
+        "hopping = 1=nan, -1=0",
+        "hopping = 1=0+infj, -1=0-infj",
+    ])
+    def test_non_finite_value_rejected(self, line):
+        with pytest.raises(ConfigError):
+            parse_config(f"experiment = verify\n{line}\n")
+
     def test_t_grid(self):
         cfg = parse_config("experiment = e\nt_start = 1\nt_stop = 3\nt_count = 5\n")
         assert cfg.t_grid() == [1.0, 1.5, 2.0, 2.5, 3.0]
@@ -94,10 +107,18 @@ class TestExitCodes:
         ("evolve", "d = 2\nl = 4\nhopping = 7=1+0j\n"),
         ("decay", "d = 2\nl = 4\nhopping = 7=1+0j\n"),
         ("decay", "d = 3\nl = 4\nhopping = 1=0.5, -1=0.5\n"),
-    ], ids=["d1", "l0", "block_k_not_divisor", "evolve_non_hermitian", "decay_non_hermitian", "decay_short_chain"])
+        ("evolve", "d = 2\nl = 4\nhopping = 1=nan, -1=nan\n"),
+        ("decay", "d = 2\nl = 6\nhopping = 1=0+infj, -1=0-infj\n"),
+        ("verify", "d = 2\nl = 4\nhopping = 1=nan, -1=nan\n"),
+        ("evolve", "d = 2\nl = 4\nt_stop = nan\n"),
+        ("decay", "d = 2\nl = 6\nt_start = -inf\n"),
+    ], ids=["d1", "l0", "block_k_not_divisor", "evolve_non_hermitian", "decay_non_hermitian", "decay_short_chain",
+            "evolve_nan_hopping", "decay_inf_hopping", "verify_nan_hopping", "evolve_nan_t_stop", "decay_inf_t_start"])
     def test_bad_value_exits_2(self, tmp_path, capsys, command, body):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"experiment = {command}\n{body}t_start = 0\nt_stop = 1\nt_count = 2\n")
+        # the default grid fills only the grid keys the case leaves unset
+        grid = "".join(f"{k} = {v}\n" for k, v in (("t_start", 0), ("t_stop", 1), ("t_count", 2)) if k not in body)
+        cfg.write_text(f"experiment = {command}\n{body}{grid}")
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "config error" in capsys.readouterr().err

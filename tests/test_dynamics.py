@@ -179,15 +179,23 @@ class TestSectorBlocks:
         with pytest.raises(ValueError, match="mixes charge sectors"):
             model.eigensystem
 
-    def test_propagator_memo(self):
-        model = QuadraticModel(ChainSpec(3, 3), D3, Hopping({1: 0.5, -1: 0.5}))
-        first = model.propagator(0.7)
-        assert first.shape == (3, 9, 9)
-        assert model.propagator(0.7) is first
-        other = model.propagator(1.1)
-        assert other is not first
-        assert np.abs(other - first).max() > 1e-3
-        assert np.array_equal(model.propagator(0.7), first)
+    @pytest.mark.parametrize("d, L, hopping", [
+        (2, 4, IM_NN),
+        (3, 3, Hopping({1: 0.5 - 0.25j, -1: 0.5 + 0.25j})),
+    ])
+    def test_propagator_matches_expm(self, d, L, hopping):
+        # propagator(t) holds the eigenbasis phases; rebuilt in the site basis
+        # per sector it is the matching diagonal block of expm(iHt)
+        model = QuadraticModel(ChainSpec(d, L), GradingParams(d, 1, 1), hopping)
+        _, vecs = model.eigensystem
+        sectors = model.chain.sectors()
+        for t in (0.0, 1.3, 4.1):
+            want = scipy.linalg.expm(1j * t * model.dense_hamiltonian.entries)
+            phases = model.propagator(t)
+            assert phases.shape == (d, d ** (L - 1))
+            for c in range(d):
+                got = (vecs[c] * phases[c]) @ vecs[c].conj().T
+                assert np.abs(got - want[np.ix_(sectors[c], sectors[c])]).max() < 1e-12
 
 
 class TestCommutatorDecay:
@@ -318,15 +326,25 @@ class TestSpanResidual:
 class TestReconstruction:
     def test_t0_identity(self):
         model = d2_model(6)
-        rep = reconstruct_spin_evolution(model, 0.0)
+        (rep,) = reconstruct_spin_evolution(model, [0.0])
         assert rep.deviation < 1e-12
 
     def test_d2_t1(self):
-        rep = reconstruct_spin_evolution(d2_model(8), 1.0)
+        (rep,) = reconstruct_spin_evolution(d2_model(8), [1.0])
         assert rep.deviation < 1e-10
 
     def test_factor_order_irrelevant(self):
         model = QuadraticModel(ChainSpec(3, 4), D3, Hopping({1: 0.5, -1: 0.5}))
-        rep = reconstruct_spin_evolution(model, 0.8)
+        (rep,) = reconstruct_spin_evolution(model, [0.8])
         assert rep.deviation < 1e-10
         assert rep.deviation_reversed < 1e-10
+
+    def test_one_report_per_grid_point(self):
+        model = QuadraticModel(ChainSpec(3, 4), D3, Hopping({1: 0.5, -1: 0.5}))
+        grid = [0.8, 0.0, 2.5]
+        reps = reconstruct_spin_evolution(model, grid)
+        assert [rep.t for rep in reps] == grid
+        for t, rep in zip(grid, reps):
+            assert [rep] == reconstruct_spin_evolution(model, [t])
+            assert rep.site == 2
+            assert rep.deviation < 1e-10 and rep.deviation_reversed < 1e-10
