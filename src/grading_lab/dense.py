@@ -195,27 +195,27 @@ def gauge_unitary(chain: ChainSpec) -> DenseOperator:
     return DenseOperator(chain, np.diag(w ** (chain.digit_sums() % chain.d)))
 
 
-def _project_by_diagonal(m: np.ndarray, phases: np.ndarray, order: int) -> np.ndarray:
-    acc = np.zeros_like(m)
-    for j in range(order):
-        gj = phases ** j
-        acc += (gj[:, None] * gj.conj()[None, :]) * m
-    return acc / order
+def _charge_mask(charges: np.ndarray, order: int) -> np.ndarray:
+    """Entries [u, v] whose integer charges agree mod ``order``.
+
+    Averaging M over conjugation by the powers of diag(exp(2i*pi*s/order))
+    multiplies entry [u, v] by the mean of exp(2i*pi*j*(s_u - s_v)/order)
+    over j, which is exactly 1 on this mask and exactly 0 off it.
+    """
+    return (charges[:, None] - charges[None, :]) % order == 0
 
 
 def gauge_project(a: AlgebraElement | DenseOperator):
     """Average over conjugation by powers of the global gauge unitary.
 
     Symbolic input: keeps the monomials of total shift charge 0 mod d.
-    Dense input: (1/d) sum_j G^j M G^-j, computed entrywise through the
-    diagonal gauge phases.
+    Dense input: (1/d) sum_j G^j M G^-j, which keeps exactly the entries
+    between basis states of equal charge and zeroes the rest.
     """
     if isinstance(a, AlgebraElement):
         return gauge_project_symbolic(a)
     chain = a.chain
-    d = chain.d
-    g = np.exp(2j * np.pi / d) ** (chain.digit_sums() % d)
-    return DenseOperator(chain, _project_by_diagonal(a.entries, g, d))
+    return DenseOperator(chain, np.where(_charge_mask(chain.digit_sums(), chain.d), a.entries, 0.0))
 
 
 def sector_decompose(chain: ChainSpec) -> list[DenseOperator]:
@@ -344,8 +344,9 @@ def block_sites(a: AlgebraElement, k: int, chain: ChainSpec) -> tuple[AlgebraEle
     deviation = float(np.abs(fine_dense.entries - blocked_dense.entries).max())
 
     # containment P_fine . P_refined = P_refined on one-block monomials
-    srefined = np.exp(2j * np.pi * chain.digit_sums() / (k * d))
-    sfine = np.exp(2j * np.pi * (chain.digit_sums() % d) / d)
+    charges = chain.digit_sums()
+    refined = _charge_mask(charges, k * d)
+    fine = _charge_mask(charges, d)
     span: list[dict[int, tuple[int, int]]] = [{}]
     for site in range(min(k, 2)):
         span = [
@@ -357,8 +358,8 @@ def block_sites(a: AlgebraElement, k: int, chain: ChainSpec) -> tuple[AlgebraEle
     worst = 0.0
     for labs in span:
         m = realize(WeylMonomial.from_labels(d, labs), chain).entries
-        pr = _project_by_diagonal(m, srefined, k * d)
-        pf = _project_by_diagonal(pr, sfine, d)
+        pr = np.where(refined, m, 0.0)
+        pf = np.where(fine, pr, 0.0)
         worst = max(worst, float(np.abs(pf - pr).max()))
     samples = len(span)
 

@@ -10,9 +10,13 @@ unitary and splits into d charge sectors of d^(L-1) states each, and every
 dense computation uses one cached per-sector eigendecomposition per model.
 There is one evolution: operators are rotated once into that eigenbasis,
 where exp(iHt) is the phase table ``QuadraticModel.propagator(t)`` and
-tau_t multiplies block entry [m, n] by exp(i (E_m - E_n) t).  Products and
-norms are taken block by block; ``site_operator`` maps blocks back to the
-site basis for entrywise checks.
+tau_t multiplies block entry [m, n] by exp(i (E_m - E_n) t).  A caller
+with a time grid (``evolve``, the reconstruction check) rotates each
+operator once and only phases it per t.  Products and norms are taken
+block by block.  Entrywise checks map the nonzero blocks back to site-basis
+sector blocks (``QuadraticModel.site_blocks``) and take ``block_max_abs``
+over them: an absent block is zero and contributes nothing, so no check
+assembles the full d^L x d^L matrix.
 
 At d = 2 the dressed generators are one-sided Majorana operators and the
 model closes on the smeared charge-0 flavor: the induced one-particle flow
@@ -52,7 +56,7 @@ from .weyl import (
 # effective one-particle rate of the d=2 lattice model relative to h_hat
 FREE_FLOW_RATE_D2 = 8.0
 
-Blocks = dict[tuple[int, int], np.ndarray]  # eigenbasis sector blocks (r, c); absent is zero
+Blocks = dict[tuple[int, int], np.ndarray]  # sector blocks (r, c), site or eigenbasis; absent is zero
 
 
 class QuadraticModel:
@@ -125,18 +129,19 @@ class QuadraticModel:
         entry [m, n] of block (r, c) by the phase exp(i (E_r[m] - E_c[n]) t).
         """
         _, vecs = self.eigensystem
-        blocks = sector_blocks(a.entries, self.chain)
-        return {
-            (int(r), int(c)): vecs[r].conj().T @ blocks[r, :, c, :] @ vecs[c]
-            for r, c in zip(*np.nonzero(blocks.any(axis=(1, 3))))
-        }
+        return {(r, c): vecs[r].conj().T @ blk @ vecs[c] for (r, c), blk in nonzero_blocks(a).items()}
+
+    def site_blocks(self, blocks: Blocks) -> Blocks:
+        """Inverse of ``eigenbasis_blocks``, block by block: (r, c) maps back to V_r X_rc V_c^dag."""
+        _, vecs = self.eigensystem
+        return {(r, c): vecs[r] @ blk @ vecs[c].conj().T for (r, c), blk in blocks.items()}
 
     def site_operator(self, blocks: Blocks) -> DenseOperator:
-        """Inverse of ``eigenbasis_blocks``: block (r, c) maps back to V_r X_rc V_c^dag."""
-        vals, vecs = self.eigensystem
+        """The site-basis operator whose eigenbasis blocks these are."""
+        vals, _ = self.eigensystem
         full = np.zeros(vals.shape * 2, dtype=complex)  # (d, m, d, m)
-        for (r, c), blk in blocks.items():
-            full[r, :, c, :] = vecs[r] @ blk @ vecs[c].conj().T
+        for (r, c), blk in self.site_blocks(blocks).items():
+            full[r, :, c, :] = blk
         return DenseOperator(self.chain, sector_unblock(full, self.chain))
 
 
@@ -155,9 +160,23 @@ def block_product(x: Blocks, y: Blocks) -> Blocks:
     return out
 
 
-def _block_difference(x: Blocks, y: Blocks, scale: complex = 1.0) -> Blocks:
+def block_difference(x: Blocks, y: Blocks, scale: complex = 1.0) -> Blocks:
     """Blocks of X - scale * Y."""
     return {key: x.get(key, 0.0) - scale * y.get(key, 0.0) for key in x.keys() | y.keys()}
+
+
+def nonzero_blocks(a: DenseOperator) -> Blocks:
+    """Site-basis sector blocks of a, leaving out those that are exactly zero."""
+    blocks = sector_blocks(a.entries, a.chain)
+    return {
+        (int(r), int(c)): blocks[r, :, c, :]
+        for r, c in zip(*np.nonzero(blocks.any(axis=(1, 3))))
+    }
+
+
+def block_max_abs(blocks: Blocks) -> float:
+    """Largest entry modulus of the operator with these blocks; 0.0 when there are none."""
+    return max((float(np.abs(blk).max()) for blk in blocks.values()), default=0.0)
 
 
 def heisenberg_evolve(a: AlgebraElement | DenseOperator, model: QuadraticModel, t: float) -> DenseOperator:
@@ -244,7 +263,7 @@ def commutator_decay(
     pts = []
     for t in sorted(float(t) for t in t_grid):
         a_t = phase_blocks(at, model.propagator(t))
-        comm = _block_difference(block_product(a_t, bt), block_product(bt, a_t))
+        comm = block_difference(block_product(a_t, bt), block_product(bt, a_t))
         if len({r for r, _ in comm}) == len(comm) == len({c for _, c in comm}):
             norm = max((op_norm(blk) for blk in comm.values()), default=0.0)
         else:
@@ -391,8 +410,9 @@ def reconstruct_spin_evolution(model: QuadraticModel, t_grid, site: int | None =
 
     The identity W_x(1, 0) = exp(2i*pi/d) dressed(x, 0, 1) dressed_rs(x, 1, -1)
     holds exactly (the strings cancel), so the two evolutions agree up to
-    round-off.  Both factor orders are formed block by block in the eigenbasis;
-    each difference is compared entrywise in the site basis.
+    round-off.  Each operator is rotated into the eigenbasis once and phased
+    per t, both factor orders are formed block by block there, and each
+    difference is compared entrywise over its site-basis sector blocks.
     """
     ch, pr = model.chain, model.params
     if site is None:
@@ -408,8 +428,8 @@ def reconstruct_spin_evolution(model: QuadraticModel, t_grid, site: int | None =
     for t in t_grid:
         u = model.propagator(t)
         lhs_t, fa_t, fb_t = (phase_blocks(x, u) for x in (lhs, fa, fb))
-        dev = model.site_operator(_block_difference(lhs_t, block_product(fa_t, fb_t), phase)).max_abs()
-        rev = model.site_operator(_block_difference(lhs_t, block_product(fb_t, fa_t), phase * exch)).max_abs()
+        dev = block_max_abs(model.site_blocks(block_difference(lhs_t, block_product(fa_t, fb_t), phase)))
+        rev = block_max_abs(model.site_blocks(block_difference(lhs_t, block_product(fb_t, fa_t), phase * exch)))
         reports.append(ReconstructionReport(site=site, t=float(t), deviation=dev, deviation_reversed=rev))
     return reports
 

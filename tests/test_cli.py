@@ -1,11 +1,25 @@
 """Experiment runner: config parsing, CSV outputs, exit codes, determinism."""
 
+import cmath
+import math
 import os
 
 import pytest
 
+import grading_lab.dynamics as dynamics
 from grading_lab.cli import main
 from grading_lab.config import ConfigError, ExperimentConfig, parse_config
+from grading_lab.dense import ChainSpec, realize
+from grading_lab.dressing import dressed_weyl, dressed_weyl_rs
+from grading_lab.dynamics import (
+    QuadraticModel,
+    d2_effective_hopping,
+    heisenberg_evolve,
+    smear,
+    span_residual,
+)
+from grading_lab.oneparticle import Hopping, OneParticleVector, evolve
+from grading_lab.weyl import GradingParams, WeylMonomial
 
 PRESETS = os.path.join(os.path.dirname(__file__), "..", "src", "grading_lab", "presets")
 
@@ -122,6 +136,13 @@ class TestExitCodes:
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config", [("evolve", "decay_d3.cfg"), ("decay", "evolve_d2.cfg")])
+    def test_experiment_mismatch_exits_2(self, tmp_path, capsys, command, config):
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", preset(config), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verify_preset_exits_0(self, tmp_path):
         out = tmp_path / "v.csv"
@@ -287,3 +308,74 @@ class TestEvolveCommand:
         assert len(rows) == 3
         assert all(float(r["flow_deviation"]) < 1e-8 for r in rows)
         assert all(float(r["span_residual"]) < 1e-10 for r in rows)
+
+    @pytest.mark.parametrize("case, rotations", [("d2", 4), ("d3", 3)])
+    def test_rotates_each_operator_once(self, tmp_path, monkeypatch, case, rotations):
+        # a0 (only with a one-particle prediction, at d = 2), the clock and
+        # the two dressed factors are rotated once for the whole 9-point grid,
+        # and every check stays on sector blocks
+        calls = []
+        rotate = dynamics.QuadraticModel.eigenbasis_blocks
+
+        def counting(model, a):
+            calls.append(a)
+            return rotate(model, a)
+
+        def assembled(*args, **kwargs):
+            raise AssertionError("evolve assembled a full d^L x d^L matrix")
+
+        monkeypatch.setattr(dynamics.QuadraticModel, "eigenbasis_blocks", counting)
+        monkeypatch.setattr(dynamics.QuadraticModel, "site_operator", assembled)
+        monkeypatch.setattr(dynamics, "sector_unblock", assembled)
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(EVOLVE_CONFIGS[case])
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "e.csv")]) == 0
+        assert len(calls) == rotations
+
+    @pytest.mark.parametrize("case", ["d2", "d3"])
+    def test_matches_per_t_evolution(self, tmp_path, case):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(EVOLVE_CONFIGS[case])
+        out = tmp_path / "e.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        want = _per_t_evolve_rows(parse_config(EVOLVE_CONFIGS[case]))
+        assert len(rows) == len(want) == 9
+        for got, ref in zip(rows, want):
+            for key, value in ref.items():
+                cell = float(got[key])
+                assert (math.isnan(cell) and math.isnan(value)) or abs(cell - value) <= 1e-12, (key, cell, value)
+
+
+EVOLVE_CONFIGS = {
+    "d2": "experiment = evolve\nd = 2\nl = 6\nhopping = 1=0-0.0625j, -1=0+0.0625j\n"
+          "t_start = 0\nt_stop = 2\nt_count = 9\n",
+    "d3": "experiment = evolve\nd = 3\nl = 4\nhopping = 1=0.5, -1=0.5\nt_start = 0\nt_stop = 2\nt_count = 9\n",
+}
+
+
+def _per_t_evolve_rows(cfg):
+    """The rows of ``evolve`` rebuilt with one site-basis Heisenberg evolution per operator and t."""
+    d, L = cfg.d, cfg.l
+    params = GradingParams(d, cfg.j_plus, cfg.j_minus)
+    chain = ChainSpec(d, L)
+    model = QuadraticModel(chain, params, Hopping(cfg.hopping))
+    f0 = OneParticleVector.from_amplitudes(d, ((L + d - 1) // d) * d, {(L // 2 - 1, 0): 1.0, (L // 2, 0): 0.5})
+    res, _ = span_residual(model, f0)
+    a0 = realize(smear(f0, params, chain), chain)
+    site = L // 2
+    clock, ma, mb = (
+        realize(m, chain)
+        for m in (WeylMonomial.single(d, site, 1, 0), dressed_weyl(site, 1, params, chain),
+                  dressed_weyl_rs(site, 1, -1, params, chain))
+    )
+    rows = []
+    for t in cfg.t_grid():
+        flow = float("nan")
+        if d == 2:
+            pred = realize(smear(evolve(f0, d2_effective_hopping(model), t), params, chain, truncate=True), chain)
+            flow = (heisenberg_evolve(a0, model, t) - pred).max_abs()
+        lhs, fa, fb = (heisenberg_evolve(m, model, t) for m in (clock, ma, mb))
+        rec = (lhs - (fa @ fb).scale(cmath.exp(2j * cmath.pi / d))).max_abs()
+        rows.append({"t": t, "flow_deviation": flow, "span_residual": res, "reconstruction_deviation": rec})
+    return rows

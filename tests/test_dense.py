@@ -174,6 +174,15 @@ class TestGaugeProject:
         p = gauge_project(m)
         assert np.abs(gauge_project(p).entries - p.entries).max() < 1e-12
 
+    def test_dense_charged_monomial_is_exactly_zero(self):
+        # the average over the d gauge conjugations cancels a charge-1 entry
+        # exactly; the projection keeps no round-off residue
+        chain = ChainSpec(3, 4)
+        m = realize(WeylMonomial.single(3, 1, 0, 1), chain)
+        assert not gauge_project(m).entries.any()
+        inv = realize(WeylMonomial.from_labels(3, {0: (1, 1), 2: (0, 2)}), chain)
+        assert np.array_equal(gauge_project(inv).entries, inv.entries)
+
     def test_average_form_matches_explicit_conjugation(self):
         rng = np.random.default_rng(27)
         chain = ChainSpec(3, 3)
@@ -249,6 +258,12 @@ class TestBlocking:
         assert rep.containment_deviation < 1e-12
         assert rep.refined_gauge_order == 4
         assert rep.blocked_clock_order == 4
+
+    def test_projector_containment_exact(self):
+        rng = np.random.default_rng(1011)
+        for d, L, k in ((2, 4, 2), (3, 2, 2)):
+            _, rep = block_sites(random_element(rng, d, L, terms=3), k, ChainSpec(d, L))
+            assert rep.containment_deviation == 0.0
 
     def test_refined_gauge_root_of_plain(self):
         chain = ChainSpec(2, 4)

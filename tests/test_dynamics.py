@@ -9,11 +9,13 @@ from grading_lab.dressing import dressed_matrix_unit, dressed_weyl
 from grading_lab.dynamics import (
     FREE_FLOW_RATE_D2,
     QuadraticModel,
+    block_max_abs,
     claimed_commutator_audit,
     commutator_decay,
     d2_effective_hopping,
     gauge_invariance_defect,
     heisenberg_evolve,
+    phase_blocks,
     reconstruct_spin_evolution,
     smear,
     span_residual,
@@ -196,6 +198,22 @@ class TestSectorBlocks:
             for c in range(d):
                 got = (vecs[c] * phases[c]) @ vecs[c].conj().T
                 assert np.abs(got - want[np.ix_(sectors[c], sectors[c])]).max() < 1e-12
+
+    @pytest.mark.parametrize("d, L, hopping", [
+        (2, 4, IM_NN),
+        (3, 3, Hopping({1: 0.5 - 0.25j, -1: 0.5 + 0.25j})),
+    ])
+    @pytest.mark.parametrize("charges", [(0,), (1,), (0, 1, 2)], ids=["charge0", "charge1", "mixed"])
+    def test_block_max_abs_matches_site_operator(self, d, L, hopping, charges):
+        # the entrywise maximum over the nonzero site-basis blocks is the
+        # maximum over the assembled matrix: absent blocks are exactly zero
+        model = QuadraticModel(ChainSpec(d, L), GradingParams(d, 1, 1), hopping)
+        blocks = model.eigenbasis_blocks(realize(_charged_input(d, charges, seed=5 * d + len(charges)), model.chain))
+        assert len(blocks) == (d if len(charges) == 1 else d * d)
+        for t in (0.0, 1.3):
+            evolved = phase_blocks(blocks, model.propagator(t))
+            assert block_max_abs(model.site_blocks(evolved)) == model.site_operator(evolved).max_abs()
+        assert block_max_abs({}) == model.site_operator({}).max_abs() == 0.0
 
 
 class TestCommutatorDecay:
