@@ -6,10 +6,16 @@ generator W(1, 0) realizes as diag(w^t) with w = exp(2i*pi/d) and the shift
 generator W(0, 1) maps |t> -> |t+1 mod d>.  Every monomial is therefore a
 generalized permutation matrix and is realized by exact index/phase
 arithmetic; floating point enters only in the final complex exponential.
+
+A monomial of shift charge q maps charge sector c (digit sum mod d) into
+sector c + q, so a dense operator is held as its nonzero charge-sector
+blocks and its arithmetic works block by block; the full site-basis matrix
+is assembled only on request (``DenseOperator.entries``).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +23,8 @@ import numpy as np
 from .weyl import AlgebraElement, WeylMonomial, gauge_project_symbolic
 
 DEFAULT_DIM_CAP = 4096
+
+Blocks = dict[tuple[int, int], np.ndarray]  # charge-sector blocks (r, c); an absent block is zero
 
 
 @dataclass(frozen=True)
@@ -58,77 +66,94 @@ class ChainSpec:
         """Integer digit sums (not reduced mod d) of every basis state."""
         return self.digits().sum(axis=0)
 
+    @functools.cache
     def sectors(self) -> np.ndarray:
-        """(d, d^(L-1)) array: row c lists, ascending, the basis states of charge c.
+        """(d, d^(L-1)) read-only array: row c lists, ascending, the basis states of charge c.
 
         Every charge class mod d holds exactly d^(L-1) digit strings, so the
         rows have equal length.
         """
         charges = self.digit_sums() % self.d
-        return np.argsort(charges, kind="stable").reshape(self.d, -1)
-
-
-def sector_blocks(m: np.ndarray, chain: ChainSpec) -> np.ndarray:
-    """Sector-ordered copy of a full matrix, shaped (d, m, d, m).
-
-    Entry [r, i, c, j] is m[sectors[r, i], sectors[c, j]] with
-    ``sectors = chain.sectors()``, so [r, :, c, :] is the block that maps
-    charge sector c into charge sector r.
-    """
-    sectors = chain.sectors()
-    d, size = sectors.shape
-    order = sectors.ravel()
-    return m[np.ix_(order, order)].reshape(d, size, d, size)
-
-
-def sector_unblock(blocks: np.ndarray, chain: ChainSpec) -> np.ndarray:
-    """Full matrix in the site basis from its (d, m, d, m) sector blocks."""
-    order = chain.sectors().ravel()
-    out = np.empty((chain.dim, chain.dim), dtype=blocks.dtype)
-    out[np.ix_(order, order)] = blocks.reshape(chain.dim, chain.dim)
-    return out
+        out = np.argsort(charges, kind="stable").reshape(self.d, -1)
+        out.flags.writeable = False
+        return out
 
 
 class DimensionCapError(ValueError):
     """Raised when a dense computation would exceed the configured cap."""
 
 
+def block_product(x: Blocks, y: Blocks) -> Blocks:
+    """Blocks of the product X Y: (X Y)_rc = sum over k of X_rk Y_kc."""
+    out: Blocks = {}
+    for (r, k), xb in x.items():
+        for (k2, c), yb in y.items():
+            if k == k2:
+                out[r, c] = out[r, c] + xb @ yb if (r, c) in out else xb @ yb
+    return out
+
+
+def block_difference(x: Blocks, y: Blocks, scale: complex = 1.0) -> Blocks:
+    """Blocks of X - scale * Y."""
+    return {key: x.get(key, 0.0) - scale * y.get(key, 0.0) for key in x.keys() | y.keys()}
+
+
+def block_max_abs(blocks: Blocks) -> float:
+    """Largest entry modulus of the operator with these blocks; 0.0 when there are none."""
+    return max((float(np.abs(blk).max()) for blk in blocks.values()), default=0.0)
+
+
+def block_vdot(x: Blocks, y: Blocks) -> complex:
+    """Hilbert-Schmidt inner product trace(X^dag Y), summed over the blocks both hold."""
+    return complex(sum(np.vdot(x[key], y[key]) for key in x.keys() & y.keys()))
+
+
 @dataclass
 class DenseOperator:
-    """A complex matrix together with its chain metadata."""
+    """An operator on the chain, held as its nonzero charge-sector blocks.
+
+    ``blocks[(r, c)]`` is the m x m block (m = d^(L-1)) that maps charge
+    sector c into sector r, rows and columns in the order of
+    ``chain.sectors()``; an absent block is zero.
+    """
 
     chain: ChainSpec
-    entries: np.ndarray
+    blocks: Blocks
 
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if self.entries.shape != (self.chain.dim, self.chain.dim):
-            raise ValueError(f"matrix shape {self.entries.shape} does not match chain dim {self.chain.dim}")
+    @property
+    def entries(self) -> np.ndarray:
+        """The full d^L x d^L matrix in the site basis, assembled on each call."""
+        sectors = self.chain.sectors()
+        out = np.zeros((self.chain.dim, self.chain.dim), dtype=complex)
+        for (r, c), blk in self.blocks.items():
+            out[np.ix_(sectors[r], sectors[c])] = blk
+        return out
 
     @staticmethod
     def identity(chain: ChainSpec) -> "DenseOperator":
-        return DenseOperator(chain, np.eye(chain.dim, dtype=complex))
+        m = chain.dim // chain.d
+        return DenseOperator(chain, {(c, c): np.eye(m, dtype=complex) for c in range(chain.d)})
 
     def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        return DenseOperator(self.chain, self.entries @ other.entries)
+        return DenseOperator(self.chain, block_product(self.blocks, other.blocks))
 
     def __add__(self, other: "DenseOperator") -> "DenseOperator":
-        return DenseOperator(self.chain, self.entries + other.entries)
+        return DenseOperator(self.chain, block_difference(self.blocks, other.blocks, -1.0))
 
     def __sub__(self, other: "DenseOperator") -> "DenseOperator":
-        return DenseOperator(self.chain, self.entries - other.entries)
+        return DenseOperator(self.chain, block_difference(self.blocks, other.blocks))
 
     def scale(self, c: complex) -> "DenseOperator":
-        return DenseOperator(self.chain, c * self.entries)
+        return DenseOperator(self.chain, {key: c * blk for key, blk in self.blocks.items()})
 
     def adjoint(self) -> "DenseOperator":
-        return DenseOperator(self.chain, self.entries.conj().T)
+        return DenseOperator(self.chain, {(c, r): blk.conj().T for (r, c), blk in self.blocks.items()})
 
     def commutator(self, other: "DenseOperator") -> "DenseOperator":
-        return DenseOperator(self.chain, self.entries @ other.entries - other.entries @ self.entries)
+        return self @ other - other @ self
 
     def max_abs(self) -> float:
-        return float(np.abs(self.entries).max())
+        return block_max_abs(self.blocks)
 
 
 def clock_shift(d: int) -> tuple[DenseOperator, DenseOperator]:
@@ -148,7 +173,12 @@ def _phase_table(d: int) -> np.ndarray:
 
 
 def realize(a: AlgebraElement | WeylMonomial, chain: ChainSpec) -> DenseOperator:
-    """Tensor-product embedding of an element on the chain."""
+    """Tensor-product embedding of an element on the chain, written as charge blocks.
+
+    A monomial of shift charge q maps the state at position j of sector c to
+    one state of sector c + q, so it adds one entry per column to each of its
+    d blocks (c + q, c).  Blocks that end up exactly zero are left out.
+    """
     if isinstance(a, WeylMonomial):
         a = a.as_element()
     if a.d != chain.d:
@@ -158,21 +188,28 @@ def realize(a: AlgebraElement | WeylMonomial, chain: ChainSpec) -> DenseOperator
     if supp and (min(supp) < 0 or max(supp) >= chain.L):
         raise ValueError(f"support {supp} outside chain 0..{chain.L - 1}")
 
-    d, dim = chain.d, chain.dim
-    digits = chain.digits()
+    d = chain.d
+    sectors = chain.sectors()
+    m = sectors.shape[1]
+    digits = chain.digits()[:, sectors]  # (L, d, m): digits of the states of each sector
+    position = np.empty(chain.dim, dtype=np.int64)
+    position[sectors] = np.arange(m)  # index of every basis state inside its sector
     table = _phase_table(d)
-    v = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=complex)
+    sector_index, cols = np.arange(d)[:, None], np.arange(m)
+    # shift charge s -> its blocks (c + s, c) stacked over c
+    stacks = {s: np.zeros((d, m, m), dtype=complex) for s in a.charges()}
     for coeff, mono in a.monomials():
-        target = v.copy()
-        q = np.zeros(dim, dtype=np.int64)
+        target = sectors.copy()
+        q = np.zeros(sectors.shape, dtype=np.int64)
         for x, (k, l) in mono.sites:
             t = digits[x]
             tl = (t + l) % d
             target += (tl - t) * d ** (chain.L - 1 - x)
             q += 2 * k * (t + l) - k * l
-        out[target, v] += coeff * table[q % (2 * d)]
-    return DenseOperator(chain, out)
+        stacks[mono.charge()][sector_index, position[target], cols] += coeff * table[q % (2 * d)]
+    return DenseOperator(
+        chain, {((c + s) % d, c): blk for s, stack in stacks.items() for c, blk in enumerate(stack) if blk.any()}
+    )
 
 
 def op_norm(m: DenseOperator | np.ndarray) -> float:
@@ -188,11 +225,16 @@ def op_norm(m: DenseOperator | np.ndarray) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
+def _diagonal(chain: ChainSpec, values: np.ndarray) -> DenseOperator:
+    """The diagonal operator with entry values[v] at basis state v."""
+    return DenseOperator(chain, {(c, c): np.diag(values[s]) for c, s in enumerate(chain.sectors())})
+
+
 def gauge_unitary(chain: ChainSpec) -> DenseOperator:
     """Product over all sites of the clock generator: diag(w^digit_sum)."""
     chain.check_dense()
     w = np.exp(2j * np.pi / chain.d)
-    return DenseOperator(chain, np.diag(w ** (chain.digit_sums() % chain.d)))
+    return _diagonal(chain, w ** (chain.digit_sums() % chain.d))
 
 
 def _charge_mask(charges: np.ndarray, order: int) -> np.ndarray:
@@ -209,23 +251,20 @@ def gauge_project(a: AlgebraElement | DenseOperator):
     """Average over conjugation by powers of the global gauge unitary.
 
     Symbolic input: keeps the monomials of total shift charge 0 mod d.
-    Dense input: (1/d) sum_j G^j M G^-j, which keeps exactly the entries
-    between basis states of equal charge and zeroes the rest.
+    Dense input: (1/d) sum_j G^j M G^-j, which keeps exactly the diagonal
+    charge blocks (entries between basis states of equal charge) and drops
+    the rest.
     """
     if isinstance(a, AlgebraElement):
         return gauge_project_symbolic(a)
-    chain = a.chain
-    return DenseOperator(chain, np.where(_charge_mask(chain.digit_sums(), chain.d), a.entries, 0.0))
+    return DenseOperator(a.chain, {(r, c): blk for (r, c), blk in a.blocks.items() if r == c})
 
 
 def sector_decompose(chain: ChainSpec) -> list[DenseOperator]:
     """Spectral projectors of the gauge unitary, one per charge 0..d-1."""
     chain.check_dense()
-    cs = chain.digit_sums() % chain.d
-    out = []
-    for c in range(chain.d):
-        out.append(DenseOperator(chain, np.diag((cs == c).astype(complex))))
-    return out
+    m = chain.dim // chain.d
+    return [DenseOperator(chain, {(c, c): np.eye(m, dtype=complex)}) for c in range(chain.d)]
 
 
 def refined_gauge_unitary(chain: ChainSpec, k: int) -> DenseOperator:
@@ -235,7 +274,7 @@ def refined_gauge_unitary(chain: ChainSpec, k: int) -> DenseOperator:
     the integer digit sum, so its k-th power is the plain gauge unitary.
     """
     chain.check_dense()
-    return DenseOperator(chain, np.diag(np.exp(2j * np.pi * chain.digit_sums() / (k * chain.d))))
+    return _diagonal(chain, np.exp(2j * np.pi * chain.digit_sums() / (k * chain.d)))
 
 
 @dataclass

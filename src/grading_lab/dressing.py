@@ -211,9 +211,9 @@ def shift_covariance_defect(x: int, params: GradingParams, chain: ChainSpec) -> 
     b = lattice_shift_mono(dressed_weyl(0, 1, params, chain), x)
     mismatch = mono_mul(mono_mul(a, mono_adjoint(b)), mono_adjoint(defect))
 
-    ux = realize(_rotation_string(x, params, chain), chain).entries
-    u0 = realize(_rotation_string(0, params, chain), chain).entries
-    dev = float(np.abs(realize(defect, chain).entries - ux @ u0.conj().T).max())
+    ux = realize(_rotation_string(x, params, chain), chain)
+    u0 = realize(_rotation_string(0, params, chain), chain)
+    dev = (realize(defect, chain) - ux @ u0.adjoint()).max_abs()
     return ShiftDefect(x=x, defect=defect, truncation_mismatch=mismatch, dense_deviation=dev)
 
 
@@ -258,7 +258,7 @@ def bilinear_connection(x: int, y: int, params: GradingParams, chain: ChainSpec)
     )
     lhs = AlgebraElement.from_monomials([(1.0, lhs_mono)])
     rhs = AlgebraElement.from_monomials([(1.0, rhs_mono)])
-    dev = float(np.abs(realize(lhs, chain).entries - realize(rhs, chain).entries).max())
+    dev = (realize(lhs, chain) - realize(rhs, chain)).max_abs()
     correction = None
     if dev > 1e-12:
         correction = mono_mul(lhs_mono, mono_adjoint(rhs_mono))

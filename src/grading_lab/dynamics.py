@@ -7,16 +7,16 @@ The Hamiltonian is the charge-balanced hopping form
 with every pair kept inside the open chain.  It is gauge invariant and
 self-adjoint by construction.  It therefore commutes with the gauge
 unitary and splits into d charge sectors of d^(L-1) states each, and every
-dense computation uses one cached per-sector eigendecomposition per model.
-There is one evolution: operators are rotated once into that eigenbasis,
-where exp(iHt) is the phase table ``QuadraticModel.propagator(t)`` and
-tau_t multiplies block entry [m, n] by exp(i (E_m - E_n) t).  A caller
-with a time grid (``evolve``, the reconstruction check) rotates each
-operator once and only phases it per t.  Products and norms are taken
-block by block.  Entrywise checks map the nonzero blocks back to site-basis
-sector blocks (``QuadraticModel.site_blocks``) and take ``block_max_abs``
-over them: an absent block is zero and contributes nothing, so no check
-assembles the full d^L x d^L matrix.
+dense computation uses one cached per-sector eigendecomposition per model,
+read from the diagonal charge blocks of the dense H.
+There is one evolution: the charge blocks of an operator are rotated once
+into that eigenbasis, where exp(iHt) is the phase table
+``QuadraticModel.propagator(t)`` and tau_t multiplies block entry [m, n] by
+exp(i (E_m - E_n) t).  A caller with a time grid (``evolve``, the
+reconstruction check) rotates each operator once and only phases it per t.
+Products and norms are taken block by block, and entrywise checks map the
+blocks back to the site basis (``QuadraticModel.site_blocks``), so no
+evolution or check assembles the full d^L x d^L matrix.
 
 At d = 2 the dressed generators are one-sided Majorana operators and the
 model closes on the smeared charge-0 flavor: the induced one-particle flow
@@ -34,13 +34,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import (
+    Blocks,
     ChainSpec,
     DenseOperator,
+    block_difference,
+    block_max_abs,
+    block_product,
+    block_vdot,
     gauge_unitary,
     op_norm,
     realize,
-    sector_blocks,
-    sector_unblock,
 )
 from .dressing import dressed_weyl, dressed_weyl_rs
 from .oneparticle import Hopping, OneParticleVector
@@ -55,8 +58,6 @@ from .weyl import (
 
 # effective one-particle rate of the d=2 lattice model relative to h_hat
 FREE_FLOW_RATE_D2 = 8.0
-
-Blocks = dict[tuple[int, int], np.ndarray]  # sector blocks (r, c), site or eigenbasis; absent is zero
 
 
 class QuadraticModel:
@@ -105,16 +106,13 @@ class QuadraticModel:
         into itself.
         """
         if self._eig is None:
-            hm = self.dense_hamiltonian.entries
-            if float(np.abs(hm - hm.conj().T).max()) > 1e-12:
+            h = self.dense_hamiltonian
+            if (h - h.adjoint()).max_abs() > 1e-12:
                 raise ValueError("dense Hamiltonian is not hermitian")
-            blocked = sector_blocks(hm, self.chain)
-            diag = np.arange(self.chain.d)
-            blocks = blocked[diag, :, diag, :]
-            blocked[diag, :, diag, :] = 0.0
-            if float(np.abs(blocked).max()) > 1e-12:
+            if block_max_abs({(r, c): blk for (r, c), blk in h.blocks.items() if r != c}) > 1e-12:
                 raise ValueError("dense Hamiltonian mixes charge sectors")
-            self._eig = np.linalg.eigh(blocks)
+            zero = np.zeros((self.chain.dim // self.chain.d,) * 2, dtype=complex)
+            self._eig = np.linalg.eigh(np.stack([h.blocks.get((c, c), zero) for c in range(self.chain.d)]))
         return self._eig
 
     def propagator(self, t: float) -> np.ndarray:
@@ -122,27 +120,19 @@ class QuadraticModel:
         return np.exp(1j * t * self.eigensystem[0])
 
     def eigenbasis_blocks(self, a: DenseOperator) -> Blocks:
-        """Nonzero sector blocks of a in the per-sector eigenbasis.
+        """The charge blocks of a in the per-sector eigenbasis.
 
-        Block (r, c) is V_r^dag A_rc V_c; blocks that are exactly zero in the
-        site basis are left out.  In this basis exp(iHt) . exp(-iHt) multiplies
-        entry [m, n] of block (r, c) by the phase exp(i (E_r[m] - E_c[n]) t).
+        Block (r, c) is V_r^dag A_rc V_c for each block that a holds.  In this
+        basis exp(iHt) . exp(-iHt) multiplies entry [m, n] of block (r, c) by
+        the phase exp(i (E_r[m] - E_c[n]) t).
         """
         _, vecs = self.eigensystem
-        return {(r, c): vecs[r].conj().T @ blk @ vecs[c] for (r, c), blk in nonzero_blocks(a).items()}
+        return {(r, c): vecs[r].conj().T @ blk @ vecs[c] for (r, c), blk in a.blocks.items()}
 
     def site_blocks(self, blocks: Blocks) -> Blocks:
         """Inverse of ``eigenbasis_blocks``, block by block: (r, c) maps back to V_r X_rc V_c^dag."""
         _, vecs = self.eigensystem
         return {(r, c): vecs[r] @ blk @ vecs[c].conj().T for (r, c), blk in blocks.items()}
-
-    def site_operator(self, blocks: Blocks) -> DenseOperator:
-        """The site-basis operator whose eigenbasis blocks these are."""
-        vals, _ = self.eigensystem
-        full = np.zeros(vals.shape * 2, dtype=complex)  # (d, m, d, m)
-        for (r, c), blk in self.site_blocks(blocks).items():
-            full[r, :, c, :] = blk
-        return DenseOperator(self.chain, sector_unblock(full, self.chain))
 
 
 def phase_blocks(blocks: Blocks, u: np.ndarray) -> Blocks:
@@ -150,43 +140,16 @@ def phase_blocks(blocks: Blocks, u: np.ndarray) -> Blocks:
     return {(r, c): u[r][:, None] * blk * u[c].conj() for (r, c), blk in blocks.items()}
 
 
-def block_product(x: Blocks, y: Blocks) -> Blocks:
-    """Blocks of the product X Y: (X Y)_rc = sum over k of X_rk Y_kc."""
-    out: Blocks = {}
-    for (r, k), xb in x.items():
-        for (k2, c), yb in y.items():
-            if k == k2:
-                out[r, c] = out[r, c] + xb @ yb if (r, c) in out else xb @ yb
-    return out
-
-
-def block_difference(x: Blocks, y: Blocks, scale: complex = 1.0) -> Blocks:
-    """Blocks of X - scale * Y."""
-    return {key: x.get(key, 0.0) - scale * y.get(key, 0.0) for key in x.keys() | y.keys()}
-
-
-def nonzero_blocks(a: DenseOperator) -> Blocks:
-    """Site-basis sector blocks of a, leaving out those that are exactly zero."""
-    blocks = sector_blocks(a.entries, a.chain)
-    return {
-        (int(r), int(c)): blocks[r, :, c, :]
-        for r, c in zip(*np.nonzero(blocks.any(axis=(1, 3))))
-    }
-
-
-def block_max_abs(blocks: Blocks) -> float:
-    """Largest entry modulus of the operator with these blocks; 0.0 when there are none."""
-    return max((float(np.abs(blk).max()) for blk in blocks.values()), default=0.0)
-
-
 def heisenberg_evolve(a: AlgebraElement | DenseOperator, model: QuadraticModel, t: float) -> DenseOperator:
     """Conjugate by exp(iHt): the Heisenberg picture at time t, in the site basis.
 
-    The nonzero sector blocks are rotated into the eigenbasis, phased and
-    rotated back, so an operator of definite charge costs d blocks.
+    The charge blocks are rotated into the eigenbasis, phased and rotated
+    back block by block, so an operator of definite charge costs d blocks
+    and no full matrix is formed.
     """
     dense = a if isinstance(a, DenseOperator) else realize(a, model.chain)
-    return model.site_operator(phase_blocks(model.eigenbasis_blocks(dense), model.propagator(t)))
+    evolved = phase_blocks(model.eigenbasis_blocks(dense), model.propagator(t))
+    return DenseOperator(model.chain, model.site_blocks(evolved))
 
 
 def smear(f: OneParticleVector, params: GradingParams, chain: ChainSpec, truncate: bool = False) -> AlgebraElement:
@@ -267,7 +230,7 @@ def commutator_decay(
         if len({r for r, _ in comm}) == len(comm) == len({c for _, c in comm}):
             norm = max((op_norm(blk) for blk in comm.values()), default=0.0)
         else:
-            norm = op_norm(model.site_operator(comm).entries)
+            norm = op_norm(DenseOperator(model.chain, model.site_blocks(comm)).entries)
         pts.append(DecayPoint(t=t, norm=norm))
     return DecayResult(
         points=pts,
@@ -295,8 +258,8 @@ def _compare_claim(
     chain: ChainSpec,
     tol: float = 1e-9,
 ) -> AuditRow:
-    lhs_d = realize(lhs, chain).entries
-    devs = [float(np.abs(lhs_d - realize(c, chain).entries).max()) for c in candidates]
+    lhs_d = realize(lhs, chain)
+    devs = [(lhs_d - realize(c, chain)).max_abs() for c in candidates]
     best = min(devs) if devs else float("inf")
     status = "MATCH" if best <= tol else "MISMATCH"
     payload = str(lhs.prune(1e-12))
@@ -379,21 +342,21 @@ def span_residual(model: QuadraticModel, f: OneParticleVector) -> tuple[float, d
     reduction closes exactly on this chain.
     """
     ch, pr = model.chain, model.params
-    target = realize(model.hamiltonian.commutator(smear(f, pr, ch)).scale(1j), ch).entries
-    tnorm = float(np.linalg.norm(target))
+    target = realize(model.hamiltonian.commutator(smear(f, pr, ch)).scale(1j), ch).blocks
+    tnorm = float(np.sqrt(block_vdot(target, target).real))
     coeffs: dict[tuple[int, int], complex] = {}
     if tnorm == 0.0:
         return 0.0, coeffs
-    dim = ch.dim
-    proj = np.zeros_like(target)
+    proj: Blocks = {}
     for xx in range(ch.L):
         for j in range(pr.d):
-            basis = realize(dressed_weyl_rs(xx, j, 1, pr, ch), ch).entries
-            c = complex(np.vdot(basis, target) / dim)
+            basis = realize(dressed_weyl_rs(xx, j, 1, pr, ch), ch).blocks
+            c = block_vdot(basis, target) / ch.dim
             if abs(c) > 1e-15:
                 coeffs[(xx, j)] = c
-                proj += c * basis
-    residual = float(np.linalg.norm(target - proj) / tnorm)
+                proj = block_difference(proj, basis, -c)
+    rest = block_difference(target, proj)
+    residual = float(np.sqrt(block_vdot(rest, rest).real) / tnorm)
     return residual, coeffs
 
 

@@ -50,9 +50,8 @@ def symbol(h: Hopping, N: int) -> np.ndarray:
     Hermiticity makes the symbol real; the imaginary part is checked to
     vanish within 1e-12 and dropped.
     """
-    if N < max(2, h.support_diameter()) and h.coefficients:
-        if N < 2 * max(abs(x) for x in h.coefficients):
-            raise ValueError(f"grid N={N} smaller than twice the hopping radius")
+    if h.coefficients and N < h.support_diameter():
+        raise ValueError(f"grid N={N} smaller than twice the hopping radius")
     p = np.arange(N) / N
     vals = np.zeros(N, dtype=complex)
     for x, a in h.coefficients.items():

@@ -62,8 +62,8 @@ def two_point(
     ch = model.chain
     ad = realize(a, ch)
     bd = realize(b, ch)
-    wa = np.trace(ad.entries) / ch.dim
-    wb = np.trace(bd.entries) / ch.dim
+    # the traces sit in the diagonal charge blocks
+    wa, wb = (sum(np.trace(blk) for (r, c), blk in x.blocks.items() if r == c) / ch.dim for x in (ad, bd))
     at = model.eigenbasis_blocks(ad)
     bt = model.eigenbasis_blocks(bd)
     phase = np.stack([model.propagator(t) for t in times])  # (time, sector, level)

@@ -21,6 +21,8 @@ from grading_lab.dynamics import (
 from grading_lab.oneparticle import Hopping, OneParticleVector, evolve
 from grading_lab.weyl import GradingParams, WeylMonomial
 
+from test_dense import forbid_full_matrix
+
 PRESETS = os.path.join(os.path.dirname(__file__), "..", "src", "grading_lab", "presets")
 
 
@@ -255,6 +257,30 @@ class TestDecayAndReport:
         assert header[0] == "file"
         assert int(srows[0]["rows"]) == 6
 
+    def test_decay_stays_on_blocks(self, tmp_path, monkeypatch):
+        # both pairs have definite charge: every commutator norm is a block norm
+        forbid_full_matrix(monkeypatch)
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text(
+            "experiment = decay\nd = 3\nl = 5\nhopping = 1=0.5, -1=0.5\n"
+            "t_start = 0\nt_stop = 2\nt_count = 3\n"
+        )
+        out = tmp_path / "d.csv"
+        assert main(["decay", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 6
+
+    def test_report_keeps_nan(self, tmp_path):
+        # at d = 3 evolve has no one-particle prediction: flow_deviation is nan in every row
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(EVOLVE_CONFIGS["d3"])
+        out = tmp_path / "e.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = tmp_path / "s.csv"
+        assert main(["report", str(out), "--out", str(summary)]) == 0
+        _, srows = read_rows(summary)
+        assert srows[0]["max_value"] == "nan"
+
     def test_report_reads_quoted_cells(self, tmp_path):
         # the quoted payload holds commas and comes before status and deviation
         src = tmp_path / "v.csv"
@@ -321,12 +347,8 @@ class TestEvolveCommand:
             calls.append(a)
             return rotate(model, a)
 
-        def assembled(*args, **kwargs):
-            raise AssertionError("evolve assembled a full d^L x d^L matrix")
-
         monkeypatch.setattr(dynamics.QuadraticModel, "eigenbasis_blocks", counting)
-        monkeypatch.setattr(dynamics.QuadraticModel, "site_operator", assembled)
-        monkeypatch.setattr(dynamics, "sector_unblock", assembled)
+        forbid_full_matrix(monkeypatch)
         cfg = tmp_path / "e.cfg"
         cfg.write_text(EVOLVE_CONFIGS[case])
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "e.csv")]) == 0

@@ -27,6 +27,33 @@ def haar_unitary(rng, n):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :]
 
 
+def charged_monomial(rng, d, L, q):
+    """Random monomial with a label on every site and total shift charge q."""
+    labels = {x: (int(rng.integers(0, d)), int(rng.integers(0, d))) for x in range(L)}
+    rest = sum(l for x, (_, l) in labels.items() if x < L - 1)
+    labels[L - 1] = (labels[L - 1][0], (q - rest) % d)
+    return WeylMonomial.from_labels(d, labels, int(rng.integers(0, 2 * d)))
+
+
+def forbid_full_matrix(monkeypatch):
+    """Make any assembly of a full d^L x d^L matrix fail the test."""
+
+    def assembled(op):
+        raise AssertionError("assembled a full d^L x d^L matrix")
+
+    monkeypatch.setattr(DenseOperator, "entries", property(assembled))
+
+
+def random_operator(rng, chain):
+    """Every charge block (r, c) filled with complex Gaussian entries."""
+    m = chain.dim // chain.d
+    return DenseOperator(chain, {
+        (r, c): rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        for r in range(chain.d)
+        for c in range(chain.d)
+    })
+
+
 class TestChainSpec:
     def test_cap_binds_dense_only(self):
         big = ChainSpec(3, 10)  # symbolic use is fine
@@ -101,6 +128,49 @@ class TestRealize:
         got = realize(WeylMonomial.from_labels(d, {0: (2, 1), 1: (0, 1)}), chain).entries
         assert np.abs(got - ref).max() < 1e-13
 
+    @pytest.mark.parametrize("d, L", [(2, 4), (3, 3)])
+    def test_kron_cross_check_random(self, d, L):
+        # seeded multi-site monomials of every shift charge against Kronecker
+        # products of the single-site clock and shift matrices
+        rng = np.random.default_rng(40 + d)
+        D, S = (op.entries for op in clock_shift(d))
+        chain = ChainSpec(d, L)
+        for q in range(d):
+            for _ in range(4):
+                mono = charged_monomial(rng, d, L, q)
+                labels = mono.labels()
+                ref = np.array([[mono.phase_factor()]])
+                for x in range(L):
+                    k, l = labels.get(x, (0, 0))
+                    # W(k, l) = exp(-i*pi*k*l/d) D^k S^l
+                    site = np.linalg.matrix_power(D, k) @ np.linalg.matrix_power(S, l)
+                    ref = np.kron(ref, np.exp(-1j * np.pi * k * l / d) * site)
+                assert np.abs(realize(mono, chain).entries - ref).max() < 1e-13
+
+    @pytest.mark.parametrize("d, L", [(2, 4), (3, 3)])
+    def test_block_structure(self, d, L):
+        # a charge-q monomial fills exactly the blocks (c + q, c), one entry per column
+        rng = np.random.default_rng(50 + d)
+        chain = ChainSpec(d, L)
+        for q in range(d):
+            op = realize(charged_monomial(rng, d, L, q), chain)
+            assert set(op.blocks) == {((c + q) % d, c) for c in range(d)}
+            for blk in op.blocks.values():
+                assert blk.shape == (d ** (L - 1),) * 2
+                assert (np.count_nonzero(blk, axis=0) == 1).all()
+        zero = realize(AlgebraElement.zero(d), chain)
+        assert zero.blocks == {}
+        assert not zero.entries.any()
+
+    def test_cancelled_block_left_out(self):
+        # the all-site clock string is +1 on the even sector and -1 on the odd
+        # one, so subtracting the identity cancels block (0, 0) exactly
+        chain = ChainSpec(2, 4)
+        parity = WeylMonomial.from_labels(2, {x: (1, 0) for x in range(4)}).as_element()
+        op = realize(parity - AlgebraElement.identity(2), chain)
+        assert set(op.blocks) == {(1, 1)}
+        assert np.abs(op.blocks[1, 1] + 2 * np.eye(8)).max() < 1e-15
+
     def test_support_outside_chain(self):
         with pytest.raises(ValueError):
             realize(WeylMonomial.single(3, 5, 1, 0), ChainSpec(3, 3))
@@ -148,7 +218,7 @@ class TestOpNorm:
 
     def test_zero_matrix(self):
         chain = ChainSpec(2, 2)
-        assert op_norm(DenseOperator(chain, np.zeros((4, 4)))) == 0.0
+        assert op_norm(DenseOperator(chain, {})) == 0.0
 
 
 class TestGaugeProject:
@@ -170,7 +240,7 @@ class TestGaugeProject:
     def test_dense_idempotent(self):
         rng = np.random.default_rng(26)
         chain = ChainSpec(2, 4)
-        m = DenseOperator(chain, rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+        m = random_operator(rng, chain)
         p = gauge_project(m)
         assert np.abs(gauge_project(p).entries - p.entries).max() < 1e-12
 
@@ -186,7 +256,7 @@ class TestGaugeProject:
     def test_average_form_matches_explicit_conjugation(self):
         rng = np.random.default_rng(27)
         chain = ChainSpec(3, 3)
-        m = DenseOperator(chain, rng.standard_normal((27, 27)) + 1j * rng.standard_normal((27, 27)))
+        m = random_operator(rng, chain)
         g = gauge_unitary(chain).entries
         acc = np.zeros_like(m.entries)
         for j in range(3):

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from grading_lab.dense import ChainSpec, gauge_project, op_norm, realize
+from grading_lab.dense import ChainSpec, DenseOperator, block_max_abs, gauge_project, op_norm, realize
 from grading_lab.dressing import dressed_matrix_unit, dressed_weyl
 from grading_lab.dynamics import (
     FREE_FLOW_RATE_D2,
     QuadraticModel,
-    block_max_abs,
     claimed_commutator_audit,
     commutator_decay,
     d2_effective_hopping,
@@ -173,11 +172,14 @@ class TestSectorBlocks:
 
     def test_off_sector_entry_rejected(self):
         model = QuadraticModel(ChainSpec(2, 4), D2, IM_NN)
-        h = model.dense_hamiltonian.entries
-        # basis states 0 (|0000>, charge 0) and 1 (|0001>, charge 1); a
-        # hermitian pair keeps the hermiticity check quiet
-        h[0, 1] += 1e-9
-        h[1, 0] += 1e-9
+        h = model.dense_hamiltonian
+        # basis states 0 (|0000>, charge 0) and 1 (|0001>, charge 1) are the
+        # first states of their sectors; a hermitian pair keeps the
+        # hermiticity check quiet
+        pair = np.zeros((8, 8), dtype=complex)
+        pair[0, 0] = 1e-9
+        h.blocks[0, 1] = pair
+        h.blocks[1, 0] = pair.copy()
         with pytest.raises(ValueError, match="mixes charge sectors"):
             model.eigensystem
 
@@ -212,8 +214,9 @@ class TestSectorBlocks:
         assert len(blocks) == (d if len(charges) == 1 else d * d)
         for t in (0.0, 1.3):
             evolved = phase_blocks(blocks, model.propagator(t))
-            assert block_max_abs(model.site_blocks(evolved)) == model.site_operator(evolved).max_abs()
-        assert block_max_abs({}) == model.site_operator({}).max_abs() == 0.0
+            site = model.site_blocks(evolved)
+            assert block_max_abs(site) == float(np.abs(DenseOperator(model.chain, site).entries).max())
+        assert block_max_abs({}) == float(np.abs(DenseOperator(model.chain, {}).entries).max()) == 0.0
 
 
 class TestCommutatorDecay:

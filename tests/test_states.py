@@ -12,6 +12,7 @@ from grading_lab.oneparticle import Hopping, OneParticleVector, evolve
 from grading_lab.states import clustering_report, trace_state, two_point
 from grading_lab.weyl import AlgebraElement, GradingParams, WeylMonomial, gauge_rotate
 
+from test_dense import forbid_full_matrix
 from test_dynamics import _charged_input
 from test_weyl import random_element
 
@@ -149,6 +150,21 @@ class TestClustering:
         rep = clustering_report(a, a, model, np.linspace(0.0, 15.0, 16), window=(0.0, 15.0))
         assert rep.initial > 0.1
         assert rep.min_envelope_ratio() < 0.2
+
+    def test_stays_on_blocks(self, monkeypatch):
+        # decay_d3's gauge-invariant pair (dressed hopping bilinears on sites
+        # 0, 1 and 2, 3) at d = 3, L = 4: no step assembles a full matrix
+        chain = ChainSpec(3, 4)
+        params = GradingParams(3, 1, 1)
+        hopping = Hopping({1: 0.5, -1: 0.5})
+        a = dressed_matrix_unit(0, 0, 1, params, chain) * dressed_matrix_unit(1, 1, 0, params, chain)
+        b = dressed_matrix_unit(2, 0, 1, params, chain) * dressed_matrix_unit(3, 1, 0, params, chain)
+        grid = np.linspace(0.0, 12.0, 49)
+        want = clustering_report(a.adjoint(), b, QuadraticModel(chain, params, hopping), grid)
+        forbid_full_matrix(monkeypatch)
+        got = clustering_report(a.adjoint(), b, QuadraticModel(chain, params, hopping), grid)
+        assert np.array_equal(got.series.values, want.series.values)
+        assert np.abs(want.series.values).max() > 1e-3
 
     def test_reproducible(self):
         model = QuadraticModel(ChainSpec(2, 6), D2, Hopping({1: -0.125j, -1: 0.125j}))

@@ -1,10 +1,12 @@
-"""The benchmark tracer's flop counters still read what the package returns.
+"""The benchmark tracer's hooks still read what the package returns.
 
-``perfbench/tracer.py`` counts the floating-point work of each ``MATMULS``
-entry from its result: the leading dimension of an array, or
-``result.chain.dim`` of an operator.  A function whose return type changed
-would crash ``--trace 1`` at its first call; this check fails the suite
-instead.
+``perfbench/tracer.py`` runs a hook after some traced calls: it counts the
+floating-point work of each ``MATMULS`` entry from its result (the leading
+dimension of an array, or ``result.chain.dim`` of an operator), records the
+dimension of each ``realize`` result, checks each ``op_norm`` against a full
+SVD of its argument's ``entries`` and counts the distinct propagator times.
+A function whose argument or return type changed would crash ``--trace 1``
+at its first call; these checks fail the suite instead.
 """
 
 import importlib.util
@@ -37,6 +39,8 @@ def _sample_calls():
     model = dynamics.QuadraticModel(ChainSpec(2, 4), GradingParams(2, 1, 1), Hopping({1: -1j / 16, -1: 1j / 16}))
     a = realize(dressed_weyl(1, 1, model.params, model.chain), model.chain)
     return {
+        "dense.realize": (dense.realize, (model.hamiltonian, model.chain)),
+        "dense.op_norm": (dense.op_norm, (a.commutator(model.dense_hamiltonian),)),
         "dynamics.QuadraticModel.propagator": (dynamics.QuadraticModel.propagator, (model, 0.7)),
         "dynamics.heisenberg_evolve": (dynamics.heisenberg_evolve, (a, model, 0.7)),
         "dense.DenseOperator.commutator": (dense.DenseOperator.commutator, (a, model.dense_hamiltonian)),
@@ -53,3 +57,24 @@ def test_flop_hook_reads_result(name):
     tracer = TRACER_MODULE.Tracer()
     tracer._hook(name)(name, args, result)
     assert tracer.gflop[name] > 0.0
+
+
+@pytest.mark.parametrize("name, metric, value", [
+    ("dense.realize", "dense.realize.dim_max", 16),
+    ("dense.op_norm", "dense.op_norm.exact_frac", 1.0),
+    ("dynamics.QuadraticModel.propagator", "dynamics.QuadraticModel.propagator.distinct_frac", 1.0),
+])
+def test_hook_metric(name, metric, value):
+    # one call through the tracer's wrapper runs the hook on the real arguments and result
+    tracer = TRACER_MODULE.Tracer()
+    assert tracer._hook(name) is not None
+    fn, args = _sample_calls()[name]
+    tracer._wrap(name, fn)(*args)
+    assert tracer.calls[name] == 1
+    assert tracer.pass_metrics()[metric] == value
+
+
+def test_every_hook_has_a_sample_call():
+    tracer = TRACER_MODULE.Tracer()
+    hooked = {name for name, _, _ in TRACER_MODULE.TARGETS if tracer._hook(name) is not None}
+    assert hooked <= set(_sample_calls())
