@@ -10,6 +10,7 @@ bit-for-bit.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 
@@ -40,7 +41,7 @@ def _fmt_float(x: float) -> str:
 
 
 def _fmt_complex(z: complex) -> str:
-    return f"{_fmt_float(z.real)}{'+' if z.imag >= 0 else '-'}{_fmt_float(abs(z.imag))}j"
+    return f"{_fmt_float(z.real)}{'+' if math.copysign(1.0, z.imag) > 0 else '-'}{_fmt_float(abs(z.imag))}j"
 
 
 @dataclass
@@ -124,6 +125,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 values[key] = _parse_hopping(val)
             elif key in _INT_KEYS:
                 values[key] = int(val)
+                if key == "t_count" and values[key] < 1:
+                    raise ConfigError(f"line {lineno}: 't_count' must be >= 1: {val!r}")
             elif key in _FLOAT_KEYS:
                 values[key] = float(val)
                 if not cmath.isfinite(values[key]):

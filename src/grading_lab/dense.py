@@ -216,9 +216,21 @@ def op_norm(m: DenseOperator | np.ndarray) -> float:
     """Largest singular value, exact at every dimension.
 
     Computed as the square root of the largest eigenvalue of M^dag M from a
-    dense hermitian eigensolver; 0.0 for an empty matrix.
+    dense hermitian eigensolver; 0.0 for an empty matrix.  When no two
+    blocks of a ``DenseOperator`` share a row sector or a column sector (as
+    for any operator of definite charge), the blocks act on orthogonal
+    subspaces and the norm is the largest block norm; otherwise it is the
+    norm of the assembled matrix.
     """
-    a = m.entries if isinstance(m, DenseOperator) else np.asarray(m, dtype=complex)
+    if isinstance(m, DenseOperator):
+        rows, cols = {r for r, _ in m.blocks}, {c for _, c in m.blocks}
+        if len(rows) == len(m.blocks) == len(cols):
+            return max((_top_singular_value(blk) for blk in m.blocks.values()), default=0.0)
+        m = m.entries
+    return _top_singular_value(np.asarray(m, dtype=complex))
+
+
+def _top_singular_value(a: np.ndarray) -> float:
     if not a.size:
         return 0.0
     top = np.linalg.eigvalsh(a.conj().T @ a)[-1]

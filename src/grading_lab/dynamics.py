@@ -51,7 +51,6 @@ from .weyl import (
     AlgebraElement,
     GradingParams,
     WeylMonomial,
-    commutation_phase,
     mono_adjoint,
     mono_mul,
 )
@@ -214,12 +213,11 @@ def commutator_decay(
 ) -> DecayResult:
     """Series of (t, ||[tau_t(a), b]||) over a sorted time grid.
 
-    The norm is unitarily invariant, so both operators are rotated once into
-    the per-sector eigenbasis (``QuadraticModel.eigenbasis_blocks``), where
-    tau_t is an element-wise phase and the commutator is formed block by
-    block.  When no two commutator blocks share a row sector or a column
-    sector, as for any pair of definite charge, the norm is the largest
-    block norm; otherwise it is the norm of the whole commutator.
+    The norm is unitarily invariant, and the eigenbasis rotation is block
+    diagonal, so both operators are rotated once into the per-sector
+    eigenbasis (``QuadraticModel.eigenbasis_blocks``), where tau_t is an
+    element-wise phase and the commutator is formed block by block and
+    normed there by ``op_norm``.
     """
     at = model.eigenbasis_blocks(realize(a, model.chain))
     bt = model.eigenbasis_blocks(realize(b, model.chain))
@@ -227,11 +225,7 @@ def commutator_decay(
     for t in sorted(float(t) for t in t_grid):
         a_t = phase_blocks(at, model.propagator(t))
         comm = block_difference(block_product(a_t, bt), block_product(bt, a_t))
-        if len({r for r, _ in comm}) == len(comm) == len({c for _, c in comm}):
-            norm = max((op_norm(blk) for blk in comm.values()), default=0.0)
-        else:
-            norm = op_norm(DenseOperator(model.chain, model.site_blocks(comm)).entries)
-        pts.append(DecayPoint(t=t, norm=norm))
+        pts.append(DecayPoint(t=t, norm=op_norm(DenseOperator(model.chain, comm))))
     return DecayResult(
         points=pts,
         a_gauge_invariant=a.is_gauge_invariant(1e-14),
@@ -365,7 +359,6 @@ class ReconstructionReport:
     site: int
     t: float
     deviation: float
-    deviation_reversed: float
 
 
 def reconstruct_spin_evolution(model: QuadraticModel, t_grid, site: int | None = None) -> list[ReconstructionReport]:
@@ -374,8 +367,9 @@ def reconstruct_spin_evolution(model: QuadraticModel, t_grid, site: int | None =
     The identity W_x(1, 0) = exp(2i*pi/d) dressed(x, 0, 1) dressed_rs(x, 1, -1)
     holds exactly (the strings cancel), so the two evolutions agree up to
     round-off.  Each operator is rotated into the eigenbasis once and phased
-    per t, both factor orders are formed block by block there, and each
-    difference is compared entrywise over its site-basis sector blocks.
+    per t, the dressed product is formed block by block there in the factor
+    order of the identity only, and the difference is compared entrywise
+    over its site-basis sector blocks.
     """
     ch, pr = model.chain, model.params
     if site is None:
@@ -385,15 +379,12 @@ def reconstruct_spin_evolution(model: QuadraticModel, t_grid, site: int | None =
     clock = WeylMonomial.single(ch.d, site, 1, 0)
     lhs, fa, fb = (model.eigenbasis_blocks(realize(m, ch)) for m in (clock, ma, mb))
     phase = cmath.exp(2j * cmath.pi / ch.d)
-    # a.b = exp(2i*pi*c/d) b.a fixes the phase of the reversed factor order
-    exch = cmath.exp(2j * cmath.pi * commutation_phase(ma, mb) / ch.d)
     reports = []
     for t in t_grid:
         u = model.propagator(t)
         lhs_t, fa_t, fb_t = (phase_blocks(x, u) for x in (lhs, fa, fb))
         dev = block_max_abs(model.site_blocks(block_difference(lhs_t, block_product(fa_t, fb_t), phase)))
-        rev = block_max_abs(model.site_blocks(block_difference(lhs_t, block_product(fb_t, fa_t), phase * exch)))
-        reports.append(ReconstructionReport(site=site, t=float(t), deviation=dev, deviation_reversed=rev))
+        reports.append(ReconstructionReport(site=site, t=float(t), deviation=dev))
     return reports
 
 

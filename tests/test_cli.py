@@ -57,6 +57,17 @@ class TestConfig:
         assert again == cfg
         assert again.canonical_text() == text
 
+    def test_round_trip_keeps_signed_zeros(self):
+        cfg = parse_config("experiment = evolve\nhopping = 1=1-0j, -1=-0+0j, 2=-0-0j, -2=0.5+0j\n")
+        text = cfg.canonical_text()
+        again = parse_config(text)
+        assert again.canonical_text() == text
+        for x, z in cfg.hopping.items():
+            got = again.hopping[x]
+            assert math.copysign(1.0, got.real) == math.copysign(1.0, z.real), x
+            assert math.copysign(1.0, got.imag) == math.copysign(1.0, z.imag), x
+        assert math.copysign(1.0, again.hopping[1].imag) == -1.0
+
     def test_comments_and_blanks(self):
         cfg = parse_config("# hi\nexperiment = verify\n\nd = 2 # trailing\n")
         assert cfg.experiment == "verify"
@@ -90,6 +101,11 @@ class TestConfig:
     def test_non_finite_value_rejected(self, line):
         with pytest.raises(ConfigError):
             parse_config(f"experiment = verify\n{line}\n")
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_empty_grid_rejected(self, count):
+        with pytest.raises(ConfigError, match="t_count"):
+            parse_config(f"experiment = evolve\nt_count = {count}\n")
 
     def test_t_grid(self):
         cfg = parse_config("experiment = e\nt_start = 1\nt_stop = 3\nt_count = 5\n")
@@ -128,8 +144,10 @@ class TestExitCodes:
         ("verify", "d = 2\nl = 4\nhopping = 1=nan, -1=nan\n"),
         ("evolve", "d = 2\nl = 4\nt_stop = nan\n"),
         ("decay", "d = 2\nl = 6\nt_start = -inf\n"),
+        ("evolve", "d = 2\nl = 4\nt_count = 0\n"),
     ], ids=["d1", "l0", "block_k_not_divisor", "evolve_non_hermitian", "decay_non_hermitian", "decay_short_chain",
-            "evolve_nan_hopping", "decay_inf_hopping", "verify_nan_hopping", "evolve_nan_t_stop", "decay_inf_t_start"])
+            "evolve_nan_hopping", "decay_inf_hopping", "verify_nan_hopping", "evolve_nan_t_stop", "decay_inf_t_start",
+            "evolve_empty_grid"])
     def test_bad_value_exits_2(self, tmp_path, capsys, command, body):
         cfg = tmp_path / "bad.cfg"
         # the default grid fills only the grid keys the case leaves unset
@@ -353,6 +371,28 @@ class TestEvolveCommand:
         cfg.write_text(EVOLVE_CONFIGS[case])
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "e.csv")]) == 0
         assert len(calls) == rotations
+
+    def test_two_back_rotations_per_grid_point(self, tmp_path, monkeypatch):
+        # at d = 2 each t maps the evolved field (for the flow) and the
+        # reconstruction difference back to the site basis, and forms the
+        # dressed product in one factor order only
+        counts = {"block_product": 0, "site_blocks": 0}
+        product, back = dynamics.block_product, dynamics.QuadraticModel.site_blocks
+
+        def counting_product(x, y):
+            counts["block_product"] += 1
+            return product(x, y)
+
+        def counting_back(model, blocks):
+            counts["site_blocks"] += 1
+            return back(model, blocks)
+
+        monkeypatch.setattr(dynamics, "block_product", counting_product)
+        monkeypatch.setattr(dynamics.QuadraticModel, "site_blocks", counting_back)
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(EVOLVE_CONFIGS["d2"])
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "e.csv")]) == 0
+        assert counts == {"block_product": 9, "site_blocks": 2 * 9}
 
     @pytest.mark.parametrize("case", ["d2", "d3"])
     def test_matches_per_t_evolution(self, tmp_path, case):

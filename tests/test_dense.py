@@ -220,6 +220,31 @@ class TestOpNorm:
         chain = ChainSpec(2, 2)
         assert op_norm(DenseOperator(chain, {})) == 0.0
 
+    @pytest.mark.parametrize("d, L", [(2, 4), (3, 3)])
+    def test_disjoint_sectors_take_block_norms(self, monkeypatch, d, L):
+        # blocks (c + q, c) of one charge q act on orthogonal sectors: the
+        # norm is the largest block norm and no full matrix is assembled
+        rng = np.random.default_rng(27 + d)
+        chain = ChainSpec(d, L)
+        full = random_operator(rng, chain)
+        for q in range(d):
+            op = DenseOperator(chain, {key: blk for key, blk in full.blocks.items() if (key[0] - key[1]) % d == q})
+            exact = float(np.linalg.norm(op.entries, 2))
+            with monkeypatch.context() as patch:
+                forbid_full_matrix(patch)
+                assert abs(op_norm(op) - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("d, L", [(2, 4), (3, 3)])
+    def test_shared_sectors_take_assembled_norm(self, d, L):
+        rng = np.random.default_rng(29 + d)
+        chain = ChainSpec(d, L)
+        full = random_operator(rng, chain)
+        # two blocks in one column sector, and every block
+        for op in (DenseOperator(chain, {(0, 0): full.blocks[0, 0], (1, 0): full.blocks[1, 0]}), full):
+            exact = float(np.linalg.norm(op.entries, 2))
+            assert abs(op_norm(op) - exact) <= 1e-12 * exact
+            assert op_norm(op) > max(op_norm(blk) for blk in op.blocks.values())
+
 
 class TestGaugeProject:
     def test_symbolic_examples(self):

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from grading_lab.dense import ChainSpec, DenseOperator, block_max_abs, gauge_project, op_norm, realize
-from grading_lab.dressing import dressed_matrix_unit, dressed_weyl
+from grading_lab.dressing import dressed_matrix_unit, dressed_weyl, dressed_weyl_rs
 from grading_lab.dynamics import (
     FREE_FLOW_RATE_D2,
     QuadraticModel,
@@ -20,7 +20,7 @@ from grading_lab.dynamics import (
     span_residual,
 )
 from grading_lab.oneparticle import Hopping, OneParticleVector, evolve
-from grading_lab.weyl import AlgebraElement, GradingParams, WeylMonomial
+from grading_lab.weyl import AlgebraElement, GradingParams, WeylMonomial, commutation_phase
 
 D2 = GradingParams(2, 1, 1)
 D3 = GradingParams(3, 1, 1)
@@ -268,20 +268,19 @@ class TestCommutatorDecayOracle:
     ])
     @pytest.mark.parametrize("a_charges, b_charges", [((1,), (1,)), ((0, 1), (0,))], ids=["definite", "mixed"])
     def test_matches_expm(self, monkeypatch, d, L, hopping, a_charges, b_charges):
-        import grading_lab.dynamics as dynamics
-
         model = QuadraticModel(ChainSpec(d, L), GradingParams(d, 1, 1), hopping)
         a = _charged_input(d, a_charges, seed=11 * d + len(a_charges))
         b = _charged_input(d, b_charges, seed=13 * d)
         ad, bd = realize(a, model.chain).entries, realize(b, model.chain).entries
         h = model.dense_hamiltonian.entries
         shapes = []
+        eigvalsh = np.linalg.eigvalsh
 
-        def recording_norm(m):
+        def recording_eigvalsh(m):
             shapes.append(np.shape(m))
-            return op_norm(m)
+            return eigvalsh(m)
 
-        monkeypatch.setattr(dynamics, "op_norm", recording_norm)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
         times = [0.0, 1.3, 4.1]
         res = commutator_decay(a, b, model, times)
         worst = 0.0
@@ -291,8 +290,9 @@ class TestCommutatorDecayOracle:
             worst = max(worst, want)
             assert abs(p.norm - want) < 1e-12
         assert worst > 1e-3
-        # a definite-charge commutator takes the largest of d sector-block
-        # norms; a mixed one shares sectors and takes the assembled matrix
+        # op_norm takes a definite-charge commutator as the largest of d
+        # sector-block norms; a mixed one shares sectors and takes the
+        # assembled matrix
         m = d ** (L - 1)
         full = len(a_charges) > 1
         assert shapes == ([(d * m, d * m)] * len(times) if full else [(m, m)] * (d * len(times)))
@@ -355,10 +355,19 @@ class TestReconstruction:
         assert rep.deviation < 1e-10
 
     def test_factor_order_irrelevant(self):
+        # a.b = exp(2i*pi*c/d) b.a: the reversed factor order, evolved factor
+        # by factor in the site basis, reconstructs the clock as well
         model = QuadraticModel(ChainSpec(3, 4), D3, Hopping({1: 0.5, -1: 0.5}))
-        (rep,) = reconstruct_spin_evolution(model, [0.8])
-        assert rep.deviation < 1e-10
-        assert rep.deviation_reversed < 1e-10
+        d, site, t = 3, 2, 0.8
+        ma = dressed_weyl(site, 1, D3, model.chain)
+        mb = dressed_weyl_rs(site, 1, -1, D3, model.chain)
+        lhs, fa_t, fb_t = (
+            heisenberg_evolve(m, model, t) for m in (WeylMonomial.single(d, site, 1, 0), ma, mb)
+        )
+        phase = np.exp(2j * np.pi / d) * np.exp(2j * np.pi * commutation_phase(ma, mb) / d)
+        assert (lhs - (fb_t @ fa_t).scale(phase)).max_abs() < 1e-10
+        (rep,) = reconstruct_spin_evolution(model, [t])
+        assert rep.site == site and rep.deviation < 1e-10
 
     def test_one_report_per_grid_point(self):
         model = QuadraticModel(ChainSpec(3, 4), D3, Hopping({1: 0.5, -1: 0.5}))
@@ -368,4 +377,24 @@ class TestReconstruction:
         for t, rep in zip(grid, reps):
             assert [rep] == reconstruct_spin_evolution(model, [t])
             assert rep.site == 2
-            assert rep.deviation < 1e-10 and rep.deviation_reversed < 1e-10
+            assert rep.deviation < 1e-10
+
+    def test_one_product_and_back_rotation_per_grid_point(self, monkeypatch):
+        import grading_lab.dynamics as dynamics
+
+        model = QuadraticModel(ChainSpec(3, 4), D3, Hopping({1: 0.5, -1: 0.5}))
+        counts = {"block_product": 0, "site_blocks": 0}
+        product, back = dynamics.block_product, QuadraticModel.site_blocks
+
+        def counting_product(x, y):
+            counts["block_product"] += 1
+            return product(x, y)
+
+        def counting_back(self, blocks):
+            counts["site_blocks"] += 1
+            return back(self, blocks)
+
+        monkeypatch.setattr(dynamics, "block_product", counting_product)
+        monkeypatch.setattr(QuadraticModel, "site_blocks", counting_back)
+        reconstruct_spin_evolution(model, [0.0, 0.8, 2.5])
+        assert counts == {"block_product": 3, "site_blocks": 3}
