@@ -101,6 +101,8 @@ def _verify_rows(cfg: ExperimentConfig, seed: int, cap: int) -> list[list]:
         params = GradingParams(d, cfg.j_plus, cfg.j_minus)
         chain = ChainSpec(d, L, cap=cap)
         hopping = Hopping(cfg.hopping)
+    if L < 2:
+        raise ConfigError(f"verify needs l >= 2 (the sector and pair rows use sites 0 and 1), got l = {L}")
     small = ChainSpec(d, min(L, 5), cap=cap)
     # dense-verified rows fall back to the small chain above the cap
     dense_chain = chain if chain.dense_allowed else small
@@ -223,11 +225,12 @@ def cmd_evolve(cfg: ExperimentConfig, out: str, cap: int) -> int:
         model = QuadraticModel(chain, params, Hopping(cfg.hopping))
         n = ((L + d - 1) // d) * d
         f0 = OneParticleVector.from_amplitudes(d, n, {(L // 2 - 1, 0): 1.0, (L // 2, 0): 0.5})
+        field = smear(f0, params, chain)  # rejects an initial field that does not fit in the chain
     res, _ = span_residual(model, f0)
     # the evolved field is compared with the one-particle flow, which exists at d = 2 only
     heff = d2_effective_hopping(model) if d == 2 else None
     if heff is not None:
-        a0 = model.eigenbasis_blocks(realize(smear(f0, params, chain), chain))
+        a0 = model.eigenbasis_blocks(realize(field, chain))
     grid = cfg.t_grid()
     rows = []
     for t, rec in zip(grid, reconstruct_spin_evolution(model, grid)):

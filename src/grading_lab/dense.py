@@ -10,7 +10,9 @@ arithmetic; floating point enters only in the final complex exponential.
 A monomial of shift charge q maps charge sector c (digit sum mod d) into
 sector c + q, so a dense operator is held as its nonzero charge-sector
 blocks and its arithmetic works block by block; the full site-basis matrix
-is assembled only on request (``DenseOperator.entries``).
+is assembled only on request (``DenseOperator.entries``), which only the
+cross-chain identity of ``block_sites`` needs: its two chains have different
+sector structures, so the site basis is their one common basis.
 """
 
 from __future__ import annotations
@@ -220,13 +222,16 @@ def op_norm(m: DenseOperator | np.ndarray) -> float:
     blocks of a ``DenseOperator`` share a row sector or a column sector (as
     for any operator of definite charge), the blocks act on orthogonal
     subspaces and the norm is the largest block norm; otherwise it is the
-    norm of the assembled matrix.
+    norm of the sector-ordered block matrix over the sectors the blocks
+    touch, a row and column permutation of the site-basis matrix with the
+    empty sectors left out.
     """
     if isinstance(m, DenseOperator):
-        rows, cols = {r for r, _ in m.blocks}, {c for _, c in m.blocks}
+        rows, cols = sorted({r for r, _ in m.blocks}), sorted({c for _, c in m.blocks})
         if len(rows) == len(m.blocks) == len(cols):
             return max((_top_singular_value(blk) for blk in m.blocks.values()), default=0.0)
-        m = m.entries
+        zero = np.zeros((m.chain.dim // m.chain.d,) * 2, dtype=complex)
+        m = np.block([[m.blocks.get((r, c), zero) for c in cols] for r in rows])
     return _top_singular_value(np.asarray(m, dtype=complex))
 
 
@@ -249,14 +254,14 @@ def gauge_unitary(chain: ChainSpec) -> DenseOperator:
     return _diagonal(chain, w ** (chain.digit_sums() % chain.d))
 
 
-def _charge_mask(charges: np.ndarray, order: int) -> np.ndarray:
-    """Entries [u, v] whose integer charges agree mod ``order``.
+def _charge_mask(rows: np.ndarray, cols: np.ndarray, order: int) -> np.ndarray:
+    """Entries [u, v] of a block whose integer charges rows[u] and cols[v] agree mod ``order``.
 
     Averaging M over conjugation by the powers of diag(exp(2i*pi*s/order))
     multiplies entry [u, v] by the mean of exp(2i*pi*j*(s_u - s_v)/order)
     over j, which is exactly 1 on this mask and exactly 0 off it.
     """
-    return (charges[:, None] - charges[None, :]) % order == 0
+    return (rows[:, None] - cols[None, :]) % order == 0
 
 
 def gauge_project(a: AlgebraElement | DenseOperator):
@@ -356,7 +361,9 @@ def block_sites(a: AlgebraElement, k: int, chain: ChainSpec) -> tuple[AlgebraEle
     is slower).  The report carries the dense identity deviation and the
     gauge-projector containment check: averaging over the order-(k*d)
     refined rotation then over the plain gauge rotation must reproduce the
-    refined average on a spanning set of one-block monomials.
+    refined average on a spanning set of one-block monomials.  The refined
+    average masks every charge block of a monomial entrywise, and the plain
+    one is ``gauge_project``.
     """
     if chain.L % k != 0:
         raise ValueError(f"chain length {chain.L} not divisible by block size {k}")
@@ -367,37 +374,19 @@ def block_sites(a: AlgebraElement, k: int, chain: ChainSpec) -> tuple[AlgebraEle
     blocked = AlgebraElement.zero(D)
     for coeff, mono in a.monomials():
         lab = mono.labels()
-        factors = []
-        for blk in range(blocked_chain.L):
+        term = AlgebraElement.identity(D).scale(coeff)
+        for blk in sorted({x // k for x in lab}):
             labels = [lab.get(blk * k + i, (0, 0)) for i in range(k)]
-            if all(x == (0, 0) for x in labels):
-                factors.append([(1.0 + 0j, 0, 0, blk)])
-            else:
-                factors.append([(c, K, M, blk) for c, K, M in _block_factor_expansion(labels, d)])
-        partial = [(coeff, {})]
-        for terms in factors:
-            nxt = []
-            for c0, labs in partial:
-                for c, K, M, blk in terms:
-                    if (K, M) == (0, 0):
-                        nxt.append((c0 * c, labs))
-                    else:
-                        nl = dict(labs)
-                        nl[blk] = (K, M)
-                        nxt.append((c0 * c, nl))
-            partial = nxt
-        blocked = blocked + AlgebraElement.from_monomials(
-            [(c, WeylMonomial.from_labels(D, labs)) for c, labs in partial], D
-        )
+            term = term * AlgebraElement.from_monomials(
+                [(c, WeylMonomial.single(D, blk, K, M)) for c, K, M in _block_factor_expansion(labels, d)], D
+            )
+        blocked = blocked + term
 
-    fine_dense = realize(a, chain)
-    blocked_dense = realize(blocked, blocked_chain)
-    deviation = float(np.abs(fine_dense.entries - blocked_dense.entries).max())
+    # the chains' sectors differ: compare in the site basis, their one common basis
+    deviation = float(np.abs(realize(a, chain).entries - realize(blocked, blocked_chain).entries).max())
 
-    # containment P_fine . P_refined = P_refined on one-block monomials
-    charges = chain.digit_sums()
-    refined = _charge_mask(charges, k * d)
-    fine = _charge_mask(charges, d)
+    # containment P_fine . P_refined = P_refined on one-block monomials, block by block
+    charges = chain.digit_sums()[chain.sectors()]  # (d, m) integer digit sums per sector
     span: list[dict[int, tuple[int, int]]] = [{}]
     for site in range(min(k, 2)):
         span = [
@@ -408,11 +397,11 @@ def block_sites(a: AlgebraElement, k: int, chain: ChainSpec) -> tuple[AlgebraEle
         ]
     worst = 0.0
     for labs in span:
-        m = realize(WeylMonomial.from_labels(d, labs), chain).entries
-        pr = np.where(refined, m, 0.0)
-        pf = np.where(fine, pr, 0.0)
-        worst = max(worst, float(np.abs(pf - pr).max()))
-    samples = len(span)
+        blocks = realize(WeylMonomial.from_labels(d, labs), chain).blocks
+        refined = DenseOperator(chain, {
+            (r, c): np.where(_charge_mask(charges[r], charges[c], k * d), blk, 0.0) for (r, c), blk in blocks.items()
+        })
+        worst = max(worst, (gauge_project(refined) - refined).max_abs())
 
     report = BlockingReport(
         k=k,
@@ -422,6 +411,6 @@ def block_sites(a: AlgebraElement, k: int, chain: ChainSpec) -> tuple[AlgebraEle
         refined_gauge_order=k * d,
         blocked_clock_order=D,
         containment_deviation=worst,
-        containment_samples=samples,
+        containment_samples=len(span),
     )
     return blocked, report

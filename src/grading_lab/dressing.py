@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import ChainSpec, realize
+from .dense import ChainSpec, block_difference, block_vdot, realize
 from .weyl import (
     AlgebraElement,
     GradingParams,
@@ -126,23 +126,25 @@ def dressed_commutation_report(
 
     The claimed reordering phase exp(i*pi*(j-k-l+n)*(x-y)) is checked both
     as written and with the exponent divided by d; the dense oracle is the
-    ground truth and a single-phase closure is detected numerically.
+    ground truth and a single-phase closure is detected numerically.  Both
+    products are formed on charge blocks, and the phase and the residual
+    are Hilbert-Schmidt inner products summed over those blocks.
     """
     if x == y:
         raise ValueError("exchange report requires distinct sites")
     d = params.d
-    u = realize(dressed_matrix_unit(x, j, k, params, chain), chain).entries
-    v = realize(dressed_matrix_unit(y, l, n, params, chain), chain).entries
-    uv = u @ v
-    vu = v @ u
-    nvu = np.linalg.norm(vu)
+    u = realize(dressed_matrix_unit(x, j, k, params, chain), chain)
+    v = realize(dressed_matrix_unit(y, l, n, params, chain), chain)
+    uv, vu = (u @ v).blocks, (v @ u).blocks
+    nvu = np.sqrt(block_vdot(vu, vu).real)
     if nvu < 1e-14:
-        closes = np.linalg.norm(uv) < 1e-14
         phase = None
-        residual = float(np.linalg.norm(uv))
+        residual = float(np.sqrt(block_vdot(uv, uv).real))
+        closes = residual < 1e-14
     else:
-        phase = complex(np.vdot(vu, uv) / nvu**2)
-        residual = float(np.linalg.norm(uv - phase * vu) / nvu)
+        phase = complex(block_vdot(vu, uv) / nvu**2)
+        rest = block_difference(uv, vu, phase)
+        residual = float(np.sqrt(block_vdot(rest, rest).real) / nvu)
         closes = residual < 1e-12
     sym = ((j - k) * (l - n) * exchange_exponent(params)) % d
     if x > y:

@@ -54,25 +54,22 @@ def two_point(
     trace(A tau_t(B)) = sum over blocks (r, c) and entries (m, n) of
     A~_cr[n, m] B~_rc[m, n] exp(i (E_r[m] - E_c[n]) t): one product of the
     (time, level) phase table with each nonzero block pair covers the grid.
+    omega(A) and omega(B) are the exact symbolic ``trace_state`` values.
     Raises ValueError on an empty grid.
     """
     times = np.array(sorted(float(t) for t in t_grid))
     if not times.size:
         raise ValueError("empty time grid")
     ch = model.chain
-    ad = realize(a, ch)
-    bd = realize(b, ch)
-    # the traces sit in the diagonal charge blocks
-    wa, wb = (sum(np.trace(blk) for (r, c), blk in x.blocks.items() if r == c) / ch.dim for x in (ad, bd))
-    at = model.eigenbasis_blocks(ad)
-    bt = model.eigenbasis_blocks(bd)
+    at = model.eigenbasis_blocks(realize(a, ch))
+    bt = model.eigenbasis_blocks(realize(b, ch))
     phase = np.stack([model.propagator(t) for t in times])  # (time, sector, level)
     acc = np.zeros(times.size, dtype=complex)
     for (r, c), bb in bt.items():
         if (c, r) in at:
             acc += np.sum((phase[:, r] @ (at[c, r].T * bb)) * phase[:, c].conj(), axis=1)
     return CorrelationSeries(
-        a_label=a_label, b_label=b_label, times=times, values=acc / ch.dim - wa * wb
+        a_label=a_label, b_label=b_label, times=times, values=acc / ch.dim - trace_state(a) * trace_state(b)
     )
 
 

@@ -145,9 +145,11 @@ class TestExitCodes:
         ("evolve", "d = 2\nl = 4\nt_stop = nan\n"),
         ("decay", "d = 2\nl = 6\nt_start = -inf\n"),
         ("evolve", "d = 2\nl = 4\nt_count = 0\n"),
+        ("verify", "d = 2\nl = 1\n"),
+        ("evolve", "d = 2\nl = 1\nhopping =\n"),
     ], ids=["d1", "l0", "block_k_not_divisor", "evolve_non_hermitian", "decay_non_hermitian", "decay_short_chain",
             "evolve_nan_hopping", "decay_inf_hopping", "verify_nan_hopping", "evolve_nan_t_stop", "decay_inf_t_start",
-            "evolve_empty_grid"])
+            "evolve_empty_grid", "verify_one_site", "evolve_one_site"])
     def test_bad_value_exits_2(self, tmp_path, capsys, command, body):
         cfg = tmp_path / "bad.cfg"
         # the default grid fills only the grid keys the case leaves unset
@@ -168,6 +170,12 @@ class TestExitCodes:
         out = tmp_path / "v.csv"
         assert main(["verify", "--config", preset("verify_d3.cfg"), "--out", str(out)]) == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("config", ["verify_d2.cfg", "verify_d3.cfg"])
+    def test_verify_preset_stays_on_blocks(self, tmp_path, monkeypatch, config):
+        # every dense row, the exchange reports included, works on charge blocks
+        forbid_full_matrix(monkeypatch)
+        assert main(["verify", "--config", preset(config), "--out", str(tmp_path / "v.csv")]) == 0
 
 
 @pytest.fixture(scope="module")

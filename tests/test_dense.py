@@ -235,15 +235,23 @@ class TestOpNorm:
                 assert abs(op_norm(op) - exact) <= 1e-12 * exact
 
     @pytest.mark.parametrize("d, L", [(2, 4), (3, 3)])
-    def test_shared_sectors_take_assembled_norm(self, d, L):
+    def test_shared_sectors_take_assembled_norm(self, monkeypatch, d, L):
+        # the block matrix over the touched sectors is a row and column
+        # permutation of the site-basis matrix with empty sectors left out:
+        # same norm, and no full matrix is assembled
         rng = np.random.default_rng(29 + d)
         chain = ChainSpec(d, L)
         full = random_operator(rng, chain)
-        # two blocks in one column sector, and every block
-        for op in (DenseOperator(chain, {(0, 0): full.blocks[0, 0], (1, 0): full.blocks[1, 0]}), full):
+        # two blocks in one column sector, a chain of blocks through sectors
+        # d-1, 1 and 0, and every block
+        keys = ((0, 0), (1, 0)), ((0, 1), (d - 1, 1), (d - 1, 0)), tuple(full.blocks)
+        for op in (DenseOperator(chain, {key: full.blocks[key] for key in ks}) for ks in keys):
             exact = float(np.linalg.norm(op.entries, 2))
-            assert abs(op_norm(op) - exact) <= 1e-12 * exact
-            assert op_norm(op) > max(op_norm(blk) for blk in op.blocks.values())
+            with monkeypatch.context() as patch:
+                forbid_full_matrix(patch)
+                got = op_norm(op)
+                assert abs(got - exact) <= 1e-12 * exact
+                assert got > max(op_norm(blk) for blk in op.blocks.values())
 
 
 class TestGaugeProject:

@@ -191,6 +191,25 @@ class TestExchangeReports:
         with pytest.raises(ValueError):
             dressed_commutation_report(1, 1, 0, 1, 1, 0, GradingParams(2, 1, 1), ChainSpec(2, 4))
 
+    @pytest.mark.parametrize("d, L", [(2, 5), (3, 5)])
+    def test_matches_site_basis_reference(self, d, L):
+        # the block sums against the assembled products u v and v u
+        params = GradingParams(d, 1, 1)
+        chain = ChainSpec(d, L)
+        for j, k, l, n in ((0, 1, 1, 0), (0, 1, 0, 1), (1, 0, 1, 0), (0, d - 1, d - 1, 0), (1, 1, 0, 0)):
+            for x, y in ((0, 1), (0, 2), (1, 3), (3, 0)):
+                u = realize(dressed_matrix_unit(x, j, k, params, chain), chain).entries
+                v = realize(dressed_matrix_unit(y, l, n, params, chain), chain).entries
+                uv, vu = u @ v, v @ u
+                phase = np.vdot(vu, uv) / np.linalg.norm(vu) ** 2
+                residual = np.linalg.norm(uv - phase * vu) / np.linalg.norm(vu)
+                rep = dressed_commutation_report(x, y, j, k, l, n, params, chain)
+                assert abs(rep.oracle_phase - phase) < 1e-12
+                assert abs(rep.residual - residual) < 1e-12
+                assert rep.closes == (residual < 1e-12)
+                claimed = min(abs(phase - rep.claimed_phase_raw), abs(phase - rep.claimed_phase_scaled))
+                assert rep.status == ("MATCH" if claimed < 1e-9 else "MISMATCH")
+
 
 class TestShiftDefect:
     def test_equal_params_support(self):
