@@ -96,8 +96,21 @@ def block_product(x: Blocks, y: Blocks) -> Blocks:
 
 
 def block_difference(x: Blocks, y: Blocks, scale: complex = 1.0) -> Blocks:
-    """Blocks of X - scale * Y."""
-    return {key: x.get(key, 0.0) - scale * y.get(key, 0.0) for key in x.keys() | y.keys()}
+    """Blocks of X - scale * Y, one new array per block and the inputs left unchanged.
+
+    Each block is ``x - scale * y`` with an absent block read as 0.0,
+    evaluated in that order: the scaled y block is the result array and the
+    subtraction finishes in it.
+    """
+    out: Blocks = {}
+    for key in x.keys() | y.keys():
+        if key in y:
+            blk = scale * y[key]
+            out[key] = np.subtract(x.get(key, 0.0), blk, out=blk)
+        else:
+            # not a plain copy of x: subtracting scale * 0.0 can flip the sign of a zero entry
+            out[key] = x[key] - scale * 0.0
+    return out
 
 
 def block_max_abs(blocks: Blocks) -> float:

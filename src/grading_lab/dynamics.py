@@ -8,12 +8,13 @@ with every pair kept inside the open chain.  It is gauge invariant and
 self-adjoint by construction.  It therefore commutes with the gauge
 unitary and splits into d charge sectors of d^(L-1) states each, and every
 dense computation uses one cached per-sector eigendecomposition per model,
-read from the diagonal charge blocks of the dense H.
+read from the diagonal charge blocks of the dense H, which it does not keep.
 There is one evolution: the charge blocks of an operator are rotated once
 into that eigenbasis, where exp(iHt) is the phase table
 ``QuadraticModel.propagator(t)`` and tau_t multiplies block entry [m, n] by
 exp(i (E_m - E_n) t).  A caller with a time grid (``evolve``, the
-reconstruction check) rotates each operator once and only phases it per t.
+reconstruction check) rotates each operator once and only phases it per t,
+holding one phased copy at a time.
 Products and norms are taken block by block, and entrywise checks map the
 blocks back to the site basis (``QuadraticModel.site_blocks``), so no
 evolution or check assembles the full d^L x d^L matrix.
@@ -92,6 +93,7 @@ class QuadraticModel:
 
     @property
     def dense_hamiltonian(self) -> DenseOperator:
+        """H realized on its charge blocks; cached until ``eigensystem`` reads it, then realized again if asked."""
         if self._dense is None:
             self._dense = realize(self.hamiltonian, self.chain)
         return self._dense
@@ -102,10 +104,12 @@ class QuadraticModel:
 
         Block c is H restricted to the basis states ``chain.sectors()[c]``.
         Raises ValueError unless H is hermitian and maps every charge sector
-        into itself.
+        into itself.  The cached dense H is dropped once ``eigh`` has read
+        it, so a diagonalised model holds the eigenvectors and no copy of H.
         """
         if self._eig is None:
             h = self.dense_hamiltonian
+            self._dense = None
             if (h - h.adjoint()).max_abs() > 1e-12:
                 raise ValueError("dense Hamiltonian is not hermitian")
             if block_max_abs({(r, c): blk for (r, c), blk in h.blocks.items() if r != c}) > 1e-12:
@@ -135,8 +139,17 @@ class QuadraticModel:
 
 
 def phase_blocks(blocks: Blocks, u: np.ndarray) -> Blocks:
-    """Evolve eigenbasis blocks by u = ``propagator(t)``: entry [m, n] of (r, c) gains u[r][m] conj(u[c][n])."""
-    return {(r, c): u[r][:, None] * blk * u[c].conj() for (r, c), blk in blocks.items()}
+    """Evolve eigenbasis blocks by u = ``propagator(t)``: entry [m, n] of (r, c) gains u[r][m] conj(u[c][n]).
+
+    Each phased block is one new array, u[r][m] times the input entry and
+    then times conj(u[c][n]) in place; the input blocks are left unchanged.
+    """
+    out: Blocks = {}
+    for (r, c), blk in blocks.items():
+        phased = u[r][:, None] * blk
+        phased *= u[c].conj()
+        out[r, c] = phased
+    return out
 
 
 def heisenberg_evolve(a: AlgebraElement | DenseOperator, model: QuadraticModel, t: float) -> DenseOperator:
@@ -369,7 +382,10 @@ def reconstruct_spin_evolution(model: QuadraticModel, t_grid, site: int | None =
     round-off.  Each operator is rotated into the eigenbasis once and phased
     per t, the dressed product is formed block by block there in the factor
     order of the identity only, and the difference is compared entrywise
-    over its site-basis sector blocks.
+    over its site-basis sector blocks.  The working set beside the
+    eigenvectors is the three rotated operators and one phased copy per t:
+    the phased factors are freed once their product exists, and only then
+    is the clock phased and the product subtracted from it.
     """
     ch, pr = model.chain, model.params
     if site is None:
@@ -382,8 +398,13 @@ def reconstruct_spin_evolution(model: QuadraticModel, t_grid, site: int | None =
     reports = []
     for t in t_grid:
         u = model.propagator(t)
-        lhs_t, fa_t, fb_t = (phase_blocks(x, u) for x in (lhs, fa, fb))
-        dev = block_max_abs(model.site_blocks(block_difference(lhs_t, block_product(fa_t, fb_t), phase)))
+        # the phased factors go once their product exists, the product once
+        # it is subtracted and the difference once it is checked
+        product = block_product(phase_blocks(fa, u), phase_blocks(fb, u))
+        difference = block_difference(phase_blocks(lhs, u), product, phase)
+        del product
+        dev = block_max_abs(model.site_blocks(difference))
+        del difference
         reports.append(ReconstructionReport(site=site, t=float(t), deviation=dev))
     return reports
 

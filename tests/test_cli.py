@@ -22,6 +22,7 @@ from grading_lab.oneparticle import Hopping, OneParticleVector, evolve
 from grading_lab.weyl import GradingParams, WeylMonomial
 
 from test_dense import forbid_full_matrix
+from test_dynamics import traced_peak
 
 PRESETS = os.path.join(os.path.dirname(__file__), "..", "src", "grading_lab", "presets")
 
@@ -147,9 +148,10 @@ class TestExitCodes:
         ("evolve", "d = 2\nl = 4\nt_count = 0\n"),
         ("verify", "d = 2\nl = 1\n"),
         ("evolve", "d = 2\nl = 1\nhopping =\n"),
+        ("evolve", "d = 2\nl = 4\nhopping = 3=0-0.5j, -3=0+0.5j\n"),
     ], ids=["d1", "l0", "block_k_not_divisor", "evolve_non_hermitian", "decay_non_hermitian", "decay_short_chain",
             "evolve_nan_hopping", "decay_inf_hopping", "verify_nan_hopping", "evolve_nan_t_stop", "decay_inf_t_start",
-            "evolve_empty_grid", "verify_one_site", "evolve_one_site"])
+            "evolve_empty_grid", "verify_one_site", "evolve_one_site", "evolve_wide_hopping"])
     def test_bad_value_exits_2(self, tmp_path, capsys, command, body):
         cfg = tmp_path / "bad.cfg"
         # the default grid fills only the grid keys the case leaves unset
@@ -223,6 +225,17 @@ class TestVerifyOutput:
         phases = [float(r["oracle_payload"].split(";")[0].split("=")[1]) for r in matches]
         assert any(abs(p + 1.0) < 1e-9 for p in phases)
 
+    def test_two_site_chain_writes_each_row_once(self, tmp_path):
+        # at l = 2 the clamped pair_expansion pairs coincide
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("experiment = verify\nd = 3\nl = 2\n")
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        keys = [(r["relation_id"], r["params"]) for r in rows]
+        assert ("pair_expansion", "d=3;x=0;y=1") in keys
+        assert len(keys) == len(set(keys))
+
 
 class TestDeterminism:
     def test_verify_rerun_byte_identical(self, tmp_path):
@@ -235,6 +248,14 @@ class TestDeterminism:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["block", "--config", preset("block_d2.cfg"), "--out", str(a)]) == 0
         assert main(["block", "--config", preset("block_d2.cfg"), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_evolve_rerun_byte_identical(self, tmp_path):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(EVOLVE_CONFIGS["d2"])
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(a)]) == 0
+        assert main(["evolve", "--config", str(cfg), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -401,6 +422,17 @@ class TestEvolveCommand:
         cfg.write_text(EVOLVE_CONFIGS["d2"])
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "e.csv")]) == 0
         assert counts == {"block_product": 9, "site_blocks": 2 * 9}
+
+    def test_working_set(self, tmp_path):
+        # the eigenvectors, the rotated operands and one phased copy per t:
+        # the traced peak stays within 16 blocks of m x m complex entries
+        # (m = 128), with no dense H kept after eigh
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(EVOLVE_CONFIGS["d2"].replace("l = 6", "l = 8").replace("t_count = 9", "t_count = 3"))
+        out = str(tmp_path / "e.csv")
+        code, peak = traced_peak(lambda: main(["evolve", "--config", str(cfg), "--out", out]))
+        assert code == 0
+        assert peak <= 16 * 16 * 128**2
 
     @pytest.mark.parametrize("case", ["d2", "d3"])
     def test_matches_per_t_evolution(self, tmp_path, case):

@@ -7,6 +7,7 @@ from grading_lab.dense import (
     ChainSpec,
     DenseOperator,
     DimensionCapError,
+    block_difference,
     block_sites,
     clock_shift,
     gauge_project,
@@ -42,6 +43,22 @@ def forbid_full_matrix(monkeypatch):
         raise AssertionError("assembled a full d^L x d^L matrix")
 
     monkeypatch.setattr(DenseOperator, "entries", property(assembled))
+
+
+def block_bits(blocks):
+    """Key order, dtype, shape and raw bytes of every block: equal only when bit for bit equal."""
+    return [(key, blk.dtype, blk.shape, blk.tobytes()) for key, blk in blocks.items()]
+
+
+def signed_zero_blocks(rng, keys, m=6):
+    """Complex Gaussian blocks whose first row holds zeros of both signs in both parts."""
+    out = {}
+    for key in keys:
+        blk = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        blk[0, ::2] = complex(-0.0, -0.0)
+        blk[0, 1::2] = complex(0.0, -0.0)
+        out[key] = blk
+    return out
 
 
 def random_operator(rng, chain):
@@ -183,6 +200,22 @@ class TestRealize:
             lhs = realize(a.commutator(b), chain).entries
             ad, bd = realize(a, chain).entries, realize(b, chain).entries
             assert np.abs(lhs - (ad @ bd - bd @ ad)).max() < 1e-12
+
+
+class TestBlockDifference:
+    @pytest.mark.parametrize("scale", [1.0, -1.0, 0.3 - 0.7j], ids=["one", "minus_one", "complex"])
+    def test_matches_expression_bit_for_bit(self, scale):
+        # (0, 0) only in x, (0, 1) in both, (1, 0) only in y; subtracting
+        # scale * 0.0 from an x-only block can flip the sign of its zeros
+        rng = np.random.default_rng(31)
+        x = signed_zero_blocks(rng, [(0, 0), (0, 1)])
+        y = signed_zero_blocks(rng, [(0, 1), (1, 0)])
+        before = block_bits(x), block_bits(y)
+        got = block_difference(x, y, scale)
+        assert (block_bits(x), block_bits(y)) == before
+        want = {key: x.get(key, 0.0) - scale * y.get(key, 0.0) for key in x.keys() | y.keys()}
+        assert block_bits(got) == block_bits(want)
+        assert not any(np.shares_memory(blk, src) for blk in got.values() for src in (*x.values(), *y.values()))
 
 
 class TestOpNorm:

@@ -1,5 +1,7 @@
 """Heisenberg dynamics: Hamiltonian structure, flows, audits, residuals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,6 +24,8 @@ from grading_lab.dynamics import (
 from grading_lab.oneparticle import Hopping, OneParticleVector, evolve
 from grading_lab.weyl import AlgebraElement, GradingParams, WeylMonomial, commutation_phase
 
+from test_dense import block_bits, signed_zero_blocks
+
 D2 = GradingParams(2, 1, 1)
 D3 = GradingParams(3, 1, 1)
 IM_NN = Hopping({1: -1j / 16, -1: 1j / 16})
@@ -29,6 +33,21 @@ IM_NN = Hopping({1: -1j / 16, -1: 1j / 16})
 
 def d2_model(L=8, scale=1.0):
     return QuadraticModel(ChainSpec(2, L), D2, Hopping({1: -1j * scale / 16, -1: 1j * scale / 16}))
+
+
+def traced_peak(call):
+    """call()'s result and the peak bytes tracemalloc sees allocated while it runs, beyond what was live before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 class TestBuildHamiltonian:
@@ -218,6 +237,17 @@ class TestSectorBlocks:
             assert block_max_abs(site) == float(np.abs(DenseOperator(model.chain, site).entries).max())
         assert block_max_abs({}) == float(np.abs(DenseOperator(model.chain, {}).entries).max()) == 0.0
 
+    def test_phase_blocks_matches_expression_bit_for_bit(self):
+        rng = np.random.default_rng(37)
+        keys = [(r, c) for r in range(3) for c in range(3) if (r, c) != (1, 2)]
+        blocks = signed_zero_blocks(rng, keys)
+        u = np.exp(1j * rng.standard_normal((3, 6)))
+        before = block_bits(blocks)
+        got = phase_blocks(blocks, u)
+        assert block_bits(blocks) == before
+        want = {(r, c): u[r][:, None] * blk * u[c].conj() for (r, c), blk in blocks.items()}
+        assert block_bits(got) == block_bits(want)
+
 
 class TestCommutatorDecay:
     def test_disjoint_supports_start_at_zero(self):
@@ -398,3 +428,14 @@ class TestReconstruction:
         monkeypatch.setattr(QuadraticModel, "site_blocks", counting_back)
         reconstruct_spin_evolution(model, [0.0, 0.8, 2.5])
         assert counts == {"block_product": 3, "site_blocks": 3}
+
+    def test_working_set(self):
+        # beside the eigenvectors, the three rotated operators and one phased
+        # copy per t: 12 blocks of m x m complex entries, the phased factors
+        # freed once their product exists
+        model = d2_model(8)
+        model.eigensystem
+        block = 16 * (model.chain.dim // 2) ** 2
+        reports, peak = traced_peak(lambda: reconstruct_spin_evolution(model, [0.0, 1.0, 2.0]))
+        assert len(reports) == 3
+        assert peak <= 13 * block
