@@ -1,8 +1,9 @@
 """Deterministic experiment runner with stable CSV outputs.
 
 Subcommands: verify | evolve | decay | block | report.  Exit codes:
-0 success, 1 exact-tier relation failure, 2 config error or unreadable
-report input, 3 dimension cap exceeded.  Reruns on the same config are byte-identical; --seed only
+0 success, 1 exact-tier relation failure, 2 config error, unreadable
+report input or an --out path that cannot be written, 3 dimension cap
+exceeded.  Reruns on the same config are byte-identical; --seed only
 affects which random samples the verify suite draws, never any physics.
 """
 
@@ -19,7 +20,6 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .dense import (
     DEFAULT_DIM_CAP,
     ChainSpec,
-    DenseOperator,
     DimensionCapError,
     block_sites,
     op_norm,
@@ -67,13 +67,17 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            if any(isinstance(cell, complex) for cell in row):
-                raise ValueError("complex cells must be split into re/im columns")
-            writer.writerow([_fmt(cell) for cell in row])
+    """Write the CSV; a path that cannot be written is a ConfigError naming it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                if any(isinstance(cell, complex) for cell in row):
+                    raise ValueError("complex cells must be split into re/im columns")
+                writer.writerow([_fmt(cell) for cell in row])
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc.strerror or exc}") from None
 
 
 @contextmanager
@@ -238,7 +242,7 @@ def cmd_evolve(cfg: ExperimentConfig, out: str, cap: int) -> int:
     if flows is not None:
         a0 = model.eigenbasis_blocks(realize(field, chain))
         flow_devs = [
-            (DenseOperator(chain, model.site_blocks(phase_blocks(a0, model.propagator(t))))
+            (model.site_blocks(phase_blocks(a0, model.propagator(t)))
              - realize(smear(f, params, chain, truncate=True), chain)).max_abs()
             for t, f in zip(grid, flows)
         ]

@@ -9,8 +9,11 @@ arithmetic; floating point enters only in the final complex exponential.
 
 A monomial of shift charge q maps charge sector c (digit sum mod d) into
 sector c + q, so a dense operator is held as its nonzero charge-sector
-blocks and its arithmetic works block by block; the full site-basis matrix
-is assembled only on request (``DenseOperator.entries``), which only the
+blocks, and its arithmetic (product, difference, entry maximum and
+Hilbert-Schmidt inner product) is a set of ``DenseOperator`` methods that
+work block by block.  The same type carries blocks in any per-sector basis,
+such as the eigenbasis of ``dynamics``.  The full site-basis matrix is
+assembled only on request (``DenseOperator.entries``), which only the
 cross-chain identity of ``block_sites`` needs: its two chains have different
 sector structures, so the site basis is their one common basis.
 """
@@ -85,51 +88,15 @@ class DimensionCapError(ValueError):
     """Raised when a dense computation would exceed the configured cap."""
 
 
-def block_product(x: Blocks, y: Blocks) -> Blocks:
-    """Blocks of the product X Y: (X Y)_rc = sum over k of X_rk Y_kc."""
-    out: Blocks = {}
-    for (r, k), xb in x.items():
-        for (k2, c), yb in y.items():
-            if k == k2:
-                out[r, c] = out[r, c] + xb @ yb if (r, c) in out else xb @ yb
-    return out
-
-
-def block_difference(x: Blocks, y: Blocks, scale: complex = 1.0) -> Blocks:
-    """Blocks of X - scale * Y, one new array per block and the inputs left unchanged.
-
-    Each block is ``x - scale * y`` with an absent block read as 0.0,
-    evaluated in that order: the scaled y block is the result array and the
-    subtraction finishes in it.
-    """
-    out: Blocks = {}
-    for key in x.keys() | y.keys():
-        if key in y:
-            blk = scale * y[key]
-            out[key] = np.subtract(x.get(key, 0.0), blk, out=blk)
-        else:
-            # not a plain copy of x: subtracting scale * 0.0 can flip the sign of a zero entry
-            out[key] = x[key] - scale * 0.0
-    return out
-
-
-def block_max_abs(blocks: Blocks) -> float:
-    """Largest entry modulus of the operator with these blocks; 0.0 when there are none."""
-    return max((float(np.abs(blk).max()) for blk in blocks.values()), default=0.0)
-
-
-def block_vdot(x: Blocks, y: Blocks) -> complex:
-    """Hilbert-Schmidt inner product trace(X^dag Y), summed over the blocks both hold."""
-    return complex(sum(np.vdot(x[key], y[key]) for key in x.keys() & y.keys()))
-
-
 @dataclass
 class DenseOperator:
     """An operator on the chain, held as its nonzero charge-sector blocks.
 
     ``blocks[(r, c)]`` is the m x m block (m = d^(L-1)) that maps charge
     sector c into sector r, rows and columns in the order of
-    ``chain.sectors()``; an absent block is zero.
+    ``chain.sectors()`` (or, for an operator rotated by
+    ``QuadraticModel.eigenbasis_blocks``, of the sector's eigenvectors); an
+    absent block is zero.
     """
 
     chain: ChainSpec
@@ -150,13 +117,33 @@ class DenseOperator:
         return DenseOperator(chain, {(c, c): np.eye(m, dtype=complex) for c in range(chain.d)})
 
     def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        return DenseOperator(self.chain, block_product(self.blocks, other.blocks))
+        """Blocks of the product X Y: (X Y)_rc = sum over k of X_rk Y_kc."""
+        out: Blocks = {}
+        for (r, k), xb in self.blocks.items():
+            for (k2, c), yb in other.blocks.items():
+                if k == k2:
+                    out[r, c] = out[r, c] + xb @ yb if (r, c) in out else xb @ yb
+        return DenseOperator(self.chain, out)
 
-    def __add__(self, other: "DenseOperator") -> "DenseOperator":
-        return DenseOperator(self.chain, block_difference(self.blocks, other.blocks, -1.0))
+    def sub(self, other: "DenseOperator", scale: complex = 1.0) -> "DenseOperator":
+        """X - scale * Y, one new array per block and both operands left unchanged.
+
+        Each block is ``x - scale * y`` with an absent block read as 0.0,
+        evaluated in that order: the scaled y block is the result array and
+        the subtraction finishes in it.
+        """
+        out: Blocks = {}
+        for key in self.blocks.keys() | other.blocks.keys():
+            if key in other.blocks:
+                blk = scale * other.blocks[key]
+                out[key] = np.subtract(self.blocks.get(key, 0.0), blk, out=blk)
+            else:
+                # not a plain copy of x: subtracting scale * 0.0 can flip the sign of a zero entry
+                out[key] = self.blocks[key] - scale * 0.0
+        return DenseOperator(self.chain, out)
 
     def __sub__(self, other: "DenseOperator") -> "DenseOperator":
-        return DenseOperator(self.chain, block_difference(self.blocks, other.blocks))
+        return self.sub(other)
 
     def scale(self, c: complex) -> "DenseOperator":
         return DenseOperator(self.chain, {key: c * blk for key, blk in self.blocks.items()})
@@ -168,8 +155,13 @@ class DenseOperator:
         return self @ other - other @ self
 
     def max_abs(self) -> float:
-        return block_max_abs(self.blocks)
+        """Largest entry modulus; 0.0 when no block is held."""
+        return max((float(np.abs(blk).max()) for blk in self.blocks.values()), default=0.0)
 
+    def vdot(self, other: "DenseOperator") -> complex:
+        """Hilbert-Schmidt inner product trace(X^dag Y), summed over the blocks both hold."""
+        keys = self.blocks.keys() & other.blocks.keys()
+        return complex(sum(np.vdot(self.blocks[key], other.blocks[key]) for key in keys))
 
 def clock_shift(d: int) -> tuple[DenseOperator, DenseOperator]:
     """Single-site clock and shift unitaries (D, S) with D S = w S D.
@@ -227,30 +219,26 @@ def realize(a: AlgebraElement | WeylMonomial, chain: ChainSpec) -> DenseOperator
     )
 
 
-def op_norm(m: DenseOperator | np.ndarray) -> float:
+def op_norm(m: DenseOperator) -> float:
     """Largest singular value, exact at every dimension.
 
     Computed as the square root of the largest eigenvalue of M^dag M from a
-    dense hermitian eigensolver; 0.0 for an empty matrix.  When no two
-    blocks of a ``DenseOperator`` share a row sector or a column sector (as
-    for any operator of definite charge), the blocks act on orthogonal
-    subspaces and the norm is the largest block norm; otherwise it is the
-    norm of the sector-ordered block matrix over the sectors the blocks
-    touch, a row and column permutation of the site-basis matrix with the
-    empty sectors left out.
+    dense hermitian eigensolver; 0.0 when no block is held.  When no two
+    blocks share a row sector or a column sector (as for any operator of
+    definite charge), the blocks act on orthogonal subspaces and the norm
+    is the largest block norm; otherwise it is the norm of the
+    sector-ordered block matrix over the sectors the blocks touch, a row
+    and column permutation of the site-basis matrix with the empty sectors
+    left out.
     """
-    if isinstance(m, DenseOperator):
-        rows, cols = sorted({r for r, _ in m.blocks}), sorted({c for _, c in m.blocks})
-        if len(rows) == len(m.blocks) == len(cols):
-            return max((_top_singular_value(blk) for blk in m.blocks.values()), default=0.0)
-        zero = np.zeros((m.chain.dim // m.chain.d,) * 2, dtype=complex)
-        m = np.block([[m.blocks.get((r, c), zero) for c in cols] for r in rows])
-    return _top_singular_value(np.asarray(m, dtype=complex))
+    rows, cols = sorted({r for r, _ in m.blocks}), sorted({c for _, c in m.blocks})
+    if len(rows) == len(m.blocks) == len(cols):
+        return max((_top_singular_value(blk) for blk in m.blocks.values()), default=0.0)
+    zero = np.zeros((m.chain.dim // m.chain.d,) * 2, dtype=complex)
+    return _top_singular_value(np.block([[m.blocks.get((r, c), zero) for c in cols] for r in rows]))
 
 
 def _top_singular_value(a: np.ndarray) -> float:
-    if not a.size:
-        return 0.0
     top = np.linalg.eigvalsh(a.conj().T @ a)[-1]
     return float(np.sqrt(max(top, 0.0)))
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import ChainSpec, block_difference, block_vdot, realize
+from .dense import ChainSpec, realize
 from .weyl import (
     AlgebraElement,
     GradingParams,
@@ -135,16 +135,16 @@ def dressed_commutation_report(
     d = params.d
     u = realize(dressed_matrix_unit(x, j, k, params, chain), chain)
     v = realize(dressed_matrix_unit(y, l, n, params, chain), chain)
-    uv, vu = (u @ v).blocks, (v @ u).blocks
-    nvu = np.sqrt(block_vdot(vu, vu).real)
+    uv, vu = u @ v, v @ u
+    nvu = np.sqrt(vu.vdot(vu).real)
     if nvu < 1e-14:
         phase = None
-        residual = float(np.sqrt(block_vdot(uv, uv).real))
+        residual = float(np.sqrt(uv.vdot(uv).real))
         closes = residual < 1e-14
     else:
-        phase = complex(block_vdot(vu, uv) / nvu**2)
-        rest = block_difference(uv, vu, phase)
-        residual = float(np.sqrt(block_vdot(rest, rest).real) / nvu)
+        phase = complex(vu.vdot(uv) / nvu**2)
+        rest = uv.sub(vu, phase)
+        residual = float(np.sqrt(rest.vdot(rest).real) / nvu)
         closes = residual < 1e-12
     sym = ((j - k) * (l - n) * exchange_exponent(params)) % d
     if x > y:

@@ -15,8 +15,10 @@ into that eigenbasis, where exp(iHt) is the phase table
 exp(i (E_m - E_n) t).  A caller with a time grid (``evolve``, the
 reconstruction check) rotates each operator once and only phases it per t,
 holding one phased copy at a time.
-Products and norms are taken block by block, and entrywise checks map the
-blocks back to the site basis (``QuadraticModel.site_blocks``), so no
+Every step takes and returns a ``DenseOperator``, whose blocks are in the
+site basis or, between ``eigenbasis_blocks`` and ``site_blocks``, in the
+eigenbasis.  Products, differences and norms are its block-wise methods,
+and entrywise checks map the blocks back to the site basis first, so no
 evolution or check assembles the full d^L x d^L matrix.
 
 At d = 2 the dressed generators are one-sided Majorana operators and the
@@ -34,18 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import (
-    Blocks,
-    ChainSpec,
-    DenseOperator,
-    block_difference,
-    block_max_abs,
-    block_product,
-    block_vdot,
-    gauge_unitary,
-    op_norm,
-    realize,
-)
+from .dense import ChainSpec, DenseOperator, gauge_unitary, op_norm, realize
 from .dressing import dressed_weyl, dressed_weyl_rs
 from .oneparticle import Hopping, OneParticleVector
 from .weyl import (
@@ -72,7 +63,6 @@ class QuadraticModel:
         self.params = params
         self.hopping = hopping
         self._hamiltonian: AlgebraElement | None = None
-        self._dense: DenseOperator | None = None
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -93,10 +83,8 @@ class QuadraticModel:
 
     @property
     def dense_hamiltonian(self) -> DenseOperator:
-        """H realized on its charge blocks; cached until ``eigensystem`` reads it, then realized again if asked."""
-        if self._dense is None:
-            self._dense = realize(self.hamiltonian, self.chain)
-        return self._dense
+        """H realized on its charge blocks, afresh on each call."""
+        return realize(self.hamiltonian, self.chain)
 
     @property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -104,15 +92,14 @@ class QuadraticModel:
 
         Block c is H restricted to the basis states ``chain.sectors()[c]``.
         Raises ValueError unless H is hermitian and maps every charge sector
-        into itself.  The cached dense H is dropped once ``eigh`` has read
-        it, so a diagonalised model holds the eigenvectors and no copy of H.
+        into itself.  H is realized for this call only, so a diagonalised
+        model holds the eigenvectors and no copy of H.
         """
         if self._eig is None:
             h = self.dense_hamiltonian
-            self._dense = None
             if (h - h.adjoint()).max_abs() > 1e-12:
                 raise ValueError("dense Hamiltonian is not hermitian")
-            if block_max_abs({(r, c): blk for (r, c), blk in h.blocks.items() if r != c}) > 1e-12:
+            if DenseOperator(h.chain, {(r, c): blk for (r, c), blk in h.blocks.items() if r != c}).max_abs() > 1e-12:
                 raise ValueError("dense Hamiltonian mixes charge sectors")
             zero = np.zeros((self.chain.dim // self.chain.d,) * 2, dtype=complex)
             self._eig = np.linalg.eigh(np.stack([h.blocks.get((c, c), zero) for c in range(self.chain.d)]))
@@ -122,34 +109,37 @@ class QuadraticModel:
         """exp(iHt) in the per-sector eigenbasis: the (d, m) phases exp(iEt)."""
         return np.exp(1j * t * self.eigensystem[0])
 
-    def eigenbasis_blocks(self, a: DenseOperator) -> Blocks:
-        """The charge blocks of a in the per-sector eigenbasis.
+    def eigenbasis_blocks(self, a: DenseOperator) -> DenseOperator:
+        """The operator a with its charge blocks rotated into the per-sector eigenbasis.
 
         Block (r, c) is V_r^dag A_rc V_c for each block that a holds.  In this
         basis exp(iHt) . exp(-iHt) multiplies entry [m, n] of block (r, c) by
-        the phase exp(i (E_r[m] - E_c[n]) t).
+        the phase exp(i (E_r[m] - E_c[n]) t).  Products, differences and
+        ``op_norm`` of operators in this basis are those of the site-basis
+        operators, rotated block by block.
         """
         _, vecs = self.eigensystem
-        return {(r, c): vecs[r].conj().T @ blk @ vecs[c] for (r, c), blk in a.blocks.items()}
+        return DenseOperator(a.chain, {(r, c): vecs[r].conj().T @ blk @ vecs[c] for (r, c), blk in a.blocks.items()})
 
-    def site_blocks(self, blocks: Blocks) -> Blocks:
+    def site_blocks(self, a: DenseOperator) -> DenseOperator:
         """Inverse of ``eigenbasis_blocks``, block by block: (r, c) maps back to V_r X_rc V_c^dag."""
         _, vecs = self.eigensystem
-        return {(r, c): vecs[r] @ blk @ vecs[c].conj().T for (r, c), blk in blocks.items()}
+        return DenseOperator(a.chain, {(r, c): vecs[r] @ blk @ vecs[c].conj().T for (r, c), blk in a.blocks.items()})
 
 
-def phase_blocks(blocks: Blocks, u: np.ndarray) -> Blocks:
-    """Evolve eigenbasis blocks by u = ``propagator(t)``: entry [m, n] of (r, c) gains u[r][m] conj(u[c][n]).
+def phase_blocks(a: DenseOperator, u: np.ndarray) -> DenseOperator:
+    """Evolve an operator held in the eigenbasis by u = ``propagator(t)``.
 
-    Each phased block is one new array, u[r][m] times the input entry and
-    then times conj(u[c][n]) in place; the input blocks are left unchanged.
+    Entry [m, n] of block (r, c) gains u[r][m] conj(u[c][n]).  Each phased
+    block is one new array, u[r][m] times the input entry and then times
+    conj(u[c][n]) in place; the input blocks are left unchanged.
     """
-    out: Blocks = {}
-    for (r, c), blk in blocks.items():
+    out = {}
+    for (r, c), blk in a.blocks.items():
         phased = u[r][:, None] * blk
         phased *= u[c].conj()
         out[r, c] = phased
-    return out
+    return DenseOperator(a.chain, out)
 
 
 def heisenberg_evolve(a: AlgebraElement | DenseOperator, model: QuadraticModel, t: float) -> DenseOperator:
@@ -160,8 +150,7 @@ def heisenberg_evolve(a: AlgebraElement | DenseOperator, model: QuadraticModel, 
     and no full matrix is formed.
     """
     dense = a if isinstance(a, DenseOperator) else realize(a, model.chain)
-    evolved = phase_blocks(model.eigenbasis_blocks(dense), model.propagator(t))
-    return DenseOperator(model.chain, model.site_blocks(evolved))
+    return model.site_blocks(phase_blocks(model.eigenbasis_blocks(dense), model.propagator(t)))
 
 
 def smear(f: OneParticleVector, params: GradingParams, chain: ChainSpec, truncate: bool = False) -> AlgebraElement:
@@ -237,8 +226,7 @@ def commutator_decay(
     pts = []
     for t in sorted(float(t) for t in t_grid):
         a_t = phase_blocks(at, model.propagator(t))
-        comm = block_difference(block_product(a_t, bt), block_product(bt, a_t))
-        pts.append(DecayPoint(t=t, norm=op_norm(DenseOperator(model.chain, comm))))
+        pts.append(DecayPoint(t=t, norm=op_norm(a_t.commutator(bt))))
     return DecayResult(
         points=pts,
         a_gauge_invariant=a.is_gauge_invariant(1e-14),
@@ -349,21 +337,21 @@ def span_residual(model: QuadraticModel, f: OneParticleVector) -> tuple[float, d
     reduction closes exactly on this chain.
     """
     ch, pr = model.chain, model.params
-    target = realize(model.hamiltonian.commutator(smear(f, pr, ch)).scale(1j), ch).blocks
-    tnorm = float(np.sqrt(block_vdot(target, target).real))
+    target = realize(model.hamiltonian.commutator(smear(f, pr, ch)).scale(1j), ch)
+    tnorm = float(np.sqrt(target.vdot(target).real))
     coeffs: dict[tuple[int, int], complex] = {}
     if tnorm == 0.0:
         return 0.0, coeffs
-    proj: Blocks = {}
+    proj = DenseOperator(ch, {})
     for xx in range(ch.L):
         for j in range(pr.d):
-            basis = realize(dressed_weyl_rs(xx, j, 1, pr, ch), ch).blocks
-            c = block_vdot(basis, target) / ch.dim
+            basis = realize(dressed_weyl_rs(xx, j, 1, pr, ch), ch)
+            c = basis.vdot(target) / ch.dim
             if abs(c) > 1e-15:
                 coeffs[(xx, j)] = c
-                proj = block_difference(proj, basis, -c)
-    rest = block_difference(target, proj)
-    residual = float(np.sqrt(block_vdot(rest, rest).real) / tnorm)
+                proj = proj.sub(basis, -c)
+    rest = target - proj
+    residual = float(np.sqrt(rest.vdot(rest).real) / tnorm)
     return residual, coeffs
 
 
@@ -400,10 +388,10 @@ def reconstruct_spin_evolution(model: QuadraticModel, t_grid, site: int | None =
         u = model.propagator(t)
         # the phased factors go once their product exists, the product once
         # it is subtracted and the difference once it is checked
-        product = block_product(phase_blocks(fa, u), phase_blocks(fb, u))
-        difference = block_difference(phase_blocks(lhs, u), product, phase)
+        product = phase_blocks(fa, u) @ phase_blocks(fb, u)
+        difference = phase_blocks(lhs, u).sub(product, phase)
         del product
-        dev = block_max_abs(model.site_blocks(difference))
+        dev = model.site_blocks(difference).max_abs()
         del difference
         reports.append(ReconstructionReport(site=site, t=float(t), deviation=dev))
     return reports

@@ -65,9 +65,9 @@ def two_point(
     bt = model.eigenbasis_blocks(realize(b, ch))
     phase = np.stack([model.propagator(t) for t in times])  # (time, sector, level)
     acc = np.zeros(times.size, dtype=complex)
-    for (r, c), bb in bt.items():
-        if (c, r) in at:
-            acc += np.sum((phase[:, r] @ (at[c, r].T * bb)) * phase[:, c].conj(), axis=1)
+    for (r, c), bb in bt.blocks.items():
+        if (c, r) in at.blocks:
+            acc += np.sum((phase[:, r] @ (at.blocks[c, r].T * bb)) * phase[:, c].conj(), axis=1)
     return CorrelationSeries(
         a_label=a_label, b_label=b_label, times=times, values=acc / ch.dim - trace_state(a) * trace_state(b)
     )

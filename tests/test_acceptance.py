@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.  Tolerances are fixed here and nowhere else.
 """
 
+import csv
 import os
 import time
 
@@ -228,7 +229,8 @@ def test_09_abelianness_contrast():
     ordering = env_gi.min() < 0.5 * env_bare.min()
 
     # committed envelopes from the first oracle run
-    frozen_rows = [ln.split(",") for ln in open(FROZEN, encoding="utf-8").read().splitlines()[1:]]
+    with open(FROZEN, encoding="utf-8", newline="") as fh:
+        frozen_rows = list(csv.reader(fh))[1:]
     frozen = {
         pid: np.array([float(r[2]) for r in frozen_rows if r[0] == pid])
         for pid in ("dressed_gauge_invariant", "bare_charged")

@@ -4,20 +4,16 @@ import cmath
 import math
 import os
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 import grading_lab.dynamics as dynamics
 from grading_lab.cli import main
 from grading_lab.config import ConfigError, ExperimentConfig, parse_config
-from grading_lab.dense import ChainSpec, realize
+from grading_lab.dense import ChainSpec, DenseOperator, realize
 from grading_lab.dressing import dressed_weyl, dressed_weyl_rs
-from grading_lab.dynamics import (
-    QuadraticModel,
-    d2_effective_hopping,
-    heisenberg_evolve,
-    smear,
-    span_residual,
-)
+from grading_lab.dynamics import QuadraticModel, d2_effective_hopping, smear, span_residual
 from grading_lab.oneparticle import Hopping, OneParticleVector, evolve
 from grading_lab.weyl import GradingParams, WeylMonomial
 
@@ -167,6 +163,29 @@ class TestExitCodes:
         assert main([command, "--config", preset(config), "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        # every subcommand reports an --out in a missing directory as one config-error line
+        out = str(tmp_path / "missing" / "o.csv")
+        configs = {
+            "evolve": EVOLVE_CONFIGS["d3"].replace("t_count = 9", "t_count = 2"),
+            "decay": "experiment = decay\nd = 2\nl = 6\nhopping = 1=0-0.25j, -1=0+0.25j\n"
+                     "t_start = 0\nt_stop = 1\nt_count = 2\n",
+        }
+        report_input = tmp_path / "in.csv"
+        report_input.write_text("quantity,value\nx,1\n")
+        for command in ("verify", "evolve", "decay", "block", "report"):
+            if command == "report":
+                argv = ["report", str(report_input)]
+            elif command in configs:
+                cfg = tmp_path / f"{command}.cfg"
+                cfg.write_text(configs[command])
+                argv = [command, "--config", str(cfg)]
+            else:
+                argv = [command, "--config", preset(f"{command}_d2.cfg")]
+            assert main(argv + ["--out", out]) == 2, command
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "config error" in err and out in err, (command, err)
 
     def test_verify_preset_exits_0(self, tmp_path):
         out = tmp_path / "v.csv"
@@ -405,23 +424,23 @@ class TestEvolveCommand:
         # at d = 2 each t maps the evolved field (for the flow) and the
         # reconstruction difference back to the site basis, and forms the
         # dressed product in one factor order only
-        counts = {"block_product": 0, "site_blocks": 0}
-        product, back = dynamics.block_product, dynamics.QuadraticModel.site_blocks
+        counts = {"product": 0, "site_blocks": 0}
+        product, back = DenseOperator.__matmul__, dynamics.QuadraticModel.site_blocks
 
         def counting_product(x, y):
-            counts["block_product"] += 1
+            counts["product"] += 1
             return product(x, y)
 
-        def counting_back(model, blocks):
+        def counting_back(model, a):
             counts["site_blocks"] += 1
-            return back(model, blocks)
+            return back(model, a)
 
-        monkeypatch.setattr(dynamics, "block_product", counting_product)
+        monkeypatch.setattr(DenseOperator, "__matmul__", counting_product)
         monkeypatch.setattr(dynamics.QuadraticModel, "site_blocks", counting_back)
         cfg = tmp_path / "e.cfg"
         cfg.write_text(EVOLVE_CONFIGS["d2"])
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "e.csv")]) == 0
-        assert counts == {"block_product": 9, "site_blocks": 2 * 9}
+        assert counts == {"product": 9, "site_blocks": 2 * 9}
 
     def test_working_set(self, tmp_path):
         # the eigenvectors, the rotated operands and one phased copy per t:
@@ -457,27 +476,29 @@ EVOLVE_CONFIGS = {
 
 
 def _per_t_evolve_rows(cfg):
-    """The rows of ``evolve`` rebuilt with one site-basis Heisenberg evolution per operator and t."""
+    """The rows of ``evolve`` rebuilt in the site basis, each operator conjugated by the full expm(iHt) per t."""
     d, L = cfg.d, cfg.l
     params = GradingParams(d, cfg.j_plus, cfg.j_minus)
     chain = ChainSpec(d, L)
     model = QuadraticModel(chain, params, Hopping(cfg.hopping))
     f0 = OneParticleVector.from_amplitudes(d, ((L + d - 1) // d) * d, {(L // 2 - 1, 0): 1.0, (L // 2, 0): 0.5})
     res, _ = span_residual(model, f0)
-    a0 = realize(smear(f0, params, chain), chain)
+    h = model.dense_hamiltonian.entries
+    a0 = realize(smear(f0, params, chain), chain).entries
     site = L // 2
     clock, ma, mb = (
-        realize(m, chain)
+        realize(m, chain).entries
         for m in (WeylMonomial.single(d, site, 1, 0), dressed_weyl(site, 1, params, chain),
                   dressed_weyl_rs(site, 1, -1, params, chain))
     )
     rows = []
     for t in cfg.t_grid():
+        u = scipy.linalg.expm(1j * t * h)
         flow = float("nan")
         if d == 2:
             pred = realize(smear(evolve(f0, d2_effective_hopping(model), t), params, chain, truncate=True), chain)
-            flow = (heisenberg_evolve(a0, model, t) - pred).max_abs()
-        lhs, fa, fb = (heisenberg_evolve(m, model, t) for m in (clock, ma, mb))
-        rec = (lhs - (fa @ fb).scale(cmath.exp(2j * cmath.pi / d))).max_abs()
+            flow = float(np.abs(u @ a0 @ u.conj().T - pred.entries).max())
+        lhs, fa, fb = (u @ m @ u.conj().T for m in (clock, ma, mb))
+        rec = float(np.abs(lhs - cmath.exp(2j * cmath.pi / d) * (fa @ fb)).max())
         rows.append({"t": t, "flow_deviation": flow, "span_residual": res, "reconstruction_deviation": rec})
     return rows

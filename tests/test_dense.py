@@ -7,7 +7,6 @@ from grading_lab.dense import (
     ChainSpec,
     DenseOperator,
     DimensionCapError,
-    block_difference,
     block_sites,
     clock_shift,
     gauge_project,
@@ -50,7 +49,7 @@ def block_bits(blocks):
     return [(key, blk.dtype, blk.shape, blk.tobytes()) for key, blk in blocks.items()]
 
 
-def signed_zero_blocks(rng, keys, m=6):
+def signed_zero_blocks(rng, keys, m):
     """Complex Gaussian blocks whose first row holds zeros of both signs in both parts."""
     out = {}
     for key in keys:
@@ -205,13 +204,15 @@ class TestRealize:
 class TestBlockDifference:
     @pytest.mark.parametrize("scale", [1.0, -1.0, 0.3 - 0.7j], ids=["one", "minus_one", "complex"])
     def test_matches_expression_bit_for_bit(self, scale):
-        # (0, 0) only in x, (0, 1) in both, (1, 0) only in y; subtracting
-        # scale * 0.0 from an x-only block can flip the sign of its zeros
+        # DenseOperator.sub: (0, 0) only in x, (0, 1) in both, (1, 0) only in
+        # y; subtracting scale * 0.0 from an x-only block can flip the sign
+        # of its zeros
         rng = np.random.default_rng(31)
-        x = signed_zero_blocks(rng, [(0, 0), (0, 1)])
-        y = signed_zero_blocks(rng, [(0, 1), (1, 0)])
+        chain = ChainSpec(2, 4)
+        x = signed_zero_blocks(rng, [(0, 0), (0, 1)], m=8)
+        y = signed_zero_blocks(rng, [(0, 1), (1, 0)], m=8)
         before = block_bits(x), block_bits(y)
-        got = block_difference(x, y, scale)
+        got = DenseOperator(chain, x).sub(DenseOperator(chain, y), scale).blocks
         assert (block_bits(x), block_bits(y)) == before
         want = {key: x.get(key, 0.0) - scale * y.get(key, 0.0) for key in x.keys() | y.keys()}
         assert block_bits(got) == block_bits(want)
@@ -240,14 +241,16 @@ class TestOpNorm:
     def test_matches_full_svd(self, case):
         if case == "random_dim729":
             rng = np.random.default_rng(24)
-            m = realize(random_element(rng, 3, 6, terms=4), ChainSpec(3, 6)).entries
+            op = realize(random_element(rng, 3, 6, terms=4), ChainSpec(3, 6))
+            m = op.entries
         else:
             # adjacent singular values about 2e-5 apart: power iteration converges slowly
             rng = np.random.default_rng(26)
             u, v = haar_unitary(rng, 512), haar_unitary(rng, 512)
             m = (u * np.linspace(1.0, 0.99, 512)[None, :]) @ v.conj().T
+            op = DenseOperator(ChainSpec(2, 10), {(0, 0): m})
         exact = float(np.linalg.norm(m, 2))
-        assert abs(op_norm(m) - exact) <= 1e-12 * exact
+        assert abs(op_norm(op) - exact) <= 1e-12 * exact
 
     def test_zero_matrix(self):
         chain = ChainSpec(2, 2)
@@ -284,7 +287,7 @@ class TestOpNorm:
                 forbid_full_matrix(patch)
                 got = op_norm(op)
                 assert abs(got - exact) <= 1e-12 * exact
-                assert got > max(op_norm(blk) for blk in op.blocks.values())
+                assert got > max(op_norm(DenseOperator(chain, {key: blk})) for key, blk in op.blocks.items())
 
 
 class TestGaugeProject:
