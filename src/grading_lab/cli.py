@@ -3,14 +3,18 @@
 Subcommands: verify | evolve | decay | block | report.  Exit codes:
 0 success, 1 exact-tier relation failure, 2 config error, unreadable
 report input or an --out path that cannot be written, 3 dimension cap
-exceeded.  Reruns on the same config are byte-identical; --seed only
-affects which random samples the verify suite draws, never any physics.
+exceeded.  The --out path is checked before any work, so an unwritable
+path exits 2 even on a chain above the cap.  Reruns on the same config
+in the same environment (the BLAS thread count included) are
+byte-identical.  --seed is an option of verify only: it picks the random
+samples the verify suite draws, never any physics.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from contextlib import contextmanager
 
@@ -78,6 +82,20 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
                 writer.writerow([_fmt(cell) for cell in row])
     except OSError as exc:
         raise ConfigError(f"cannot write output {path}: {exc.strerror or exc}") from None
+
+
+def _check_out(path: str) -> None:
+    """Reject an --out path that is a directory or whose directory is missing or not writable."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = "Is a directory"
+    elif not os.path.isdir(folder):
+        reason = "No such file or directory"
+    elif not os.access(folder, os.W_OK):
+        reason = "Permission denied"
+    else:
+        return
+    raise ConfigError(f"cannot write output {path}: {reason}")
 
 
 @contextmanager
@@ -278,15 +296,14 @@ def cmd_decay(cfg: ExperimentConfig, out: str, cap: int) -> int:
     rows = []
     for pair_id, (a, b) in (("dressed_gauge_invariant", (a_gi, b_gi)), ("bare_charged", (a_bare, b_bare))):
         result = commutator_decay(a, b, model, grid)
-        for p in result.points:
-            rows.append([pair_id, p.t, p.norm, int(result.a_gauge_invariant), int(result.b_gauge_invariant)])
+        for t, norm in zip(result.times, result.norms):
+            rows.append([pair_id, t, norm, int(result.a_gauge_invariant), int(result.b_gauge_invariant)])
     write_csv(out, ["pair_id", "t", "commutator_norm", "a_gauge_invariant", "b_gauge_invariant"], rows)
     return EXIT_OK
 
 
 def cmd_block(cfg: ExperimentConfig, out: str, cap: int) -> int:
     with _config_values():
-        params = GradingParams(cfg.d, cfg.j_plus, cfg.j_minus)
         chain = ChainSpec(cfg.d, cfg.l, cap=cap)
     if cfg.block_k < 1 or cfg.l % cfg.block_k:
         raise ConfigError(f"block_k = {cfg.block_k} does not divide l = {cfg.l}")
@@ -365,7 +382,8 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--cap", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
+        if name == "verify":
+            p.add_argument("--seed", type=int, default=0)
     p = sub.add_parser("report")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--out", required=True)
@@ -373,12 +391,14 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "report":
+            _check_out(args.out)
             return cmd_report(args.inputs, args.out)
         cfg = load_config(args.config)
         if cfg.experiment != args.command:
             raise ConfigError(f"config is for experiment {cfg.experiment!r}, not {args.command!r}")
         cap = args.cap if args.cap is not None else DEFAULT_DIM_CAP
         out = args.out or cfg.out
+        _check_out(out)
         if args.command == "verify":
             return cmd_verify(cfg, out, args.seed, cap)
         if args.command == "evolve":

@@ -111,11 +111,6 @@ class DenseOperator:
             out[np.ix_(sectors[r], sectors[c])] = blk
         return out
 
-    @staticmethod
-    def identity(chain: ChainSpec) -> "DenseOperator":
-        m = chain.dim // chain.d
-        return DenseOperator(chain, {(c, c): np.eye(m, dtype=complex) for c in range(chain.d)})
-
     def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
         """Blocks of the product X Y: (X Y)_rc = sum over k of X_rk Y_kc."""
         out: Blocks = {}
@@ -300,7 +295,6 @@ class BlockingReport:
     """Outcome of regrouping k sites per block, with verification data."""
 
     k: int
-    fine_chain: ChainSpec
     blocked_chain: ChainSpec
     dense_deviation: float
     refined_gauge_order: int
@@ -406,7 +400,6 @@ def block_sites(a: AlgebraElement, k: int, chain: ChainSpec) -> tuple[AlgebraEle
 
     report = BlockingReport(
         k=k,
-        fine_chain=chain,
         blocked_chain=blocked_chain,
         dense_deviation=deviation,
         refined_gauge_order=k * d,

@@ -32,7 +32,7 @@ from .weyl import (
     AlgebraElement,
     GradingParams,
     WeylMonomial,
-    lattice_shift_mono,
+    lattice_shift,
     mono_adjoint,
     mono_mul,
 )
@@ -101,8 +101,6 @@ class ExchangeReport:
 
     x: int
     y: int
-    jk: tuple[int, int]
-    ln: tuple[int, int]
     closes: bool
     oracle_phase: complex | None
     residual: float
@@ -160,8 +158,6 @@ def dressed_commutation_report(
     return ExchangeReport(
         x=x,
         y=y,
-        jk=(j, k),
-        ln=(l, n),
         closes=closes,
         oracle_phase=phase,
         residual=residual,
@@ -210,7 +206,7 @@ def shift_covariance_defect(x: int, params: GradingParams, chain: ChainSpec) -> 
     defect = mono_mul(_rotation_string(x, params, chain), mono_adjoint(_rotation_string(0, params, chain)))
 
     a = dressed_weyl(x, 1, params, chain)
-    b = lattice_shift_mono(dressed_weyl(0, 1, params, chain), x)
+    b = lattice_shift(dressed_weyl(0, 1, params, chain), x)
     mismatch = mono_mul(mono_mul(a, mono_adjoint(b)), mono_adjoint(defect))
 
     ux = realize(_rotation_string(x, params, chain), chain)
@@ -246,9 +242,6 @@ def bilinear_connection(x: int, y: int, params: GradingParams, chain: ChainSpec)
     lhs_mono = mono_mul(
         dressed_weyl(x, 1, params, chain), mono_adjoint(dressed_weyl(y, 1, params, chain))
     )
-    labels = {x: (params.j_plus, 1), y: (-params.j_plus, -1)}
-    for z in range(x + 1, y):
-        labels[z] = (params.j_plus + params.j_minus, 0)
     # claimed ordered product W_x(0,1) W_x(1,0)^j+ carries the corresponding
     # reordering phase relative to the canonical label form
     rhs_mono = mono_mul(

@@ -181,30 +181,13 @@ def d2_effective_hopping(model: QuadraticModel) -> Hopping:
 
 
 @dataclass
-class DecayPoint:
-    t: float
-    norm: float
-
-
-@dataclass
 class DecayResult:
-    """Commutator-norm series with gauge metadata, sorted by t."""
+    """Commutator norms at sorted times, with gauge metadata."""
 
-    points: list[DecayPoint]
+    times: np.ndarray
+    norms: np.ndarray
     a_gauge_invariant: bool
     b_gauge_invariant: bool
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([p.t for p in self.points])
-
-    @property
-    def norms(self) -> np.ndarray:
-        return np.array([p.norm for p in self.points])
-
-    def envelope(self) -> np.ndarray:
-        """Running maximum over the remaining window."""
-        return np.maximum.accumulate(self.norms[::-1])[::-1]
 
 
 def commutator_decay(
@@ -223,12 +206,11 @@ def commutator_decay(
     """
     at = model.eigenbasis_blocks(realize(a, model.chain))
     bt = model.eigenbasis_blocks(realize(b, model.chain))
-    pts = []
-    for t in sorted(float(t) for t in t_grid):
-        a_t = phase_blocks(at, model.propagator(t))
-        pts.append(DecayPoint(t=t, norm=op_norm(a_t.commutator(bt))))
+    times = np.array(sorted(float(t) for t in t_grid))
+    norms = np.array([op_norm(phase_blocks(at, model.propagator(t)).commutator(bt)) for t in times])
     return DecayResult(
-        points=pts,
+        times=times,
+        norms=norms,
         a_gauge_invariant=a.is_gauge_invariant(1e-14),
         b_gauge_invariant=b.is_gauge_invariant(1e-14),
     )
@@ -362,8 +344,8 @@ class ReconstructionReport:
     deviation: float
 
 
-def reconstruct_spin_evolution(model: QuadraticModel, t_grid, site: int | None = None) -> list[ReconstructionReport]:
-    """Evolve the bare clock generator directly and as a dressed product; one report per t.
+def reconstruct_spin_evolution(model: QuadraticModel, t_grid) -> list[ReconstructionReport]:
+    """Evolve the clock generator at site L // 2 directly and as a dressed product; one report per t.
 
     The identity W_x(1, 0) = exp(2i*pi/d) dressed(x, 0, 1) dressed_rs(x, 1, -1)
     holds exactly (the strings cancel), so the two evolutions agree up to
@@ -376,8 +358,7 @@ def reconstruct_spin_evolution(model: QuadraticModel, t_grid, site: int | None =
     is the clock phased and the product subtracted from it.
     """
     ch, pr = model.chain, model.params
-    if site is None:
-        site = ch.L // 2
+    site = ch.L // 2
     ma = dressed_weyl(site, 1, pr, ch)
     mb = dressed_weyl_rs(site, 1, -1, pr, ch)
     clock = WeylMonomial.single(ch.d, site, 1, 0)

@@ -31,8 +31,6 @@ def trace_state(a: AlgebraElement | WeylMonomial) -> complex:
 class CorrelationSeries:
     """Truncated two-point values <A tau_t B> - <A><B> over a time grid."""
 
-    a_label: str
-    b_label: str
     times: np.ndarray
     values: np.ndarray
 
@@ -45,8 +43,6 @@ def two_point(
     b: AlgebraElement,
     model: QuadraticModel,
     t_grid,
-    a_label: str = "A",
-    b_label: str = "B",
 ) -> CorrelationSeries:
     """Evaluate omega(A tau_t(B)) - omega(A) omega(B) with the trace state.
 
@@ -68,9 +64,7 @@ def two_point(
     for (r, c), bb in bt.blocks.items():
         if (c, r) in at.blocks:
             acc += np.sum((phase[:, r] @ (at.blocks[c, r].T * bb)) * phase[:, c].conj(), axis=1)
-    return CorrelationSeries(
-        a_label=a_label, b_label=b_label, times=times, values=acc / ch.dim - trace_state(a) * trace_state(b)
-    )
+    return CorrelationSeries(times=times, values=acc / ch.dim - trace_state(a) * trace_state(b))
 
 
 @dataclass

@@ -125,9 +125,6 @@ class WeylMonomial:
             out = mono_mul(out, self)
         return out
 
-    def shifted(self, n: int) -> "WeylMonomial":
-        return lattice_shift_mono(self, n)
-
     def as_element(self) -> "AlgebraElement":
         return AlgebraElement(self.d, {self.sites: self.phase_factor()})
 
@@ -171,11 +168,6 @@ def commutation_phase(a: WeylMonomial, b: WeylMonomial) -> int:
             kb, lb = bl[x]
             c += ka * lb - la * kb
     return c % a.d
-
-
-def lattice_shift_mono(a: WeylMonomial, n: int) -> WeylMonomial:
-    """Relabel every site x -> x+n; the phase is unchanged."""
-    return WeylMonomial(a.d, tuple((x + n, kl) for x, kl in a.sites), a.phase)
 
 
 @dataclass(frozen=True)
@@ -314,12 +306,6 @@ class AlgebraElement:
     def commutator(self, other: "AlgebraElement") -> "AlgebraElement":
         return self * other - other * self
 
-    def shifted(self, n: int) -> "AlgebraElement":
-        return AlgebraElement(
-            self.d,
-            {lattice_shift_mono(WeylMonomial(self.d, k, 0), n).key(): v for k, v in self.terms.items()},
-        )
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -361,11 +347,9 @@ def gauge_rotate(a: AlgebraElement, alpha: float) -> AlgebraElement:
     return AlgebraElement(a.d, out)
 
 
-def lattice_shift(a: AlgebraElement | WeylMonomial, n: int):
-    """Relabel sites x -> x+n on a monomial or an element."""
-    if isinstance(a, WeylMonomial):
-        return lattice_shift_mono(a, n)
-    return a.shifted(n)
+def lattice_shift(a: WeylMonomial, n: int) -> WeylMonomial:
+    """Relabel every site x -> x+n; the phase is unchanged."""
+    return WeylMonomial(a.d, tuple((x + n, kl) for x, kl in a.sites), a.phase)
 
 
 def gauge_project_symbolic(a: AlgebraElement) -> AlgebraElement:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import grading_lab.cli as cli
 import grading_lab.dynamics as dynamics
 from grading_lab.cli import main
 from grading_lab.config import ConfigError, ExperimentConfig, parse_config
@@ -164,28 +165,36 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unwritable_out_exits_2(self, tmp_path, capsys):
-        # every subcommand reports an --out in a missing directory as one config-error line
-        out = str(tmp_path / "missing" / "o.csv")
-        configs = {
-            "evolve": EVOLVE_CONFIGS["d3"].replace("t_count = 9", "t_count = 2"),
-            "decay": "experiment = decay\nd = 2\nl = 6\nhopping = 1=0-0.25j, -1=0+0.25j\n"
-                     "t_start = 0\nt_stop = 1\nt_count = 2\n",
-        }
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, monkeypatch):
+        # every subcommand reports an --out in a missing directory, or one that is a
+        # directory, as one config-error line before it reads an input or does any work,
+        # so a chain above the cap exits 2 and not 3
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached work before the --out check")
+
+        for name in ("_read_table", "_verify_rows", "reconstruct_spin_evolution", "commutator_decay", "block_sites"):
+            monkeypatch.setattr(cli, name, unreachable)
         report_input = tmp_path / "in.csv"
         report_input.write_text("quantity,value\nx,1\n")
-        for command in ("verify", "evolve", "decay", "block", "report"):
-            if command == "report":
-                argv = ["report", str(report_input)]
-            elif command in configs:
-                cfg = tmp_path / f"{command}.cfg"
-                cfg.write_text(configs[command])
-                argv = [command, "--config", str(cfg)]
-            else:
-                argv = [command, "--config", preset(f"{command}_d2.cfg")]
-            assert main(argv + ["--out", out]) == 2, command
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1 and "config error" in err and out in err, (command, err)
+        for out in (str(tmp_path / "missing" / "o.csv"), str(tmp_path)):
+            for command in ("verify", "evolve", "decay", "block", "report"):
+                if command == "report":
+                    argv = ["report", str(report_input)]
+                else:
+                    argv = [command, "--config", preset(f"{command}_d2.cfg"), "--cap", "4"]
+                assert main(argv + ["--out", out]) == 2, command
+                err = capsys.readouterr().err
+                assert err.count("\n") == 1 and "config error" in err and out in err, (command, err)
+
+    @pytest.mark.parametrize("command", ["verify", "evolve", "decay", "block"])
+    def test_seed_is_a_verify_option(self, tmp_path, command):
+        argv = [command, "--config", preset(f"{command}_d2.cfg"), "--out", str(tmp_path / "o.csv"), "--seed", "1"]
+        if command == "verify":
+            assert main(argv) == 0
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_verify_preset_exits_0(self, tmp_path):
         out = tmp_path / "v.csv"

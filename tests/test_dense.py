@@ -221,7 +221,7 @@ class TestBlockDifference:
 
 class TestOpNorm:
     def test_identity(self):
-        assert abs(op_norm(DenseOperator.identity(ChainSpec(2, 3))) - 1.0) < 1e-14
+        assert abs(op_norm(realize(AlgebraElement.identity(2), ChainSpec(2, 3))) - 1.0) < 1e-14
 
     def test_unitary_monomials(self):
         rng = np.random.default_rng(22)

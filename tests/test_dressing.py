@@ -19,6 +19,7 @@ from grading_lab.weyl import (
     GradingParams,
     WeylMonomial,
     commutation_phase,
+    lattice_shift,
     mono_adjoint,
     mono_mul,
 )
@@ -248,7 +249,7 @@ class TestShiftDefect:
         a = dressed_weyl(x, 1, params, chain)
         b = mono_mul(
             WeylMonomial.single(3, x, 0, 1),
-            dressing_string(0, 1, params, chain).shifted(x),
+            lattice_shift(dressing_string(0, 1, params, chain), x),
         )
         lhs = mono_mul(a, mono_adjoint(b))
         assert lhs == mono_mul(sd.defect, sd.truncation_mismatch)

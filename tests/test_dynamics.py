@@ -262,7 +262,7 @@ class TestCommutatorDecay:
         a = dressed_matrix_unit(1, 1, 1, D2, model.chain)
         b = dressed_matrix_unit(5, 1, 1, D2, model.chain)
         res = commutator_decay(a, b, model, [0.0, 0.4])
-        assert res.points[0].norm < 1e-12
+        assert res.norms[0] < 1e-12
         assert res.a_gauge_invariant and res.b_gauge_invariant
 
     def test_series_deterministic_and_sorted(self):
@@ -321,11 +321,11 @@ class TestCommutatorDecayOracle:
         times = [0.0, 1.3, 4.1]
         res = commutator_decay(a, b, model, times)
         worst = 0.0
-        for t, p in zip(times, res.points):
+        for t, norm in zip(times, res.norms):
             at = scipy.linalg.expm(1j * t * h) @ ad @ scipy.linalg.expm(-1j * t * h)
             want = np.linalg.norm(at @ bd - bd @ at, 2)
             worst = max(worst, want)
-            assert abs(p.norm - want) < 1e-12
+            assert abs(norm - want) < 1e-12
         assert worst > 1e-3
         # op_norm takes a definite-charge commutator as the largest of d
         # sector-block norms; a mixed one shares sectors and takes the
