@@ -250,9 +250,14 @@ def cmd_evolve(cfg: ExperimentConfig, out: str, cap: int) -> int:
         n = ((L + d - 1) // d) * d
         f0 = OneParticleVector.from_amplitudes(d, n, {(L // 2 - 1, 0): 1.0, (L // 2, 0): 0.5})
         field = smear(f0, params, chain)  # rejects an initial field that does not fit in the chain
-        # the evolved field is compared with the one-particle flow, which exists at d = 2 only;
-        # the flow rejects a hopping wider than its grid here, before any dense work
-        flows = [evolve(f0, d2_effective_hopping(model), t) for t in grid] if d == 2 else None
+        # the evolved field is compared with the one-particle flow, which exists at d = 2 and
+        # grading charge 0 only; the flow rejects a hopping wider than its grid here, before
+        # any dense work
+        try:
+            flow_hopping = d2_effective_hopping(model)
+        except ValueError:
+            flow_hopping = None
+        flows = None if flow_hopping is None else [evolve(f0, flow_hopping, t) for t in grid]
     res, _ = span_residual(model, f0)
     # the reconstruction's working set is freed before the field is rotated
     recs = reconstruct_spin_evolution(model, grid)

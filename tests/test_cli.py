@@ -429,10 +429,10 @@ class TestEvolveCommand:
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "e.csv")]) == 0
         assert len(calls) == rotations
 
-    def test_two_back_rotations_per_grid_point(self, tmp_path, monkeypatch):
-        # at d = 2 each t maps the evolved field (for the flow) and the
-        # reconstruction difference back to the site basis, and forms the
-        # dressed product in one factor order only
+    def test_one_back_rotation_per_grid_point(self, tmp_path, monkeypatch):
+        # at d = 2 each t maps only the evolved field (for the flow) back to
+        # the site basis, and forms the dressed product in one factor order
+        # only; the reconstruction is normed in the eigenbasis
         counts = {"product": 0, "site_blocks": 0}
         product, back = DenseOperator.__matmul__, dynamics.QuadraticModel.site_blocks
 
@@ -449,7 +449,7 @@ class TestEvolveCommand:
         cfg = tmp_path / "e.cfg"
         cfg.write_text(EVOLVE_CONFIGS["d2"])
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "e.csv")]) == 0
-        assert counts == {"product": 9, "site_blocks": 2 * 9}
+        assert counts == {"product": 9, "site_blocks": 9}
 
     def test_working_set(self, tmp_path):
         # the eigenvectors, the rotated operands and one phased copy per t:
@@ -475,6 +475,29 @@ class TestEvolveCommand:
             for key, value in ref.items():
                 cell = float(got[key])
                 assert (math.isnan(cell) and math.isnan(value)) or abs(cell - value) <= 1e-12, (key, cell, value)
+
+    @pytest.mark.parametrize("j_plus, j_minus", [(0, 1), (1, 0), (0, 0), (1, 1)])
+    def test_flow_only_at_grading_charge_0(self, tmp_path, j_plus, j_minus):
+        # at d = 2 the one-particle dictionary holds only for j+ = j- (mod 2);
+        # elsewhere the flow column is NaN, as at d >= 3
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(
+            f"experiment = evolve\nd = 2\nl = 8\nj_plus = {j_plus}\nj_minus = {j_minus}\n"
+            "hopping = 1=-0.01j, -1=0.01j\nt_start = 1\nt_stop = 2\nt_count = 2\n"
+        )
+        out = tmp_path / "e.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 2
+        assert all(float(r["span_residual"]) == 0.0 and float(r["reconstruction_deviation"]) < 1e-12 for r in rows)
+        model = QuadraticModel(ChainSpec(2, 8), GradingParams(2, j_plus, j_minus), Hopping({1: -0.01j, -1: 0.01j}))
+        if j_plus == j_minus:
+            d2_effective_hopping(model)
+            assert all(float(r["flow_deviation"]) < 1e-4 for r in rows)
+        else:
+            with pytest.raises(ValueError, match="grading charge 0"):
+                d2_effective_hopping(model)
+            assert all(math.isnan(float(r["flow_deviation"])) for r in rows)
 
 
 EVOLVE_CONFIGS = {
@@ -508,6 +531,6 @@ def _per_t_evolve_rows(cfg):
             pred = realize(smear(evolve(f0, d2_effective_hopping(model), t), params, chain, truncate=True), chain)
             flow = float(np.abs(u @ a0 @ u.conj().T - pred.entries).max())
         lhs, fa, fb = (u @ m @ u.conj().T for m in (clock, ma, mb))
-        rec = float(np.abs(lhs - cmath.exp(2j * cmath.pi / d) * (fa @ fb)).max())
+        rec = float(np.linalg.norm(lhs - cmath.exp(2j * cmath.pi / d) * (fa @ fb)))
         rows.append({"t": t, "flow_deviation": flow, "span_residual": res, "reconstruction_deviation": rec})
     return rows

@@ -418,7 +418,7 @@ class TestReconstruction:
             assert rep.site == 2
             assert rep.deviation < 1e-10
 
-    def test_one_product_and_back_rotation_per_grid_point(self, monkeypatch):
+    def test_one_product_and_no_back_rotation_per_grid_point(self, monkeypatch):
         model = QuadraticModel(ChainSpec(3, 4), D3, Hopping({1: 0.5, -1: 0.5}))
         counts = {"product": 0, "site_blocks": 0}
         product, back = DenseOperator.__matmul__, QuadraticModel.site_blocks
@@ -434,7 +434,35 @@ class TestReconstruction:
         monkeypatch.setattr(DenseOperator, "__matmul__", counting_product)
         monkeypatch.setattr(QuadraticModel, "site_blocks", counting_back)
         reconstruct_spin_evolution(model, [0.0, 0.8, 2.5])
-        assert counts == {"product": 3, "site_blocks": 3}
+        assert counts == {"product": 3, "site_blocks": 0}
+
+    @pytest.mark.parametrize(
+        "model",
+        [d2_model(6), QuadraticModel(ChainSpec(3, 4), D3, Hopping({1: 0.5, -1: 0.5}))],
+        ids=["d2", "d3"],
+    )
+    def test_broken_identity_reads_its_hilbert_schmidt_norm(self, monkeypatch, model):
+        # with the second factor's clock exponent dropped the identity fails;
+        # the reported deviation is the Frobenius norm of the site-basis
+        # difference, rebuilt with the full expm(iHt), of order sqrt(d^L)
+        ch, pr = model.chain, model.params
+        site, t_grid = ch.L // 2, [0.0, 0.7]
+        right = dynamics.dressed_weyl_rs
+        monkeypatch.setattr(dynamics, "dressed_weyl_rs", lambda x, r, s, params, chain: right(x, 0, s, params, chain))
+        reports = reconstruct_spin_evolution(model, t_grid)
+        assert len(reports) == len(t_grid)
+        h = model.dense_hamiltonian.entries
+        clock, fa, fb = (
+            realize(m, ch).entries
+            for m in (WeylMonomial.single(ch.d, site, 1, 0), dressed_weyl(site, 1, pr, ch),
+                      right(site, 0, -1, pr, ch))
+        )
+        for t, rep in zip(t_grid, reports):
+            u = scipy.linalg.expm(1j * t * h)
+            lhs, fa_t, fb_t = (u @ m @ u.conj().T for m in (clock, fa, fb))
+            want = np.linalg.norm(lhs - np.exp(2j * np.pi / ch.d) * (fa_t @ fb_t))
+            assert want > np.sqrt(ch.dim)
+            assert abs(rep.deviation - want) <= 1e-9
 
     def test_working_set(self):
         # beside the eigenvectors, the three rotated operators and one phased
