@@ -11,7 +11,7 @@ import scipy.linalg
 import grading_lab.cli as cli
 import grading_lab.dynamics as dynamics
 from grading_lab.cli import main
-from grading_lab.config import ConfigError, ExperimentConfig, parse_config
+from grading_lab.config import ConfigError, ExperimentConfig, load_config, parse_config
 from grading_lab.dense import ChainSpec, DenseOperator, realize
 from grading_lab.dressing import dressed_weyl, dressed_weyl_rs
 from grading_lab.dynamics import QuadraticModel, d2_effective_hopping, smear, span_residual
@@ -431,8 +431,8 @@ class TestEvolveCommand:
 
     def test_one_back_rotation_per_grid_point(self, tmp_path, monkeypatch):
         # at d = 2 each t maps only the evolved field (for the flow) back to
-        # the site basis, and forms the dressed product in one factor order
-        # only; the reconstruction is normed in the eigenbasis
+        # the site basis; the reconstruction forms its dressed product once
+        # for the whole grid and norms it in the eigenbasis
         counts = {"product": 0, "site_blocks": 0}
         product, back = DenseOperator.__matmul__, dynamics.QuadraticModel.site_blocks
 
@@ -449,18 +449,28 @@ class TestEvolveCommand:
         cfg = tmp_path / "e.cfg"
         cfg.write_text(EVOLVE_CONFIGS["d2"])
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "e.csv")]) == 0
-        assert counts == {"product": 9, "site_blocks": 9}
+        assert counts == {"product": 1, "site_blocks": 9}
 
     def test_working_set(self, tmp_path):
         # the eigenvectors, the rotated operands and one phased copy per t:
-        # the traced peak stays within 16 blocks of m x m complex entries
+        # the traced peak stays within 13 blocks of m x m complex entries
         # (m = 128), with no dense H kept after eigh
         cfg = tmp_path / "e.cfg"
         cfg.write_text(EVOLVE_CONFIGS["d2"].replace("l = 6", "l = 8").replace("t_count = 9", "t_count = 3"))
         out = str(tmp_path / "e.csv")
         code, peak = traced_peak(lambda: main(["evolve", "--config", str(cfg), "--out", out]))
         assert code == 0
-        assert peak <= 16 * 16 * 128**2
+        assert peak <= 13 * 16 * 128**2
+
+    @pytest.mark.parametrize("name", ["evolve_d2.cfg", "evolve_d3.cfg"])
+    def test_preset_reconstruction_same_on_every_row(self, tmp_path, name):
+        # the reconstruction deviation does not depend on t and is taken once
+        out = tmp_path / "e.csv"
+        assert main(["evolve", "--config", preset(name), "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == len(load_config(preset(name)).t_grid()) > 1
+        (cell,) = {r["reconstruction_deviation"] for r in rows}
+        assert float(cell) < 1e-12
 
     @pytest.mark.parametrize("case", ["d2", "d3"])
     def test_matches_per_t_evolution(self, tmp_path, case):

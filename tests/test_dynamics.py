@@ -418,7 +418,9 @@ class TestReconstruction:
             assert rep.site == 2
             assert rep.deviation < 1e-10
 
-    def test_one_product_and_no_back_rotation_per_grid_point(self, monkeypatch):
+    def test_one_product_and_no_back_rotation_per_run(self, monkeypatch):
+        # the deviation is the same at every t, so it is taken once: one
+        # dressed product whatever the grid, and no back-rotation
         model = QuadraticModel(ChainSpec(3, 4), D3, Hopping({1: 0.5, -1: 0.5}))
         counts = {"product": 0, "site_blocks": 0}
         product, back = DenseOperator.__matmul__, QuadraticModel.site_blocks
@@ -433,8 +435,10 @@ class TestReconstruction:
 
         monkeypatch.setattr(DenseOperator, "__matmul__", counting_product)
         monkeypatch.setattr(QuadraticModel, "site_blocks", counting_back)
-        reconstruct_spin_evolution(model, [0.0, 0.8, 2.5])
-        assert counts == {"product": 3, "site_blocks": 0}
+        for grid in ([0.0, 0.8, 2.5], [0.0], np.linspace(0.0, 2.0, 9)):
+            counts.update(product=0, site_blocks=0)
+            assert len(reconstruct_spin_evolution(model, grid)) == len(grid)
+            assert counts == {"product": 1, "site_blocks": 0}
 
     @pytest.mark.parametrize(
         "model",
@@ -464,13 +468,40 @@ class TestReconstruction:
             assert want > np.sqrt(ch.dim)
             assert abs(rep.deviation - want) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "model",
+        [d2_model(6), QuadraticModel(ChainSpec(3, 4), D3, Hopping({1: 0.5, -1: 0.5}))],
+        ids=["d2", "d3"],
+    )
+    def test_one_deviation_matches_every_expm_evolution(self, model):
+        # tau_t is conjugation by one unitary, so the Hilbert-Schmidt norm of
+        # the difference does not depend on t: the single reported value is
+        # the site-basis Frobenius norm of each independently evolved
+        # difference, built with the full expm(iHt)
+        ch, pr = model.chain, model.params
+        site, t_grid = ch.L // 2, [0.0, 0.7, 2.5]
+        reports = reconstruct_spin_evolution(model, t_grid)
+        assert [rep.t for rep in reports] == t_grid
+        assert len({rep.deviation for rep in reports}) == 1
+        h = model.dense_hamiltonian.entries
+        clock, fa, fb = (
+            realize(m, ch).entries
+            for m in (WeylMonomial.single(ch.d, site, 1, 0), dressed_weyl(site, 1, pr, ch),
+                      dressed_weyl_rs(site, 1, -1, pr, ch))
+        )
+        for t, rep in zip(t_grid, reports):
+            u = scipy.linalg.expm(1j * t * h)
+            lhs, fa_t, fb_t = (u @ m @ u.conj().T for m in (clock, fa, fb))
+            want = np.linalg.norm(lhs - np.exp(2j * np.pi / ch.d) * (fa_t @ fb_t))
+            assert abs(rep.deviation - want) <= 1e-12
+
     def test_working_set(self):
-        # beside the eigenvectors, the three rotated operators and one phased
-        # copy per t: 12 blocks of m x m complex entries, the phased factors
-        # freed once their product exists
+        # beside the eigenvectors, the three rotated operators and their
+        # product, the factors freed once the product exists: about 9 blocks
+        # of m x m complex entries whatever the grid
         model = d2_model(8)
         model.eigensystem
         block = 16 * (model.chain.dim // 2) ** 2
         reports, peak = traced_peak(lambda: reconstruct_spin_evolution(model, [0.0, 1.0, 2.0]))
         assert len(reports) == 3
-        assert peak <= 13 * block
+        assert peak <= 10 * block
