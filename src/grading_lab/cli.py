@@ -24,6 +24,7 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .dense import (
     DEFAULT_DIM_CAP,
     ChainSpec,
+    DenseOperator,
     DimensionCapError,
     block_sites,
     op_norm,
@@ -259,16 +260,23 @@ def cmd_evolve(cfg: ExperimentConfig, out: str, cap: int) -> int:
             flow_hopping = None
         flows = None if flow_hopping is None else [evolve(f0, flow_hopping, t) for t in grid]
     res, _ = span_residual(model, f0)
-    # the reconstruction's working set is freed before the field is rotated
+    # the reconstruction's working set is freed before the field is realized
     recs = reconstruct_spin_evolution(model, grid)
     flow_devs = [float("nan")] * len(grid)
     if flows is not None:
-        a0 = model.eigenbasis_blocks(realize(field, chain))
-        flow_devs = [
-            (model.site_blocks(phase_blocks(a0, model.propagator(t)))
-             - realize(smear(f, params, chain, truncate=True), chain)).max_abs()
-            for t, f in zip(grid, flows)
-        ]
+        # the flow exists at d = 2 only, where the field is hermitian and of charge 1;
+        # tau_t(F)^dag = tau_t(F^dag), so only block (1, 0) is evolved and block (0, 1)
+        # of tau_t(F) is its adjoint
+        dense_field = realize(field, chain)
+        if (dense_field - dense_field.adjoint()).max_abs() > 1e-12:
+            raise ValueError("smeared field is not hermitian")
+        a0 = model.eigenbasis_blocks(DenseOperator(chain, {(1, 0): dense_field.blocks[1, 0]}))
+        del dense_field
+        flow_devs = []
+        for t, f in zip(grid, flows):
+            lower = model.site_blocks(phase_blocks(a0, model.propagator(t)))
+            evolved = DenseOperator(chain, lower.blocks | lower.adjoint().blocks)
+            flow_devs.append((evolved - realize(smear(f, params, chain, truncate=True), chain)).max_abs())
     rows = [[t, flow_dev, res, rec.deviation] for t, flow_dev, rec in zip(grid, flow_devs, recs)]
     write_csv(out, ["t", "flow_deviation", "span_residual", "reconstruction_deviation"], rows)
     return EXIT_OK

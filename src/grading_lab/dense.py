@@ -62,10 +62,13 @@ class ChainSpec:
     def dense_allowed(self) -> bool:
         return self.dim <= self.cap
 
+    @functools.cache
     def digits(self) -> np.ndarray:
-        """(L, dim) array: digits[x, v] = t_x of basis state v."""
+        """(L, dim) read-only array: digits[x, v] = t_x of basis state v."""
         v = np.arange(self.dim)
-        return np.array([(v // self.d ** (self.L - 1 - x)) % self.d for x in range(self.L)])
+        out = np.array([(v // self.d ** (self.L - 1 - x)) % self.d for x in range(self.L)])
+        out.flags.writeable = False
+        return out
 
     def digit_sums(self) -> np.ndarray:
         """Integer digit sums (not reduced mod d) of every basis state."""

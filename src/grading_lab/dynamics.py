@@ -6,9 +6,9 @@ The Hamiltonian is the charge-balanced hopping form
 
 with every pair kept inside the open chain.  It is gauge invariant and
 self-adjoint by construction.  It therefore commutes with the gauge
-unitary and splits into d charge sectors of d^(L-1) states each, and every
-dense computation uses one cached per-sector eigendecomposition per model,
-read from the diagonal charge blocks of the dense H, which it does not keep.
+unitary and splits into d charge sectors of d^(L-1) states each.  Every
+evolution uses one cached per-sector eigendecomposition per model, read
+from the diagonal charge blocks of the dense H, which it does not keep.
 There is one evolution: the charge blocks of an operator are rotated once
 into that eigenbasis, where exp(iHt) is the phase table
 ``QuadraticModel.propagator(t)`` and tau_t multiplies block entry [m, n] by
@@ -20,9 +20,9 @@ eigenbasis.  Products, differences and norms are its block-wise methods,
 so no evolution or check assembles the full d^L x d^L matrix.  Only the
 flow check of ``evolve``, whose prediction is a site-basis matrix, maps
 its blocks back to the site basis.  The reconstruction check needs no
-evolution at all: tau_t is conjugation by one unitary, so the
-Hilbert-Schmidt norm of its difference is the same at every t, and it is
-taken once, in the eigenbasis.
+evolution and no eigenbasis at all: tau_t is conjugation by one unitary,
+so the Hilbert-Schmidt norm of its difference is the same at every t and
+in every orthonormal basis, and it is taken once, in the site basis.
 
 At d = 2 with grading charge j+ - j- = 0 (mod 2) the dressed generators
 are one-sided Majorana operators and the model closes on the smeared
@@ -56,7 +56,10 @@ FREE_FLOW_RATE_D2 = 8.0
 
 
 class QuadraticModel:
-    """Chain + grading + hopping with cached symbolic and dense Hamiltonian."""
+    """Chain + grading + hopping with a cached symbolic Hamiltonian and per-sector eigensystem.
+
+    The dense H is realized afresh on each request and never kept.
+    """
 
     def __init__(self, chain: ChainSpec, params: GradingParams, hopping: Hopping):
         if chain.d != params.d:
@@ -363,18 +366,20 @@ def reconstruct_spin_evolution(model: QuadraticModel, t_grid) -> list[Reconstruc
     tau_t(W) - omega tau_t(a) tau_t(b) is the conjugate of W - omega a b and
     has the same Hilbert-Schmidt norm at every t: it is taken once and
     every report carries it, as ``span_residual`` is the same on every row.
-    The operators are rotated into the eigenbasis, the product is formed
-    there block by block in the factor order of the identity, and the norm
-    is taken there too, so it carries the round-off of that basis'
-    unitarity.  It bounds the operator norm and hence every entry in any
-    orthonormal basis.  The factors are freed once their product exists.
+    The norm is the same in every orthonormal basis too, so it is taken in
+    the site basis, on the realized operators: no eigenbasis rotation, and
+    the model is not diagonalised.  The check compares two independent
+    computations, the realized W against the block-wise product of the
+    realized factors in the factor order of the identity.  It bounds the
+    operator norm and hence every entry in any orthonormal basis.  The
+    factors are freed once their product exists.
     """
     ch, pr = model.chain, model.params
     site = ch.L // 2
     ma = dressed_weyl(site, 1, pr, ch)
     mb = dressed_weyl_rs(site, 1, -1, pr, ch)
     clock = WeylMonomial.single(ch.d, site, 1, 0)
-    lhs, fa, fb = (model.eigenbasis_blocks(realize(m, ch)) for m in (clock, ma, mb))
+    lhs, fa, fb = (realize(m, ch) for m in (clock, ma, mb))
     product = fa @ fb
     del fa, fb
     difference = lhs.sub(product, cmath.exp(2j * cmath.pi / ch.d))

@@ -410,29 +410,55 @@ class TestEvolveCommand:
         assert all(float(r["flow_deviation"]) < 1e-8 for r in rows)
         assert all(float(r["span_residual"]) < 1e-10 for r in rows)
 
-    @pytest.mark.parametrize("case, rotations", [("d2", 4), ("d3", 3)])
+    @pytest.mark.parametrize("case, rotations", [("d2", 1), ("d3", 0)])
     def test_rotates_each_operator_once(self, tmp_path, monkeypatch, case, rotations):
-        # a0 (only with a one-particle prediction, at d = 2), the clock and
-        # the two dressed factors are rotated once for the whole 9-point grid,
-        # and every check stays on sector blocks
-        calls = []
-        rotate = dynamics.QuadraticModel.eigenbasis_blocks
+        # only block (1, 0) of the field (only with a one-particle prediction,
+        # at d = 2) is rotated, once for the whole 9-point grid; the
+        # reconstruction rotates nothing, so at d = 3 H is never diagonalised;
+        # every check stays on sector blocks
+        calls, diagonalised = [], []
+        rotate, eigensystem = dynamics.QuadraticModel.eigenbasis_blocks, dynamics.QuadraticModel.eigensystem
 
         def counting(model, a):
             calls.append(a)
             return rotate(model, a)
 
+        def recording(model):
+            diagonalised.append(model)
+            return eigensystem.fget(model)
+
         monkeypatch.setattr(dynamics.QuadraticModel, "eigenbasis_blocks", counting)
+        monkeypatch.setattr(dynamics.QuadraticModel, "eigensystem", property(recording))
         forbid_full_matrix(monkeypatch)
         cfg = tmp_path / "e.cfg"
         cfg.write_text(EVOLVE_CONFIGS[case])
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "e.csv")]) == 0
         assert len(calls) == rotations
+        assert all(list(a.blocks) == [(1, 0)] for a in calls)
+        if case == "d3":
+            assert not diagonalised
+
+    def test_non_hermitian_field_raises(self, tmp_path, monkeypatch):
+        # the flow evolves block (1, 0) alone and takes block (0, 1) as its
+        # adjoint, which holds for a hermitian field only: a field with one
+        # generator scaled by 1j stops the run before any flow column is written
+        def skewed(f, params, chain, truncate=False):
+            position = f.position.copy()
+            position[0, np.flatnonzero(position[0])[0]] *= 1j
+            return smear(OneParticleVector(f.d, f.N, position), params, chain, truncate)
+
+        monkeypatch.setattr(cli, "smear", skewed)
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(EVOLVE_CONFIGS["d2"])
+        out = tmp_path / "e.csv"
+        with pytest.raises(ValueError, match="not hermitian"):
+            main(["evolve", "--config", str(cfg), "--out", str(out)])
+        assert not out.exists()
 
     def test_one_back_rotation_per_grid_point(self, tmp_path, monkeypatch):
-        # at d = 2 each t maps only the evolved field (for the flow) back to
-        # the site basis; the reconstruction forms its dressed product once
-        # for the whole grid and norms it in the eigenbasis
+        # at d = 2 each t maps only block (1, 0) of the evolved field (for the
+        # flow) back to the site basis; the reconstruction forms its dressed
+        # product once for the whole grid and norms it in the site basis
         counts = {"product": 0, "site_blocks": 0}
         product, back = DenseOperator.__matmul__, dynamics.QuadraticModel.site_blocks
 
@@ -452,15 +478,15 @@ class TestEvolveCommand:
         assert counts == {"product": 1, "site_blocks": 9}
 
     def test_working_set(self, tmp_path):
-        # the eigenvectors, the rotated operands and one phased copy per t:
-        # the traced peak stays within 13 blocks of m x m complex entries
-        # (m = 128), with no dense H kept after eigh
+        # the eigenvectors, block (1, 0) of the rotated field and one phased
+        # copy per t: the traced peak stays within 11 blocks of m x m complex
+        # entries (m = 128), with no dense H kept after eigh
         cfg = tmp_path / "e.cfg"
         cfg.write_text(EVOLVE_CONFIGS["d2"].replace("l = 6", "l = 8").replace("t_count = 9", "t_count = 3"))
         out = str(tmp_path / "e.csv")
         code, peak = traced_peak(lambda: main(["evolve", "--config", str(cfg), "--out", out]))
         assert code == 0
-        assert peak <= 13 * 16 * 128**2
+        assert peak <= 11 * 16 * 128**2
 
     @pytest.mark.parametrize("name", ["evolve_d2.cfg", "evolve_d3.cfg"])
     def test_preset_reconstruction_same_on_every_row(self, tmp_path, name):

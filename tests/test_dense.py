@@ -82,6 +82,12 @@ class TestChainSpec:
         with pytest.raises(DimensionCapError):
             ChainSpec(2, 13).check_dense()
 
+    def test_digits_cached_and_read_only(self):
+        chain = ChainSpec(3, 4)
+        digits = chain.digits()
+        assert chain.digits() is digits and not digits.flags.writeable
+        assert digits[:, 2 * 27 + 1 * 3 + 2].tolist() == [2, 0, 1, 2]
+
     def test_invalid_chain(self):
         with pytest.raises(ValueError):
             ChainSpec(1, 3)

@@ -419,26 +419,33 @@ class TestReconstruction:
             assert rep.deviation < 1e-10
 
     def test_one_product_and_no_back_rotation_per_run(self, monkeypatch):
-        # the deviation is the same at every t, so it is taken once: one
-        # dressed product whatever the grid, and no back-rotation
+        # the deviation is the same at every t and in every orthonormal basis,
+        # so it is taken once in the site basis: one dressed product whatever
+        # the grid, no rotation either way, and the model is not diagonalised
         model = QuadraticModel(ChainSpec(3, 4), D3, Hopping({1: 0.5, -1: 0.5}))
-        counts = {"product": 0, "site_blocks": 0}
-        product, back = DenseOperator.__matmul__, QuadraticModel.site_blocks
+        counts = {"product": 0, "eigenbasis_blocks": 0, "site_blocks": 0}
+        product, rotate, back = DenseOperator.__matmul__, QuadraticModel.eigenbasis_blocks, QuadraticModel.site_blocks
 
         def counting_product(x, y):
             counts["product"] += 1
             return product(x, y)
+
+        def counting_rotate(self, a):
+            counts["eigenbasis_blocks"] += 1
+            return rotate(self, a)
 
         def counting_back(self, a):
             counts["site_blocks"] += 1
             return back(self, a)
 
         monkeypatch.setattr(DenseOperator, "__matmul__", counting_product)
+        monkeypatch.setattr(QuadraticModel, "eigenbasis_blocks", counting_rotate)
         monkeypatch.setattr(QuadraticModel, "site_blocks", counting_back)
         for grid in ([0.0, 0.8, 2.5], [0.0], np.linspace(0.0, 2.0, 9)):
-            counts.update(product=0, site_blocks=0)
+            counts.update(product=0, eigenbasis_blocks=0, site_blocks=0)
             assert len(reconstruct_spin_evolution(model, grid)) == len(grid)
-            assert counts == {"product": 1, "site_blocks": 0}
+            assert counts == {"product": 1, "eigenbasis_blocks": 0, "site_blocks": 0}
+        assert model._eig is None
 
     @pytest.mark.parametrize(
         "model",
@@ -496,12 +503,11 @@ class TestReconstruction:
             assert abs(rep.deviation - want) <= 1e-12
 
     def test_working_set(self):
-        # beside the eigenvectors, the three rotated operators and their
-        # product, the factors freed once the product exists: about 9 blocks
-        # of m x m complex entries whatever the grid
+        # the three realized operators and their product, the factors freed
+        # once the product exists, and no eigenvectors: about 8 blocks of
+        # m x m complex entries whatever the grid
         model = d2_model(8)
-        model.eigensystem
         block = 16 * (model.chain.dim // 2) ** 2
         reports, peak = traced_peak(lambda: reconstruct_spin_evolution(model, [0.0, 1.0, 2.0]))
         assert len(reports) == 3
-        assert peak <= 10 * block
+        assert peak <= 9 * block
