@@ -43,14 +43,15 @@ from .dynamics import (
     QuadraticModel,
     claimed_commutator_audit,
     commutator_decay,
-    d2_effective_hopping,
     gauge_invariance_defect,
+    generator,
+    one_particle_flow,
     phase_blocks,
     reconstruct_spin_evolution,
     smear,
     span_residual,
 )
-from .oneparticle import Hopping, OneParticleVector, evolve
+from .oneparticle import Hopping, OneParticleVector
 from .weyl import (
     AlgebraElement,
     GradingParams,
@@ -248,35 +249,31 @@ def cmd_evolve(cfg: ExperimentConfig, out: str, cap: int) -> int:
         params = GradingParams(d, cfg.j_plus, cfg.j_minus)
         chain = ChainSpec(d, L, cap=cap)
         model = QuadraticModel(chain, params, Hopping(cfg.hopping))
-        n = ((L + d - 1) // d) * d
-        f0 = OneParticleVector.from_amplitudes(d, n, {(L // 2 - 1, 0): 1.0, (L // 2, 0): 0.5})
+        f0 = OneParticleVector.from_amplitudes(d, d * L, {(L // 2 - 1, 0): 1.0, (L // 2, 0): 0.5})
         field = smear(f0, params, chain)  # rejects an initial field that does not fit in the chain
-        # the evolved field is compared with the one-particle flow, which exists at d = 2 and
-        # grading charge 0 only; the flow rejects a hopping wider than its grid here, before
-        # any dense work
-        try:
-            flow_hopping = d2_effective_hopping(model)
-        except ValueError:
-            flow_hopping = None
-        flows = None if flow_hopping is None else [evolve(f0, flow_hopping, t) for t in grid]
+    # the prediction W(exp(tM) f0) exists unless H moves the field out of its span (d >= 3)
+    m = generator(model)
+    flows = None if m is None else one_particle_flow(m, f0, grid)
     res, _ = span_residual(model, f0)
     # the reconstruction's working set is freed before the field is realized
     recs = reconstruct_spin_evolution(model, grid)
     flow_devs = [float("nan")] * len(grid)
     if flows is not None:
-        # the flow exists at d = 2 only, where the field is hermitian and of charge 1;
-        # tau_t(F)^dag = tau_t(F^dag), so only block (1, 0) is evolved and block (0, 1)
-        # of tau_t(F) is its adjoint
+        # at d = 2 the field is hermitian and tau_t(F)^dag = tau_t(F^dag): only block (1, 0)
+        # is evolved, and block (0, 1) of tau_t(F) is its adjoint
         dense_field = realize(field, chain)
-        if (dense_field - dense_field.adjoint()).max_abs() > 1e-12:
-            raise ValueError("smeared field is not hermitian")
-        a0 = model.eigenbasis_blocks(DenseOperator(chain, {(1, 0): dense_field.blocks[1, 0]}))
+        if d == 2:
+            if (dense_field - dense_field.adjoint()).max_abs() > 1e-12:
+                raise ValueError("smeared field is not hermitian")
+            dense_field = DenseOperator(chain, {(1, 0): dense_field.blocks[1, 0]})
+        a0 = model.eigenbasis_blocks(dense_field)
         del dense_field
         flow_devs = []
         for t, f in zip(grid, flows):
-            lower = model.site_blocks(phase_blocks(a0, model.propagator(t)))
-            evolved = DenseOperator(chain, lower.blocks | lower.adjoint().blocks)
-            flow_devs.append((evolved - realize(smear(f, params, chain, truncate=True), chain)).max_abs())
+            evolved = model.site_blocks(phase_blocks(a0, model.propagator(t)))
+            if d == 2:
+                evolved = DenseOperator(chain, evolved.blocks | evolved.adjoint().blocks)
+            flow_devs.append((evolved - realize(smear(f, params, chain), chain)).max_abs())
     rows = [[t, flow_dev, res, rec.deviation] for t, flow_dev, rec in zip(grid, flow_devs, recs)]
     write_csv(out, ["t", "flow_deviation", "span_residual", "reconstruction_deviation"], rows)
     return EXIT_OK

@@ -12,25 +12,17 @@ from the diagonal charge blocks of the dense H, which it does not keep.
 There is one evolution: the charge blocks of an operator are rotated once
 into that eigenbasis, where exp(iHt) is the phase table
 ``QuadraticModel.propagator(t)`` and tau_t multiplies block entry [m, n] by
-exp(i (E_m - E_n) t).  ``evolve`` rotates the field once for its whole time
-grid and only phases it per t, holding one phased copy at a time.
-Every step takes and returns a ``DenseOperator``, whose blocks are in the
-site basis or, between ``eigenbasis_blocks`` and ``site_blocks``, in the
-eigenbasis.  Products, differences and norms are its block-wise methods,
-so no evolution or check assembles the full d^L x d^L matrix.  Only the
-flow check of ``evolve``, whose prediction is a site-basis matrix, maps
-its blocks back to the site basis.  The reconstruction check needs no
-evolution and no eigenbasis at all: tau_t is conjugation by one unitary,
-so the Hilbert-Schmidt norm of its difference is the same at every t and
-in every orthonormal basis, and it is taken once, in the site basis.
+exp(i (E_m - E_n) t).  Every step takes and returns a ``DenseOperator``,
+whose blocks are in the site basis or, between ``eigenbasis_blocks`` and
+``site_blocks``, in the eigenbasis, so no evolution or check assembles the
+full d^L x d^L matrix.
 
-At d = 2 with grading charge j+ - j- = 0 (mod 2) the dressed generators
-are one-sided Majorana operators and the model closes on the smeared
-charge-0 flavor: the induced one-particle flow is the Fourier multiplier
-with symbol 8 * h_hat (one factor 2 from the explicit adjoint sum
-duplicating each bond, one from the Majorana normalization gamma^2 = 1,
-one from folding the odd part of the kernel), while the orthogonal flavor
-commutes with H and stays frozen.
+The one-particle flow is read from the symbolic H.  The smeared field
+W(f) = sum_{x,j} f(x, j) B_xj lies in the span of B_xj = dressed_rs(x, j, 1);
+when every i[H, B_k] stays in that span, its coefficients are the columns
+of the generator M and tau_t(W(f)) = W(exp(tM) f) on the open chain.  At
+d = 2 this is the Lieb-Schultz-Mattis reduction; at d >= 3 the span is not
+invariant and there is no generator.
 """
 
 from __future__ import annotations
@@ -50,10 +42,6 @@ from .weyl import (
     mono_adjoint,
     mono_mul,
 )
-
-# effective one-particle rate of the d=2, grading-charge-0 lattice model relative to h_hat
-FREE_FLOW_RATE_D2 = 8.0
-
 
 class QuadraticModel:
     """Chain + grading + hopping with a cached symbolic Hamiltonian and per-sector eigensystem.
@@ -160,7 +148,7 @@ def heisenberg_evolve(a: AlgebraElement | DenseOperator, model: QuadraticModel, 
     return model.site_blocks(phase_blocks(model.eigenbasis_blocks(dense), model.propagator(t)))
 
 
-def smear(f: OneParticleVector, params: GradingParams, chain: ChainSpec, truncate: bool = False) -> AlgebraElement:
+def smear(f: OneParticleVector, params: GradingParams, chain: ChainSpec) -> AlgebraElement:
     """Smeared charge-1 field: sum_{x,j} f(x,j) dressed_rs(x, j, 1)."""
     if f.d != params.d:
         raise ValueError("charge index dimension differs from qudit dimension")
@@ -171,26 +159,60 @@ def smear(f: OneParticleVector, params: GradingParams, chain: ChainSpec, truncat
             if a == 0:
                 continue
             if x >= chain.L:
-                if truncate:
-                    continue
                 raise ValueError(f"amplitude at site {x} outside chain 0..{chain.L - 1}")
             pairs.append((a, dressed_weyl_rs(x, j, 1, params, chain)))
-    if not pairs:
-        return AlgebraElement.zero(params.d)
     return AlgebraElement.from_monomials(pairs, params.d)
 
 
-def d2_effective_hopping(model: QuadraticModel) -> Hopping:
-    """One-particle hopping whose multiplier matches the d=2, grading-charge-0 dense flow.
+def span_split(a: AlgebraElement, params: GradingParams, chain: ChainSpec) -> tuple[dict[tuple[int, int], complex], float]:
+    """Coefficients of a on B_xj = dressed_rs(x, j, 1), and the weight of a outside their span.
 
-    Raises ValueError elsewhere: at d >= 3 the flow leaves the smeared
-    span, and at d = 2 with j+ != j- (mod 2) the dense flow of the smeared
-    field departs from this multiplier (0.08 at l = 8, t = 1, hopping
-    1=-0.01j, against 1.7e-6 at grading charge 0).
+    Distinct monomials are Hilbert-Schmidt orthogonal with squared norm d^L, so
+    both are read from the labels: c_xj is the coefficient at the label of B_xj
+    over the phase of B_xj, and the weight ||rest||^2 / d^L sums |coefficient|^2
+    over every other label.  Nothing is realized.
     """
-    if model.params.d != 2 or model.params.grading_charge != 0:
-        raise ValueError("the free-flow dictionary is established for d=2 at grading charge 0 only")
-    return model.hopping.scaled(FREE_FLOW_RATE_D2)
+    basis = {}
+    for x in range(chain.L):
+        for j in range(params.d):
+            b = dressed_weyl_rs(x, j, 1, params, chain)
+            basis[b.key()] = (x, j), b.phase_factor()
+    coeffs = {basis[key][0]: c / basis[key][1] for key, c in a.terms.items() if key in basis}
+    return coeffs, sum(abs(c) ** 2 for key, c in a.terms.items() if key not in basis)
+
+
+def generator(model: QuadraticModel) -> np.ndarray | None:
+    """M with i[H, B_k] = sum_k' M[k', k] B_k', k = j * L + x for B_xj = dressed_rs(x, j, 1).
+
+    None when some i[H, B_k] has weight outside the span, which happens at
+    d >= 3 for any hopping between distinct sites.
+    """
+    ch, pr = model.chain, model.params
+    m = np.zeros((pr.d * ch.L,) * 2, dtype=complex)
+    for j in range(pr.d):
+        for x in range(ch.L):
+            b = dressed_weyl_rs(x, j, 1, pr, ch).as_element()
+            coeffs, outside = span_split(model.hamiltonian.commutator(b).scale(1j), pr, ch)
+            if outside:
+                return None
+            for (x2, j2), c in coeffs.items():
+                m[j2 * ch.L + x2, j * ch.L + x] = c
+    return m
+
+
+def one_particle_flow(m: np.ndarray, f: OneParticleVector, t_grid) -> list[OneParticleVector]:
+    """exp(tM) f on the chain sites of f, for each t, from one eigh of iM (M antihermitian to 1e-12, as i ad_H is)."""
+    if np.abs(m + m.conj().T).max() > 1e-12:
+        raise ValueError("one-particle generator is not antihermitian")
+    w, v = np.linalg.eigh(1j * m)
+    L = m.shape[0] // f.d
+    c0 = v.conj().T @ f.position[:, :L].reshape(-1)
+    flows = []
+    for t in t_grid:
+        position = np.zeros_like(f.position)
+        position[:, :L] = (v @ (np.exp(-1j * t * w) * c0)).reshape(f.d, L)
+        flows.append(OneParticleVector(f.d, f.N, position))
+    return flows
 
 
 @dataclass
@@ -324,30 +346,16 @@ def claimed_commutator_audit(model: QuadraticModel, x: int, z: int) -> list[Audi
 
 
 def span_residual(model: QuadraticModel, f: OneParticleVector) -> tuple[float, dict[tuple[int, int], complex]]:
-    """Relative residual of i[H, W(f)] outside span{dressed_rs(x, j, 1)}.
+    """Relative Hilbert-Schmidt residual of i[H, W(f)] outside span{dressed_rs(x, j, 1)}, and its coefficients on it.
 
-    Projection uses the Hilbert-Schmidt inner product; the dressed basis
-    operators are unitary monomials with distinct labels, hence mutually
-    orthogonal with squared norm d^L.  Residual 0 means the quasifree
+    Read from the labels by ``span_split``.  Residual 0 means the quasifree
     reduction closes exactly on this chain.
     """
     ch, pr = model.chain, model.params
-    target = realize(model.hamiltonian.commutator(smear(f, pr, ch)).scale(1j), ch)
-    tnorm = float(np.sqrt(target.vdot(target).real))
-    coeffs: dict[tuple[int, int], complex] = {}
-    if tnorm == 0.0:
-        return 0.0, coeffs
-    proj = DenseOperator(ch, {})
-    for xx in range(ch.L):
-        for j in range(pr.d):
-            basis = realize(dressed_weyl_rs(xx, j, 1, pr, ch), ch)
-            c = basis.vdot(target) / ch.dim
-            if abs(c) > 1e-15:
-                coeffs[(xx, j)] = c
-                proj = proj.sub(basis, -c)
-    rest = target - proj
-    residual = float(np.sqrt(rest.vdot(rest).real) / tnorm)
-    return residual, coeffs
+    target = model.hamiltonian.commutator(smear(f, pr, ch)).scale(1j)
+    coeffs, outside = span_split(target, pr, ch)
+    total = sum(abs(c) ** 2 for c in target.terms.values())
+    return (float(np.sqrt(outside / total)) if total else 0.0), coeffs
 
 
 @dataclass
@@ -362,17 +370,13 @@ def reconstruct_spin_evolution(model: QuadraticModel, t_grid) -> list[Reconstruc
 
     The identity W_x(1, 0) = exp(2i*pi/d) dressed(x, 0, 1) dressed_rs(x, 1, -1)
     holds exactly (the strings cancel), so the deviation is round-off.
-    tau_t is conjugation by the one unitary exp(iHt), a *-automorphism, so
-    tau_t(W) - omega tau_t(a) tau_t(b) is the conjugate of W - omega a b and
-    has the same Hilbert-Schmidt norm at every t: it is taken once and
-    every report carries it, as ``span_residual`` is the same on every row.
-    The norm is the same in every orthonormal basis too, so it is taken in
-    the site basis, on the realized operators: no eigenbasis rotation, and
-    the model is not diagonalised.  The check compares two independent
+    tau_t is conjugation by the one unitary exp(iHt), so the Hilbert-Schmidt
+    norm of tau_t(W) - omega tau_t(a) tau_t(b) is that of W - omega a b at
+    every t and in every orthonormal basis: it is taken once, in the site
+    basis, with no diagonalisation.  It compares two independent
     computations, the realized W against the block-wise product of the
-    realized factors in the factor order of the identity.  It bounds the
-    operator norm and hence every entry in any orthonormal basis.  The
-    factors are freed once their product exists.
+    realized factors, and bounds the operator norm and hence every entry.
+    The factors are freed once their product exists.
     """
     ch, pr = model.chain, model.params
     site = ch.L // 2

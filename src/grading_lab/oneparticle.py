@@ -36,9 +36,6 @@ class Hopping:
             return 0
         return 2 * max(abs(x) for x in self.coefficients)
 
-    def scaled(self, c: float) -> "Hopping":
-        return Hopping({x: c * a for x, a in self.coefficients.items()})
-
     def velocity_bound(self) -> float:
         """Lieb-Robinson style speed bound 2 * sum |h(x)| * |x|."""
         return 2.0 * sum(abs(a) * abs(x) for x, a in self.coefficients.items())

@@ -18,7 +18,6 @@ from grading_lab.dressing import dressed_matrix_unit, dressed_weyl
 from grading_lab.dynamics import (
     QuadraticModel,
     commutator_decay,
-    d2_effective_hopping,
     gauge_invariance_defect,
     heisenberg_evolve,
     phase_blocks,
@@ -134,7 +133,8 @@ def test_05_d2_free_fermion_oracle():
     # light-cone guard: supports at sites 4-5, four sites from each boundary;
     # the effective speed 8 * 2 * |h| * 1 keeps the cone inside for t <= 2
     assert 8 * model.hopping.velocity_bound() * 2.0 < 4.0
-    heff = d2_effective_hopping(model)
+    # the torus multiplier of the hopping scaled by 8 (the d=2 generator, tests/test_dynamics.py)
+    heff = Hopping({x: 8 * a for x, a in model.hopping.coefficients.items()})
     a0 = realize(smear(f0, params, chain), chain)
     worst = 0.0
     signal = 0.0

@@ -10,12 +10,11 @@ import grading_lab.dynamics as dynamics
 from grading_lab.dense import ChainSpec, DenseOperator, gauge_project, op_norm, realize
 from grading_lab.dressing import dressed_matrix_unit, dressed_weyl, dressed_weyl_rs
 from grading_lab.dynamics import (
-    FREE_FLOW_RATE_D2,
     QuadraticModel,
     claimed_commutator_audit,
     commutator_decay,
-    d2_effective_hopping,
     gauge_invariance_defect,
+    generator,
     heisenberg_evolve,
     phase_blocks,
     reconstruct_spin_evolution,
@@ -137,13 +136,12 @@ class TestHeisenbergEvolve:
         assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_free_flow_dictionary(self):
-        # dense flow of the charge-0-flavor field equals the one-particle
-        # multiplier with symbol scaled by FREE_FLOW_RATE_D2; the hopping is
-        # kept small so boundary leakage stays far below the tolerance
+        # dense flow of the charge-0-flavor field equals the torus multiplier
+        # of the hopping scaled by 8 (see TestGenerator); the hopping is kept
+        # small so boundary leakage stays far below the tolerance
         model = d2_model(8, scale=0.01)
         f0 = OneParticleVector.from_amplitudes(2, 8, {(3, 0): 1.0, (4, 0): 0.5 - 0.25j})
-        heff = d2_effective_hopping(model)
-        assert heff.coefficients[1] == pytest.approx(FREE_FLOW_RATE_D2 * (-0.01j / 16))
+        heff = Hopping({x: 8 * a for x, a in model.hopping.coefficients.items()})
         a0 = realize(smear(f0, D2, model.chain), model.chain)
         for t in (0.5, 1.5):
             lhs = heisenberg_evolve(a0, model, t).entries
@@ -360,12 +358,25 @@ class TestClaimedCommutatorAudit:
         assert van and van[0].status == "MATCH"
 
 
+def _dense_span_residual(model, f):
+    """``span_residual`` by projection of the realized i[H, W(f)] onto the realized basis."""
+    ch, pr = model.chain, model.params
+    target = realize(model.hamiltonian.commutator(smear(f, pr, ch)).scale(1j), ch)
+    rest, coeffs = target, {}
+    for x in range(ch.L):
+        for j in range(pr.d):
+            basis = realize(dressed_weyl_rs(x, j, 1, pr, ch), ch)
+            coeffs[x, j] = basis.vdot(target) / ch.dim
+            rest = rest.sub(basis, coeffs[x, j])
+    return float(np.sqrt(rest.vdot(rest).real / target.vdot(target).real)), coeffs
+
+
 class TestSpanResidual:
     def test_d2_free_closure(self):
         model = d2_model(8)
         f = OneParticleVector.from_amplitudes(2, 8, {(3, 0): 1.0, (4, 1): 0.5, (5, 0): 0.25j})
         res, coeffs = span_residual(model, f)
-        assert res < 1e-10
+        assert res == 0.0
         assert coeffs
 
     def test_zero_hopping(self):
@@ -379,6 +390,77 @@ class TestSpanResidual:
         f = OneParticleVector.from_amplitudes(3, 6, {(2, 0): 1.0})
         res, _ = span_residual(model, f)
         assert 0.0 < res <= 1.0
+
+    @pytest.mark.parametrize("model, amplitudes", [
+        (QuadraticModel(ChainSpec(2, 6), D2, Hopping({1: 0.3 - 0.2j, -1: 0.3 + 0.2j, 2: 0.1j, -2: -0.1j})),
+         {(2, 0): 1.0, (3, 1): 0.5 - 0.25j}),
+        (QuadraticModel(ChainSpec(3, 5), D3, Hopping({1: 0.5, -1: 0.5})), {(2, 0): 1.0}),
+        (QuadraticModel(ChainSpec(3, 4), GradingParams(3, 2, 1), Hopping({1: 0.25 - 0.5j, -1: 0.25 + 0.5j})),
+         {(1, 0): 1.0, (2, 2): 0.5j}),
+    ], ids=["d2", "d3", "d3_grading_charge_1"])
+    def test_matches_dense_projection(self, model, amplitudes, monkeypatch):
+        # the residual and the coefficients are read from labels: nothing is
+        # realized, and they are those of the dense Hilbert-Schmidt projection
+        # onto the realized basis
+        f = OneParticleVector.from_amplitudes(model.params.d, 6, amplitudes)
+        want, want_coeffs = _dense_span_residual(model, f)
+
+        def forbidden(*args):
+            raise AssertionError("span_residual realized an operator")
+
+        monkeypatch.setattr(dynamics, "realize", forbidden)
+        res, coeffs = span_residual(model, f)
+        assert abs(res - want) <= 1e-12
+        assert all(abs(coeffs.get(k, 0) - c) <= 1e-12 for k, c in want_coeffs.items())
+
+
+    @pytest.mark.parametrize("d, L", [(2, 4), (3, 6)])
+    def test_split_reads_back_every_flavor(self, d, L):
+        # splitting a smeared field returns its amplitudes on every flavor, each
+        # basis element's phase divided out; a clock monomial adds its squared
+        # coefficient to the weight outside the span
+        params, chain = GradingParams(d, 1, 1), ChainSpec(d, L)
+        rng = np.random.default_rng(d)
+        f = OneParticleVector(d, L, rng.standard_normal((d, L)) + 1j * rng.standard_normal((d, L)))
+        element = smear(f, params, chain) + WeylMonomial.single(d, 1, 1, 0).as_element().scale(0.5)
+        coeffs, outside = dynamics.span_split(element, params, chain)
+        assert outside == 0.25
+        assert len(coeffs) == d * L
+        assert all(abs(c - f.position[j, x]) <= 1e-15 for (x, j), c in coeffs.items())
+
+
+class TestGenerator:
+    @pytest.mark.parametrize("L, hopping", [
+        (8, {1: -1j / 16, -1: 1j / 16}),
+        (7, {1: 0.0375 - 0.05j, -1: 0.0375 + 0.05j, 2: 0.03 + 0.02j, -2: 0.03 - 0.02j}),
+        (4, {3: -0.5j, -3: 0.5j, 1: 0.25, -1: 0.25}),
+    ], ids=["nn", "nnn_complex", "range_3"])
+    def test_d2_dictionary(self, L, hopping):
+        # at d = 2, j+ = j- = 1 the generator moves the first flavor by
+        # M[y + x, y] = 8 Im h(x) on every bond inside the chain (the real part
+        # of h drops out of H) and leaves the second flavor frozen
+        m = generator(QuadraticModel(ChainSpec(2, L), D2, Hopping(hopping)))
+        want = np.zeros((2 * L, 2 * L))
+        for x, a in hopping.items():
+            for y in range(max(0, -x), min(L, L - x)):
+                want[y + x, y] = 8 * a.imag
+        assert np.abs(m - want).max() <= 1e-12
+
+    def test_flow_rejects_a_generator_that_is_not_antihermitian(self):
+        f = OneParticleVector.from_amplitudes(2, 4, {(1, 0): 1.0})
+        m = np.zeros((8, 8))
+        m[1, 0] = 0.5
+        with pytest.raises(ValueError, match="not antihermitian"):
+            dynamics.one_particle_flow(m, f, [1.0])
+        # d/dt f(0) = -f(1)/2 and d/dt f(1) = f(0)/2: at t = pi the amplitude has turned to -1 at site 0
+        m[0, 1] = -0.5
+        (ft,) = dynamics.one_particle_flow(m, f, [np.pi])
+        assert np.abs(ft.position - OneParticleVector.from_amplitudes(2, 4, {(0, 0): -1.0}).position).max() < 1e-15
+
+    def test_none_at_d3(self):
+        # at d >= 3 a hopping between distinct sites leaves the span
+        assert generator(QuadraticModel(ChainSpec(3, 4), D3, Hopping({1: 0.5, -1: 0.5}))) is None
+        assert not generator(QuadraticModel(ChainSpec(3, 4), D3, Hopping({}))).any()
 
 
 class TestReconstruction:

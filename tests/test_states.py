@@ -7,7 +7,7 @@ from scipy.special import jv
 
 from grading_lab.dense import ChainSpec, realize
 from grading_lab.dressing import dressed_matrix_unit
-from grading_lab.dynamics import QuadraticModel, d2_effective_hopping
+from grading_lab.dynamics import QuadraticModel
 from grading_lab.oneparticle import Hopping, OneParticleVector, evolve
 from grading_lab.states import clustering_report, trace_state, two_point
 from grading_lab.weyl import AlgebraElement, GradingParams, WeylMonomial, gauge_rotate
@@ -88,7 +88,7 @@ class TestTwoPoint:
         b = dressed_matrix_unit(5, 1, 0, D2, model.chain)
         times = [0.0, 0.5, 1.0, 1.5]
         series = two_point(a, b, model, times)
-        heff = d2_effective_hopping(model)
+        heff = Hopping({x: 8 * a for x, a in hop.coefficients.items()})
         delta = OneParticleVector.from_amplitudes(2, 10, {(3, 0): 1.0})
         rate = 8 * 2 * (1 / 80)
         for t, v in zip(series.times, series.values):
