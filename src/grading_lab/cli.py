@@ -6,8 +6,9 @@ report input or an --out path that cannot be written, 3 dimension cap
 exceeded.  The --out path is checked before any work, so an unwritable
 path exits 2 even on a chain above the cap.  Reruns on the same config
 in the same environment (the BLAS thread count included) are
-byte-identical.  --seed is an option of verify only: it picks the random
-samples the verify suite draws, never any physics.
+byte-identical.  --seed is an option of verify only: a non-negative
+integer that picks the random samples the verify suite draws, never any
+physics.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .weyl import (
     WeylMonomial,
     commutation_phase,
     mono_mul,
+    phase_value,
 )
 
 EXIT_OK = 0
@@ -160,8 +162,7 @@ def _verify_rows(cfg: ExperimentConfig, seed: int, cap: int) -> list[list]:
     dd = ChainSpec(d, min(L, 4))
     a0 = realize(dressed_weyl(0, 1, params, dd), dd)
     b0 = realize(dressed_weyl(dd.L - 1, 1, params, dd), dd)
-    w = np.exp(2j * np.pi * expected / d)
-    dev = (a0 @ b0 - b0.scale(w) @ a0).max_abs()
+    dev = (a0 @ b0 - b0.scale(phase_value(2 * expected, d)) @ a0).max_abs()
     add("exchange_phase", "exact", f"d={d};exponent={expected};pairs=L*(L-1)/2", ok and dev < 1e-12, dev)
 
     # norms of dressed operators and units
@@ -400,6 +401,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.command == "verify" and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         if args.command == "report":
             _check_out(args.out)
             return cmd_report(args.inputs, args.out)

@@ -5,7 +5,9 @@ state |t_0, ..., t_{L-1}> has index sum_x t_x * d^(L-1-x).  The clock
 generator W(1, 0) realizes as diag(w^t) with w = exp(2i*pi/d) and the shift
 generator W(0, 1) maps |t> -> |t+1 mod d>.  Every monomial is therefore a
 generalized permutation matrix and is realized by exact index/phase
-arithmetic; floating point enters only in the final complex exponential.
+arithmetic; each entry's phase is one exponent mod 2d, looked up in
+``weyl.roots``, so floating point enters only through that table and the
+coefficients.
 
 A monomial of shift charge q maps charge sector c (digit sum mod d) into
 sector c + q, so a dense operator is held as its nonzero charge-sector
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weyl import AlgebraElement, WeylMonomial, gauge_project_symbolic
+from .weyl import AlgebraElement, WeylMonomial, gauge_project_symbolic, phase_value, roots
 
 DEFAULT_DIM_CAP = 4096
 
@@ -173,10 +175,6 @@ def clock_shift(d: int) -> tuple[DenseOperator, DenseOperator]:
     return D, S
 
 
-def _phase_table(d: int) -> np.ndarray:
-    return np.exp(1j * np.pi * np.arange(2 * d) / d)
-
-
 def realize(a: AlgebraElement | WeylMonomial, chain: ChainSpec) -> DenseOperator:
     """Tensor-product embedding of an element on the chain, written as charge blocks.
 
@@ -199,7 +197,7 @@ def realize(a: AlgebraElement | WeylMonomial, chain: ChainSpec) -> DenseOperator
     digits = chain.digits()[:, sectors]  # (L, d, m): digits of the states of each sector
     position = np.empty(chain.dim, dtype=np.int64)
     position[sectors] = np.arange(m)  # index of every basis state inside its sector
-    table = _phase_table(d)
+    table = np.array(roots(d))
     sector_index, cols = np.arange(d)[:, None], np.arange(m)
     # shift charge s -> its blocks (c + s, c) stacked over c
     stacks = {s: np.zeros((d, m, m), dtype=complex) for s in a.charges()}
@@ -249,8 +247,7 @@ def _diagonal(chain: ChainSpec, values: np.ndarray) -> DenseOperator:
 def gauge_unitary(chain: ChainSpec) -> DenseOperator:
     """Product over all sites of the clock generator: diag(w^digit_sum)."""
     chain.check_dense()
-    w = np.exp(2j * np.pi / chain.d)
-    return _diagonal(chain, w ** (chain.digit_sums() % chain.d))
+    return _diagonal(chain, np.array(roots(chain.d))[2 * chain.digit_sums() % (2 * chain.d)])
 
 
 def _charge_mask(rows: np.ndarray, cols: np.ndarray, order: int) -> np.ndarray:
@@ -290,7 +287,7 @@ def refined_gauge_unitary(chain: ChainSpec, k: int) -> DenseOperator:
     the integer digit sum, so its k-th power is the plain gauge unitary.
     """
     chain.check_dense()
-    return _diagonal(chain, np.exp(2j * np.pi * chain.digit_sums() / (k * chain.d)))
+    return _diagonal(chain, np.array(roots(k * chain.d))[2 * chain.digit_sums() % (2 * k * chain.d)])
 
 
 @dataclass
@@ -311,14 +308,12 @@ def _block_factor_expansion(labels: list[tuple[int, int]], d: int) -> list[tuple
 
     ``labels`` lists (k_x, l_x) of the k fine sites inside one block.  The
     factor maps the block digit string t -> t + l (digitwise mod d) with a
-    phase that is an exact 2d-th root of unity per basis state; its blocked
-    coefficients c_{K,M} are accumulated as exact root-of-unity exponent
-    counts and evaluated once.
+    phase that is an exact 2d-th root of unity per basis state; each blocked
+    coefficient c_{K,M} sums, over those states, a 2D-th root times that
+    phase, both read from ``weyl.roots`` by their integer exponents.
     """
     kblk = len(labels)
     D = d ** kblk
-    table_fine = _phase_table(d)
-
     # per block-basis-state action: sigma(b), phase exponent (units pi/d)
     sigma = np.zeros(D, dtype=np.int64)
     qfine = np.zeros(D, dtype=np.int64)
@@ -343,8 +338,7 @@ def _block_factor_expansion(labels: list[tuple[int, int]], d: int) -> list[tuple
             # with <b+M|W_B(K,M)|b> = exp(-i*pi*K*M/D) * w_D^(K*(b+M))
             acc = 0j
             for b in cols:
-                qD = (K * M - 2 * K * (b + M)) % (2 * D)
-                acc += np.exp(1j * np.pi * qD / D) * table_fine[qfine[b]]
+                acc += phase_value(K * M - 2 * K * (b + M), D) * phase_value(qfine[b], d)
             c = acc / D
             if abs(c) > 1e-15:
                 out.append((c, K, M))

@@ -22,7 +22,6 @@ module's docs for the convention discussion.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +32,10 @@ from .weyl import (
     GradingParams,
     WeylMonomial,
     lattice_shift,
+    matrix_unit,
     mono_adjoint,
     mono_mul,
+    phase_value,
 )
 
 
@@ -78,21 +79,12 @@ def dressed_weyl_rs(x: int, r: int, s: int, params: GradingParams, chain: ChainS
 
 
 def dressed_matrix_unit(x: int, r: int, s: int, params: GradingParams, chain: ChainSpec) -> AlgebraElement:
-    """Dressed rank-one unit: the matrix-unit Fourier sum over dressed operators.
+    """Dressed rank-one unit: the undressed unit |r><s| at x times the charge r - s string.
 
-    Same coefficients as the undressed unit |r><s|; each clock term W(k, .)
-    is replaced by its dressed counterpart of charge r - s.
+    Same coefficients as ``matrix_unit``: each of its monomials W_x(k, r - s)
+    times the string, which lives off site x, is its dressed counterpart.
     """
-    d = params.d
-    if not (0 <= r < d and 0 <= s < d):
-        raise ValueError(f"matrix-unit indices out of range for d={d}: ({r},{s})")
-    m = (r - s) % d
-    string = dressing_string(x, m, params, chain)
-    pairs = []
-    for k in range(d):
-        site_term = WeylMonomial.single(d, x, k, r - s, phase=-k * (r + s))
-        pairs.append((1.0 / d, mono_mul(site_term, string)))
-    return AlgebraElement.from_monomials(pairs, d)
+    return matrix_unit(params.d, r, s, x) * dressing_string(x, r - s, params, chain)
 
 
 @dataclass
@@ -147,8 +139,8 @@ def dressed_commutation_report(
     sym = ((j - k) * (l - n) * exchange_exponent(params)) % d
     if x > y:
         sym = (-sym) % d
-    raw = cmath.exp(1j * cmath.pi * (j - k - l + n) * (x - y))
-    scaled = cmath.exp(1j * cmath.pi * (j - k - l + n) * (x - y) / d)
+    raw = phase_value(d * (j - k - l + n) * (x - y), d)
+    scaled = phase_value((j - k - l + n) * (x - y), d)
     if phase is None:
         status = "DEGENERATE"
     elif abs(phase - raw) < 1e-9 or abs(phase - scaled) < 1e-9:

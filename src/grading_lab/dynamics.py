@@ -27,7 +27,6 @@ invariant and there is no generator.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +40,7 @@ from .weyl import (
     WeylMonomial,
     mono_adjoint,
     mono_mul,
+    phase_value,
 )
 
 class QuadraticModel:
@@ -308,13 +308,13 @@ def claimed_commutator_audit(model: QuadraticModel, x: int, z: int) -> list[Audi
     if 0 < z < x:
         string = WeylMonomial.single(d, z, pr.j_plus + pr.j_minus, 0).as_element()
         rhs = string.commutator(dressed_weyl(z, 1, pr, ch).as_element()).scale(
-            cmath.exp(2j * cmath.pi * (pr.j_plus + pr.j_minus) / d)
+            phase_value(2 * (pr.j_plus + pr.j_minus), d)
         )
         rows.append(_compare_claim("midpoint_reduction", ptag, lhs, [rhs], ch))
     else:
         rows.append(_compare_claim("midpoint_vanishing", ptag, lhs, [AlgebraElement.zero(d)], ch, tol=1e-12))
 
-    coeff = np.cos(2 * np.pi * pr.j_plus / d)
+    coeff = phase_value(2 * pr.j_plus, d).real
     lhs = big_b.commutator(dressed_weyl(0, 1, pr, ch).as_element())
     rhs = AlgebraElement.from_monomials(
         [(coeff, mono_mul(WeylMonomial.single(d, x, pr.j_minus, 0), dressed_weyl(x, 1, pr, ch)))], d
@@ -338,8 +338,8 @@ def claimed_commutator_audit(model: QuadraticModel, x: int, z: int) -> list[Audi
             d,
         )
         cands = [
-            targets.scale(np.cos(2 * np.pi * pr.j_plus)),
-            targets.scale(np.cos(2 * np.pi * pr.j_plus / d)),
+            targets.scale(phase_value(2 * d * pr.j_plus, d).real),
+            targets.scale(coeff),
         ]
         rows.append(_compare_claim("derivative_closure", ptag, lhs, cands, ch))
     return rows
@@ -386,7 +386,7 @@ def reconstruct_spin_evolution(model: QuadraticModel, t_grid) -> list[Reconstruc
     lhs, fa, fb = (realize(m, ch) for m in (clock, ma, mb))
     product = fa @ fb
     del fa, fb
-    difference = lhs.sub(product, cmath.exp(2j * cmath.pi / ch.d))
+    difference = lhs.sub(product, phase_value(2, ch.d))
     dev = float(np.sqrt(difference.vdot(difference).real))
     return [ReconstructionReport(site=site, t=float(t), deviation=dev) for t in t_grid]
 

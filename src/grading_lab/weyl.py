@@ -7,10 +7,12 @@ shift exponent ``l``, both mod ``d``, and obeys the multiplication rule
 
 All scalar prefactors are 2d-th roots of unity and are tracked as integer
 exponents ``q`` mod ``2d`` (the scalar is ``exp(i*pi*q/d)``), so monomial
-arithmetic is exact.  The concrete matrix convention used by the dense
-layer assigns ``W(1, 0)`` to the diagonal clock matrix and ``W(0, 1)`` to
-the cyclic shift matrix; the formula ``W(k, l) = exp(-i*pi*k*l/d) Z^k X^l``
-reproduces the rule above for all integer exponents.
+arithmetic is exact.  An exponent becomes a complex number only through
+``phase_value``, which reads the one cached table ``roots(d)``.  The
+concrete matrix convention used by the dense layer assigns ``W(1, 0)`` to
+the diagonal clock matrix and ``W(0, 1)`` to the cyclic shift matrix; the
+formula ``W(k, l) = exp(-i*pi*k*l/d) Z^k X^l`` reproduces the rule above
+for all integer exponents.
 
 Multi-site monomials are tensor products over a site -> (k, l) map; sites
 not listed carry the identity.  Finite linear combinations are held in
@@ -21,17 +23,26 @@ monomials.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 
-def canonical_phase(q: int, d: int) -> int:
-    """Reduce a phase exponent to the canonical representative in [0, 2d)."""
-    return q % (2 * d)
+@functools.cache
+def roots(d: int) -> tuple[complex, ...]:
+    """exp(i*pi*q/d) for q = 0..2d-1, the one table of every phase value.
+
+    Only the angles in [0, pi/2] are evaluated, the quarter turn exactly as
+    i; the rest follow by negation and conjugation, so w^(q+d) = -w^q and
+    w^(2d-q) = conj(w^q) hold exactly and 1, i, -1, -i are exact.
+    """
+    quarter = [1j if 2 * q == d else cmath.exp(1j * cmath.pi * q / d) for q in range(d // 2 + 1)]
+    half = quarter + [-quarter[d - q].conjugate() for q in range(d // 2 + 1, d)]
+    return tuple(half + [-w for w in half])
 
 
 def phase_value(q: int, d: int) -> complex:
-    """Numeric value exp(i*pi*q/d) of a phase exponent."""
-    return cmath.exp(1j * cmath.pi * (q % (2 * d)) / d)
+    """Numeric value exp(i*pi*q/d) of a phase exponent, read from ``roots(d)``."""
+    return roots(d)[q % (2 * d)]
 
 
 def _canonical_label(k: int, l: int, d: int) -> tuple[int, int, int]:
@@ -62,7 +73,7 @@ class WeylMonomial:
 
     @staticmethod
     def identity(d: int, phase: int = 0) -> "WeylMonomial":
-        return WeylMonomial(d, (), canonical_phase(phase, d))
+        return WeylMonomial(d, (), phase % (2 * d))
 
     @staticmethod
     def from_labels(d: int, labels: dict[int, tuple[int, int]], phase: int = 0) -> "WeylMonomial":
@@ -77,7 +88,7 @@ class WeylMonomial:
             q += dq
             if (kc, lc) != (0, 0):
                 kept.append((x, (kc, lc)))
-        return WeylMonomial(d, tuple(kept), canonical_phase(q, d))
+        return WeylMonomial(d, tuple(kept), q % (2 * d))
 
     @staticmethod
     def single(d: int, site: int, k: int, l: int, phase: int = 0) -> "WeylMonomial":

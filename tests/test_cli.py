@@ -195,6 +195,13 @@ class TestExitCodes:
                 main(argv)
             assert exc.value.code == 2
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["verify", "--config", preset("verify_d2.cfg"), "--out", str(out), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "config error" in err and "--seed" in err
+        assert not out.exists()
+
     def test_verify_preset_exits_0(self, tmp_path):
         out = tmp_path / "v.csv"
         assert main(["verify", "--config", preset("verify_d3.cfg"), "--out", str(out)]) == 0
@@ -515,7 +522,7 @@ class TestEvolveCommand:
     def test_flow_only_at_grading_charge_0(self, tmp_path, j_plus, j_minus):
         # at d = 2 the field moves only for j+ = j- (mod 2); at j+ != j- the dressed
         # generators commute, this hopping gives H = 0, the generator is 0 and the
-        # frozen field matches its prediction up to the phase round-off of realize
+        # frozen field matches its prediction exactly, since every d = 2 phase is exact
         cfg = tmp_path / "e.cfg"
         cfg.write_text(
             f"experiment = evolve\nd = 2\nl = 8\nj_plus = {j_plus}\nj_minus = {j_minus}\n"
@@ -533,7 +540,7 @@ class TestEvolveCommand:
             assert all(float(r["flow_deviation"]) < 1e-12 for r in rows)
         else:
             assert not m.any()
-            assert all(float(r["flow_deviation"]) < 1e-15 for r in rows)
+            assert all(float(r["flow_deviation"]) == 0.0 for r in rows)
 
     @pytest.mark.parametrize("body", [
         "d = 2\nl = 8\nhopping = 1=0.0625, -1=0.0625\nt_stop = 16\n",

@@ -95,6 +95,12 @@ class TestBuildHamiltonian:
         with pytest.raises(ValueError):
             QuadraticModel(ChainSpec(2, 4), D2, Hopping({4: 1.0, -4: 1.0}))
 
+    def test_d2_real_hopping_is_empty(self):
+        # at d = 2 the real part of h cancels against its adjoint term exactly:
+        # every phase is a quarter turn, so no round-off term is left over
+        model = QuadraticModel(ChainSpec(2, 10), D2, Hopping({1: 0.0625, -1: 0.0625}))
+        assert not model.hamiltonian.terms
+
 
 class TestHeisenbergEvolve:
     def test_t0_is_realization(self):
@@ -434,17 +440,23 @@ class TestGenerator:
         (8, {1: -1j / 16, -1: 1j / 16}),
         (7, {1: 0.0375 - 0.05j, -1: 0.0375 + 0.05j, 2: 0.03 + 0.02j, -2: 0.03 - 0.02j}),
         (4, {3: -0.5j, -3: 0.5j, 1: 0.25, -1: 0.25}),
-    ], ids=["nn", "nnn_complex", "range_3"])
+        (10, {1: -0.0625j, -1: 0.0625j}),
+    ], ids=["nn", "nnn_complex", "range_3", "evolve_d2"])
     def test_d2_dictionary(self, L, hopping):
         # at d = 2, j+ = j- = 1 the generator moves the first flavor by
         # M[y + x, y] = 8 Im h(x) on every bond inside the chain (the real part
-        # of h drops out of H) and leaves the second flavor frozen
-        m = generator(QuadraticModel(ChainSpec(2, L), D2, Hopping(hopping)))
+        # of h drops out of H) and leaves the second flavor frozen; every d = 2
+        # phase is exact, so M is exactly real and the realized H exactly hermitian
+        model = QuadraticModel(ChainSpec(2, L), D2, Hopping(hopping))
+        m = generator(model)
         want = np.zeros((2 * L, 2 * L))
         for x, a in hopping.items():
             for y in range(max(0, -x), min(L, L - x)):
                 want[y + x, y] = 8 * a.imag
         assert np.abs(m - want).max() <= 1e-12
+        assert not m.imag.any()
+        h = model.dense_hamiltonian
+        assert (h - h.adjoint()).max_abs() == 0.0
 
     def test_flow_rejects_a_generator_that_is_not_antihermitian(self):
         f = OneParticleVector.from_amplitudes(2, 4, {(1, 0): 1.0})

@@ -1,5 +1,7 @@
 """Exact algebra of the clock/shift monomial layer."""
 
+import cmath
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from grading_lab.weyl import (
     matrix_unit,
     mono_adjoint,
     mono_mul,
+    phase_value,
+    roots,
 )
 
 
@@ -33,6 +37,26 @@ def random_element(rng, d, L, terms=3):
         c = complex(rng.standard_normal(), rng.standard_normal())
         out = out + AlgebraElement.from_monomials([(c, random_monomial(rng, d, L))])
     return out
+
+
+class TestRoots:
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_exact_symmetries(self, d):
+        # == compares the bits of a nonzero float, and every entry off the four
+        # axes has a nonzero real and imaginary part, so the symmetries are exact
+        w = roots(d)
+        assert len(w) == 2 * d
+        for q in range(2 * d):
+            assert w[(q + d) % (2 * d)] == -w[q]
+            assert w[-q % (2 * d)] == w[q].conjugate()
+            assert abs(w[q] - cmath.exp(1j * cmath.pi * q / d)) <= 2e-15
+        axes = {q: w[q] for q in range(2 * d) if 2 * q % d == 0}
+        assert axes == ({0: 1, d // 2: 1j, d: -1, 3 * d // 2: -1j} if d % 2 == 0 else {0: 1, d: -1})
+        assert all(z.real and z.imag for q, z in enumerate(w) if q not in axes)
+
+    def test_phase_value_reads_the_table(self):
+        for d in (2, 3, 5):
+            assert [phase_value(q, d) for q in range(-2 * d, 4 * d)] == list(roots(d)) * 3
 
 
 class TestMonomials:
