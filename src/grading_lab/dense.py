@@ -7,7 +7,8 @@ generator W(0, 1) maps |t> -> |t+1 mod d>.  Every monomial is therefore a
 generalized permutation matrix and is realized by exact index/phase
 arithmetic; each entry's phase is one exponent mod 2d, looked up in
 ``weyl.roots``, so floating point enters only through that table and the
-coefficients.
+coefficients.  The gauge unitary and k-site blocking are built from
+``realize``, blocking with ``weyl.matrix_unit``.
 
 A monomial of shift charge q maps charge sector c (digit sum mod d) into
 sector c + q, so a dense operator is held as its nonzero charge-sector
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weyl import AlgebraElement, WeylMonomial, gauge_project_symbolic, phase_value, roots
+from .weyl import AlgebraElement, WeylMonomial, gauge_project_symbolic, matrix_unit, roots
 
 DEFAULT_DIM_CAP = 4096
 
@@ -239,15 +240,9 @@ def _top_singular_value(a: np.ndarray) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
-def _diagonal(chain: ChainSpec, values: np.ndarray) -> DenseOperator:
-    """The diagonal operator with entry values[v] at basis state v."""
-    return DenseOperator(chain, {(c, c): np.diag(values[s]) for c, s in enumerate(chain.sectors())})
-
-
 def gauge_unitary(chain: ChainSpec) -> DenseOperator:
-    """Product over all sites of the clock generator: diag(w^digit_sum)."""
-    chain.check_dense()
-    return _diagonal(chain, np.array(roots(chain.d))[2 * chain.digit_sums() % (2 * chain.d)])
+    """Product over all sites of the clock generator W(1, 0): diag(w^digit_sum)."""
+    return realize(WeylMonomial.from_labels(chain.d, {x: (1, 0) for x in range(chain.L)}), chain)
 
 
 def _charge_mask(rows: np.ndarray, cols: np.ndarray, order: int) -> np.ndarray:
@@ -287,7 +282,8 @@ def refined_gauge_unitary(chain: ChainSpec, k: int) -> DenseOperator:
     the integer digit sum, so its k-th power is the plain gauge unitary.
     """
     chain.check_dense()
-    return _diagonal(chain, np.array(roots(k * chain.d))[2 * chain.digit_sums() % (2 * k * chain.d)])
+    values = np.array(roots(k * chain.d))[2 * chain.digit_sums() % (2 * k * chain.d)]
+    return DenseOperator(chain, {(c, c): np.diag(values[s]) for c, s in enumerate(chain.sectors())})
 
 
 @dataclass
@@ -303,65 +299,37 @@ class BlockingReport:
     containment_samples: int
 
 
-def _block_factor_expansion(labels: list[tuple[int, int]], d: int) -> list[tuple[complex, int, int]]:
-    """Expand a k-site monomial factor in the blocked Weyl basis.
+def _blocked_factor(labels: list[tuple[int, int]], block: ChainSpec, site: int) -> AlgebraElement:
+    """One block's factor, fine labels ``labels``, as an element of blocked site ``site``.
 
-    ``labels`` lists (k_x, l_x) of the k fine sites inside one block.  The
-    factor maps the block digit string t -> t + l (digitwise mod d) with a
-    phase that is an exact 2d-th root of unity per basis state; each blocked
-    coefficient c_{K,M} sums, over those states, a 2D-th root times that
-    phase, both read from ``weyl.roots`` by their integer exponents.
+    Realized on the k-site chain ``block``, whose basis is the block basis,
+    each nonzero entry F[r, s] gives F[r, s] |r><s|; terms at or below 1e-15
+    are pruned.
     """
-    kblk = len(labels)
-    D = d ** kblk
-    # per block-basis-state action: sigma(b), phase exponent (units pi/d)
-    sigma = np.zeros(D, dtype=np.int64)
-    qfine = np.zeros(D, dtype=np.int64)
-    for b in range(D):
-        digs = [(b // d ** (kblk - 1 - i)) % d for i in range(kblk)]
-        nb = 0
-        q = 0
-        for t, (kk, ll) in zip(digs, labels):
-            nt = (t + ll) % d
-            nb = nb * d + nt
-            q += 2 * kk * (t + ll) - kk * ll
-        sigma[b] = nb
-        qfine[b] = q % (2 * d)
-
-    out = []
-    for M in range(D):
-        cols = [b for b in range(D) if sigma[b] == (b + M) % D]
-        if not cols:
-            continue
-        for K in range(D):
-            # c_{K,M} = (1/D) sum_b conj(<b+M| W_B(K,M) |b>) * phase(b)
-            # with <b+M|W_B(K,M)|b> = exp(-i*pi*K*M/D) * w_D^(K*(b+M))
-            acc = 0j
-            for b in cols:
-                acc += phase_value(K * M - 2 * K * (b + M), D) * phase_value(qfine[b], d)
-            c = acc / D
-            if abs(c) > 1e-15:
-                out.append((c, K, M))
-    return out
+    F = realize(WeylMonomial.from_labels(block.d, dict(enumerate(labels))), block).entries
+    units = (matrix_unit(block.dim, r, s, site).scale(complex(F[r, s])) for r, s in np.argwhere(F).tolist())
+    return sum(units, AlgebraElement.zero(block.dim)).prune(1e-15)
 
 
 def block_sites(a: AlgebraElement, k: int, chain: ChainSpec) -> tuple[AlgebraElement, BlockingReport]:
     """Regroup k adjacent sites into one block-site of local dimension d^k.
 
-    The blocked element realizes to the identical matrix (the basis order
-    is preserved: block 0 slowest, and within a block the lower fine site
-    is slower).  The report carries the dense identity deviation and the
-    gauge-projector containment check: averaging over the order-(k*d)
-    refined rotation then over the plain gauge rotation must reproduce the
-    refined average on a spanning set of one-block monomials.  The refined
-    average masks every charge block of a monomial entrywise, and the plain
-    one is ``gauge_project``.
+    Each block's factor is realized on k sites and expanded by
+    ``weyl.matrix_unit``, so the blocked element realizes to the identical
+    matrix (the basis order is preserved: block 0 slowest, and within a
+    block the lower fine site is slower).  The report carries the dense
+    identity deviation and the gauge-projector containment check:
+    averaging over the order-(k*d) refined rotation then over the plain
+    gauge rotation must reproduce the refined average on a spanning set of
+    one-block monomials.  The refined average masks every charge block of
+    a monomial entrywise, and the plain one is ``gauge_project``.
     """
     if chain.L % k != 0:
         raise ValueError(f"chain length {chain.L} not divisible by block size {k}")
     d = chain.d
     D = d ** k
     blocked_chain = ChainSpec(D, chain.L // k, cap=chain.cap)
+    block = ChainSpec(d, k, cap=chain.cap)  # one block's sites, in the block basis order
 
     blocked = AlgebraElement.zero(D)
     for coeff, mono in a.monomials():
@@ -369,9 +337,7 @@ def block_sites(a: AlgebraElement, k: int, chain: ChainSpec) -> tuple[AlgebraEle
         term = AlgebraElement.identity(D).scale(coeff)
         for blk in sorted({x // k for x in lab}):
             labels = [lab.get(blk * k + i, (0, 0)) for i in range(k)]
-            term = term * AlgebraElement.from_monomials(
-                [(c, WeylMonomial.single(D, blk, K, M)) for c, K, M in _block_factor_expansion(labels, d)], D
-            )
+            term = term * _blocked_factor(labels, block, blk)
         blocked = blocked + term
 
     # the chains' sectors differ: compare in the site basis, their one common basis

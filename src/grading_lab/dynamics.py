@@ -184,8 +184,10 @@ def span_split(a: AlgebraElement, params: GradingParams, chain: ChainSpec) -> tu
 def generator(model: QuadraticModel) -> np.ndarray | None:
     """M with i[H, B_k] = sum_k' M[k', k] B_k', k = j * L + x for B_xj = dressed_rs(x, j, 1).
 
-    None when some i[H, B_k] has weight outside the span, which happens at
-    d >= 3 for any hopping between distinct sites.
+    None when some i[H, B_k] has weight outside the span: at d >= 3 for any
+    hopping between distinct sites, and at d = 2 with j_plus != j_minus
+    (mod 2) for one with a real part (H then holds Re h alone, which moves
+    the flavour-1 generators out of the span).
     """
     ch, pr = model.chain, model.params
     m = np.zeros((pr.d * ch.L,) * 2, dtype=complex)

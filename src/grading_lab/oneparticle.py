@@ -16,6 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+FIT_T_MIN = 5.0  # default fit windows start here, past the pre-asymptotic regime
+CONSTRAINT_TOL = 1e-12  # largest |fine - blocked| that counts as equal
+
 
 @dataclass(frozen=True)
 class Hopping:
@@ -149,24 +152,18 @@ def sup_decay(
     h: Hopping,
     t_grid,
     fit_window: tuple[float, float] | None = None,
-    fit_t_min: float = 5.0,
 ) -> DecaySeries:
     """Series of (t, sup_{x,j} |f_t(x,j)|) with a log-log exponent fit.
 
-    The fit excludes t below ``fit_t_min`` unless an explicit window is
+    The fit excludes t below ``FIT_T_MIN`` unless an explicit window is
     given, to avoid pre-asymptotic bias.
     """
     times = np.asarray(sorted(float(t) for t in t_grid))
     if len(times) == 0:
         raise ValueError("empty time grid")
-    mult_base = symbol(h, f.N)
-    mom0 = f.momentum
-    sups = np.empty(len(times))
-    for i, t in enumerate(times):
-        ft = OneParticleVector.from_momentum(f.d, f.N, mom0 * np.exp(1j * mult_base * t)[None, :])
-        sups[i] = ft.sup_abs()
+    sups = np.array([evolve(f, h, t).sup_abs() for t in times])
     if fit_window is None:
-        fit_window = (max(fit_t_min, float(times[0])), float(times[-1]))
+        fit_window = (max(FIT_T_MIN, float(times[0])), float(times[-1]))
     exponent = fit_power_law(times, sups, fit_window)
     return DecaySeries(times=times, sups=sups, fit_window=fit_window, fit_exponent=exponent)
 
@@ -210,8 +207,6 @@ def fractional_shift(f: OneParticleVector, delta: float, twist: int) -> OneParti
 
 def sector_translate(f: OneParticleVector, j: int, k: int) -> OneParticleVector:
     """Translate the momentum samples by (j-k)/d of a period."""
-    if f.N % f.d != 0:
-        raise ValueError("grid not divisible by d")
     step = ((j - k) % f.d) * (f.N // f.d)
     mom = f.momentum
     # f'(p) = f(p + (j-k)/d): sample m picks up sample m + step
@@ -235,12 +230,12 @@ class ConstraintReport:
     coincide: bool
 
 
-def blocked_symbol_constraints(h: Hopping, k: int, tol: float = 1e-12) -> ConstraintReport:
+def blocked_symbol_constraints(h: Hopping, k: int) -> ConstraintReport:
     """Dispersion values at p = l/k for a hopping and its k-blocked reindexing.
 
     The blocked lattice keeps the hopping between block origins,
     h_B(X) = h(k*X); the report states whether the two constraint sets
-    coincide, with no further interpretation.
+    coincide within ``CONSTRAINT_TOL``, with no further interpretation.
     """
     if k < 1:
         raise ValueError("block size must be >= 1")
@@ -251,5 +246,5 @@ def blocked_symbol_constraints(h: Hopping, k: int, tol: float = 1e-12) -> Constr
         fine = sum((a * np.exp(2j * np.pi * p * x)).real for x, a in h.coefficients.items())
         blocked = sum((a * np.exp(2j * np.pi * p * x)).real for x, a in hb.coefficients.items())
         rows.append(ConstraintRow(l=l, p=p, fine_value=float(fine), blocked_value=float(blocked),
-                                  equal=abs(fine - blocked) <= tol))
+                                  equal=abs(fine - blocked) <= CONSTRAINT_TOL))
     return ConstraintReport(k=k, rows=rows, coincide=all(r.equal for r in rows))

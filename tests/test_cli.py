@@ -518,26 +518,35 @@ class TestEvolveCommand:
                 cell = float(got[key])
                 assert (math.isnan(cell) and math.isnan(value)) or abs(cell - value) <= 1e-12, (key, cell, value)
 
-    @pytest.mark.parametrize("j_plus, j_minus", [(0, 1), (1, 0), (0, 0), (1, 1)])
-    def test_flow_only_at_grading_charge_0(self, tmp_path, j_plus, j_minus):
+    @pytest.mark.parametrize("j_plus, j_minus, hopping", [
+        *[pytest.param(jp, jm, "1=-0.01j, -1=0.01j", id=f"{jp}-{jm}") for jp, jm in [(0, 1), (1, 0), (0, 0), (1, 1)]],
+        *[pytest.param(jp, jm, "1=0.3, -1=0.3", id=f"real-{jp}-{jm}") for jp, jm in [(0, 1), (1, 0)]],
+    ])
+    def test_flow_only_at_grading_charge_0(self, tmp_path, j_plus, j_minus, hopping):
         # at d = 2 the field moves only for j+ = j- (mod 2); at j+ != j- the dressed
-        # generators commute, this hopping gives H = 0, the generator is 0 and the
-        # frozen field matches its prediction exactly, since every d = 2 phase is exact
+        # generators commute, this imaginary hopping gives H = 0, the generator is 0 and
+        # the frozen field matches its prediction exactly, since every d = 2 phase is
+        # exact; a real hopping there builds H from Re h, which commutes with the
+        # flavour-0 field (span residual 0) but moves the flavour-1 generators out of
+        # the span, so there is no generator and the flow column is NaN
         cfg = tmp_path / "e.cfg"
         cfg.write_text(
             f"experiment = evolve\nd = 2\nl = 8\nj_plus = {j_plus}\nj_minus = {j_minus}\n"
-            "hopping = 1=-0.01j, -1=0.01j\nt_start = 1\nt_stop = 2\nt_count = 2\n"
+            f"hopping = {hopping}\nt_start = 1\nt_stop = 2\nt_count = 2\n"
         )
         out = tmp_path / "e.csv"
         assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
         _, rows = read_rows(out)
         assert len(rows) == 2
         assert all(float(r["span_residual"]) == 0.0 and float(r["reconstruction_deviation"]) < 1e-12 for r in rows)
-        params = GradingParams(2, j_plus, j_minus)
-        m = generator(QuadraticModel(ChainSpec(2, 8), params, Hopping({1: -0.01j, -1: 0.01j})))
+        h = Hopping(load_config(str(cfg)).hopping)
+        m = generator(QuadraticModel(ChainSpec(2, 8), GradingParams(2, j_plus, j_minus), h))
         if j_plus == j_minus:
             assert np.abs(m).max() > 0.01
             assert all(float(r["flow_deviation"]) < 1e-12 for r in rows)
+        elif any(a.real for a in h.coefficients.values()):
+            assert m is None
+            assert all(math.isnan(float(r["flow_deviation"])) for r in rows)
         else:
             assert not m.any()
             assert all(float(r["flow_deviation"]) == 0.0 for r in rows)

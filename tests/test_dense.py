@@ -340,6 +340,14 @@ class TestGaugeProject:
         assert np.abs(gauge_project(m).entries - acc / 3).max() < 1e-12
 
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_gauge_unitary_is_clock_string(self, d, L):
+        chain = ChainSpec(d, L)
+        want = np.diag(np.exp(2j * np.pi * chain.digit_sums() / d))
+        assert np.abs(gauge_unitary(chain).entries - want).max() < 1e-14
+
+
 class TestSectors:
     def test_ranks_sum(self):
         chain = ChainSpec(3, 4)
@@ -426,3 +434,19 @@ class TestBlocking:
         a = random_element(rng, 3, 2, terms=3)
         _, rep = block_sites(a, 2, chain)
         assert rep.dense_deviation < 1e-14
+
+    @pytest.mark.parametrize("d, L, k", [(2, 6, 3), (3, 4, 2), (4, 2, 2)])
+    def test_dense_identity(self, d, L, k):
+        rng = np.random.default_rng(31)
+        _, rep = block_sites(random_element(rng, d, L, terms=3), k, ChainSpec(d, L))
+        assert rep.dense_deviation < 1e-14
+
+    @pytest.mark.parametrize("labels, blocked_label", [
+        ({0: (0, 1)}, (0, 2)),  # slow-site shift: b -> b + 2
+        ({1: (1, 0)}, (2, 0)),  # fast-site clock: (-1)^b
+    ], ids=["slow_shift", "fast_clock"])
+    def test_d2_k2_known_blocks(self, labels, blocked_label):
+        a = WeylMonomial.from_labels(2, labels).as_element()
+        blocked, rep = block_sites(a, 2, ChainSpec(2, 2))
+        assert blocked.terms == {((0, blocked_label),): 1.0}
+        assert rep.dense_deviation == 0.0
