@@ -12,10 +12,10 @@ coefficients.  The gauge unitary and k-site blocking are built from
 
 A monomial of shift charge q maps charge sector c (digit sum mod d) into
 sector c + q, so a dense operator is held as its nonzero charge-sector
-blocks, and its arithmetic (product, difference, entry maximum and
-Hilbert-Schmidt inner product) is a set of ``DenseOperator`` methods that
-work block by block.  The same type carries blocks in any per-sector basis,
-such as the eigenbasis of ``dynamics``.  The full site-basis matrix is
+blocks, each its own array, and its arithmetic (product, difference, entry
+maximum, hermiticity defect and Hilbert-Schmidt inner product) is a set of
+``DenseOperator`` methods that work block by block.  The same type carries
+blocks in any per-sector basis, such as the eigenbasis of ``dynamics``.  The full site-basis matrix is
 assembled only on request (``DenseOperator.entries``), which only the
 cross-chain identity of ``block_sites`` needs: its two chains have different
 sector structures, so the site basis is their one common basis.
@@ -159,6 +159,23 @@ class DenseOperator:
         """Largest entry modulus; 0.0 when no block is held."""
         return max((float(np.abs(blk).max()) for blk in self.blocks.values()), default=0.0)
 
+    def hermiticity_defect(self) -> float:
+        """Largest entry modulus of X - X^dag, one block pair at a time.
+
+        Block (r, c) of the difference is X_rc - X_cr^dag, an absent partner
+        read as zero.  Block (c, r) is its negated adjoint, so each pair is
+        taken once, in the one array that X_cr^dag is copied into.
+        """
+        worst = 0.0
+        for (r, c), blk in self.blocks.items():
+            partner = self.blocks.get((c, r))
+            if partner is None:
+                worst = max(worst, float(np.abs(blk).max()))
+            elif r <= c:
+                diff = partner.conj().T
+                worst = max(worst, float(np.abs(np.subtract(blk, diff, out=diff)).max()))
+        return worst
+
     def vdot(self, other: "DenseOperator") -> complex:
         """Hilbert-Schmidt inner product trace(X^dag Y), summed over the blocks both hold."""
         keys = self.blocks.keys() & other.blocks.keys()
@@ -181,7 +198,8 @@ def realize(a: AlgebraElement | WeylMonomial, chain: ChainSpec) -> DenseOperator
 
     A monomial of shift charge q maps the state at position j of sector c to
     one state of sector c + q, so it adds one entry per column to each of its
-    d blocks (c + q, c).  Blocks that end up exactly zero are left out.
+    d blocks (c + q, c).  Every block is its own array, so an operator frees
+    each block it drops; blocks that end up exactly zero are left out.
     """
     if isinstance(a, WeylMonomial):
         a = a.as_element()
@@ -199,9 +217,8 @@ def realize(a: AlgebraElement | WeylMonomial, chain: ChainSpec) -> DenseOperator
     position = np.empty(chain.dim, dtype=np.int64)
     position[sectors] = np.arange(m)  # index of every basis state inside its sector
     table = np.array(roots(d))
-    sector_index, cols = np.arange(d)[:, None], np.arange(m)
-    # shift charge s -> its blocks (c + s, c) stacked over c
-    stacks = {s: np.zeros((d, m, m), dtype=complex) for s in a.charges()}
+    cols = np.arange(m)
+    blocks = {((c + s) % d, c): np.zeros((m, m), dtype=complex) for s in a.charges() for c in range(d)}
     for coeff, mono in a.monomials():
         target = sectors.copy()
         q = np.zeros(sectors.shape, dtype=np.int64)
@@ -210,10 +227,11 @@ def realize(a: AlgebraElement | WeylMonomial, chain: ChainSpec) -> DenseOperator
             tl = (t + l) % d
             target += (tl - t) * d ** (chain.L - 1 - x)
             q += 2 * k * (t + l) - k * l
-        stacks[mono.charge()][sector_index, position[target], cols] += coeff * table[q % (2 * d)]
-    return DenseOperator(
-        chain, {((c + s) % d, c): blk for s, stack in stacks.items() for c, blk in enumerate(stack) if blk.any()}
-    )
+        rows, values = position[target], coeff * table[q % (2 * d)]
+        s = mono.charge()
+        for c in range(d):
+            blocks[(c + s) % d, c][rows[c], cols] += values[c]
+    return DenseOperator(chain, {key: blk for key, blk in blocks.items() if blk.any()})
 
 
 def op_norm(m: DenseOperator) -> float:

@@ -82,22 +82,30 @@ class QuadraticModel:
         return realize(self.hamiltonian, self.chain)
 
     @property
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-sector eigenvalues (d, m) and eigenvectors (d, m, m), m = d^(L-1).
+    def eigensystem(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Per-sector eigenvalues (d, m) and eigenvectors, one m x m array per sector, m = d^(L-1).
 
         Block c is H restricted to the basis states ``chain.sectors()[c]``.
         Raises ValueError unless H is hermitian and maps every charge sector
-        into itself.  H is realized for this call only, so a diagonalised
-        model holds the eigenvectors and no copy of H.
+        into itself; both checks run block by block.  H is realized for this
+        call only and each diagonal block is freed once its eigenvectors
+        exist, so a diagonalised model holds the eigenvectors and no copy of H.
         """
         if self._eig is None:
             h = self.dense_hamiltonian
-            if (h - h.adjoint()).max_abs() > 1e-12:
+            if h.hermiticity_defect() > 1e-12:
                 raise ValueError("dense Hamiltonian is not hermitian")
             if DenseOperator(h.chain, {(r, c): blk for (r, c), blk in h.blocks.items() if r != c}).max_abs() > 1e-12:
                 raise ValueError("dense Hamiltonian mixes charge sectors")
-            zero = np.zeros((self.chain.dim // self.chain.d,) * 2, dtype=complex)
-            self._eig = np.linalg.eigh(np.stack([h.blocks.get((c, c), zero) for c in range(self.chain.d)]))
+            values, vectors = [], []
+            for c in range(self.chain.d):
+                blk = h.blocks.pop((c, c), None)
+                if blk is None:
+                    blk = np.zeros((self.chain.dim // self.chain.d,) * 2, dtype=complex)
+                w, v = np.linalg.eigh(blk)
+                values.append(w)
+                vectors.append(v)
+            self._eig = np.array(values), tuple(vectors)
         return self._eig
 
     def propagator(self, t: float) -> np.ndarray:
@@ -378,17 +386,16 @@ def reconstruct_spin_evolution(model: QuadraticModel, t_grid) -> list[Reconstruc
     basis, with no diagonalisation.  It compares two independent
     computations, the realized W against the block-wise product of the
     realized factors, and bounds the operator norm and hence every entry.
-    The factors are freed once their product exists.
+    The factors are freed once their product exists, and only then is W
+    realized.
     """
     ch, pr = model.chain, model.params
     site = ch.L // 2
-    ma = dressed_weyl(site, 1, pr, ch)
-    mb = dressed_weyl_rs(site, 1, -1, pr, ch)
-    clock = WeylMonomial.single(ch.d, site, 1, 0)
-    lhs, fa, fb = (realize(m, ch) for m in (clock, ma, mb))
+    fa = realize(dressed_weyl(site, 1, pr, ch), ch)
+    fb = realize(dressed_weyl_rs(site, 1, -1, pr, ch), ch)
     product = fa @ fb
     del fa, fb
-    difference = lhs.sub(product, phase_value(2, ch.d))
+    difference = realize(WeylMonomial.single(ch.d, site, 1, 0), ch).sub(product, phase_value(2, ch.d))
     dev = float(np.sqrt(difference.vdot(difference).real))
     return [ReconstructionReport(site=site, t=float(t), deviation=dev) for t in t_grid]
 

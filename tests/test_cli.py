@@ -122,6 +122,16 @@ class TestExitCodes:
         code = main(["verify", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("l", [1, 2, 4])
+    def test_decay_short_chain_exits_2(self, tmp_path, capsys, l):
+        # the decay pairs use sites l0..l0+3 with l0 = max(1, l // 2 - 2)
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(f"experiment = decay\nd = 2\nl = {l}\nt_start = 0\nt_stop = 1\nt_count = 2\n")
+        out = tmp_path / "o.csv"
+        assert main(["decay", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "decay needs l >= 5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cap_exceeded_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "big.cfg"
         cfg.write_text("experiment = decay\nd = 2\nl = 8\nhopping = 1=0-0.25j, -1=0+0.25j\n"
@@ -484,15 +494,16 @@ class TestEvolveCommand:
         assert counts == {"product": 1, "site_blocks": 9}
 
     def test_working_set(self, tmp_path):
-        # the eigenvectors, block (1, 0) of the rotated field and one phased
-        # copy per t: the traced peak stays within 11 blocks of m x m complex
+        # the eigenvectors, block (1, 0) of the rotated field and, per t, one
+        # phased copy mapped back and the realized prediction, freed before
+        # the next t: the traced peak stays within 8 blocks of m x m complex
         # entries (m = 128), with no dense H kept after eigh
         cfg = tmp_path / "e.cfg"
         cfg.write_text(EVOLVE_CONFIGS["d2"].replace("l = 6", "l = 8").replace("t_count = 9", "t_count = 3"))
         out = str(tmp_path / "e.csv")
         code, peak = traced_peak(lambda: main(["evolve", "--config", str(cfg), "--out", out]))
         assert code == 0
-        assert peak <= 11 * 16 * 128**2
+        assert peak <= 8 * 16 * 128**2
 
     @pytest.mark.parametrize("name", ["evolve_d2.cfg", "evolve_d3.cfg"])
     def test_preset_reconstruction_same_on_every_row(self, tmp_path, name):

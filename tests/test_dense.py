@@ -193,6 +193,18 @@ class TestRealize:
         assert set(op.blocks) == {(1, 1)}
         assert np.abs(op.blocks[1, 1] + 2 * np.eye(8)).max() < 1e-15
 
+    def test_blocks_own_their_data(self):
+        # each block is its own array, so dropping one frees it; the clock
+        # string minus the identity cancels block (0, 0), which is left out
+        chain = ChainSpec(3, 3)
+        clock = WeylMonomial.from_labels(3, {x: (1, 0) for x in range(3)}).as_element()
+        charged = AlgebraElement.from_monomials(
+            [(0.5, WeylMonomial.single(3, 0, 1, 1)), (0.25j, WeylMonomial.from_labels(3, {1: (0, 2), 2: (2, 0)}))], 3
+        )
+        op = realize(clock - AlgebraElement.identity(3) + charged, chain)
+        assert set(op.blocks) == {(r, c) for r in range(3) for c in range(3)} - {(0, 0)}
+        assert all(blk.base is None for blk in op.blocks.values())
+
     def test_support_outside_chain(self):
         with pytest.raises(ValueError):
             realize(WeylMonomial.single(3, 5, 1, 0), ChainSpec(3, 3))
@@ -223,6 +235,19 @@ class TestBlockDifference:
         want = {key: x.get(key, 0.0) - scale * y.get(key, 0.0) for key in x.keys() | y.keys()}
         assert block_bits(got) == block_bits(want)
         assert not any(np.shares_memory(blk, src) for blk in got.values() for src in (*x.values(), *y.values()))
+
+
+class TestHermiticityDefect:
+    def test_matches_full_difference(self):
+        # blocks (0, 2) and (2, 1) have no partner and count in full
+        rng = np.random.default_rng(33)
+        chain = ChainSpec(3, 3)
+        keys = [(0, 0), (1, 1), (0, 1), (1, 0), (0, 2), (2, 1)]
+        x = DenseOperator(chain, signed_zero_blocks(rng, keys, m=9))
+        assert x.hermiticity_defect() == (x - x.adjoint()).max_abs() > 0.0
+        # X + X^dag is exactly hermitian: each entry is a + conj(b) against conj(b) + a
+        assert x.sub(x.adjoint(), -1.0).hermiticity_defect() == 0.0
+        assert DenseOperator(chain, {}).hermiticity_defect() == 0.0
 
 
 class TestOpNorm:

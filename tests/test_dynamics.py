@@ -213,6 +213,49 @@ class TestSectorBlocks:
         with pytest.raises(ValueError, match="mixes charge sectors"):
             model.eigensystem
 
+    @pytest.mark.parametrize("key", [(1, 1), (0, 1)], ids=["diagonal", "absent_partner"])
+    def test_non_hermitian_block_rejected(self, monkeypatch, key):
+        # an entry that breaks H_rc = H_cr^dag, in a diagonal block or in an
+        # off-diagonal block whose partner (1, 0) is absent (H holds diagonal
+        # blocks only), fails the hermiticity check, which runs before the
+        # charge-sector check
+        model = QuadraticModel(ChainSpec(2, 4), D2, IM_NN)
+        realize_h = dynamics.realize
+
+        def realize_skewed(a, chain):
+            h = realize_h(a, chain)
+            blk = h.blocks.setdefault(key, np.zeros((8, 8), dtype=complex))
+            blk[0, 1] += 1e-9
+            return h
+
+        monkeypatch.setattr(dynamics, "realize", realize_skewed)
+        with pytest.raises(ValueError, match="not hermitian"):
+            model.eigensystem
+
+    @pytest.mark.parametrize("d, L, hopping", [
+        (2, 4, IM_NN),
+        (3, 3, Hopping({1: 0.5 - 0.25j, -1: 0.5 + 0.25j})),
+    ])
+    def test_eigensystem_is_per_sector_eigh(self, d, L, hopping):
+        # bit for bit the eigh of each realized diagonal block, in sector order
+        model = QuadraticModel(ChainSpec(d, L), GradingParams(d, 1, 1), hopping)
+        blocks = model.dense_hamiltonian.blocks
+        values, vectors = model.eigensystem
+        assert values.shape == (d, d ** (L - 1)) and len(vectors) == d
+        for c in range(d):
+            w, v = np.linalg.eigh(blocks[c, c])
+            assert values[c].tobytes() == w.tobytes()
+            assert vectors[c].tobytes() == v.tobytes()
+
+    def test_eigensystem_working_set(self):
+        # the realized H, one hermiticity temporary at a time and the
+        # eigenvectors, each diagonal block freed once diagonalised: at most
+        # 5 blocks of m x m complex entries
+        model = d2_model(8)
+        block = 16 * (model.chain.dim // 2) ** 2
+        _, peak = traced_peak(lambda: model.eigensystem)
+        assert peak <= 5 * block
+
     @pytest.mark.parametrize("d, L, hopping", [
         (2, 4, IM_NN),
         (3, 3, Hopping({1: 0.5 - 0.25j, -1: 0.5 + 0.25j})),
@@ -597,11 +640,12 @@ class TestReconstruction:
             assert abs(rep.deviation - want) <= 1e-12
 
     def test_working_set(self):
-        # the three realized operators and their product, the factors freed
-        # once the product exists, and no eigenvectors: about 8 blocks of
-        # m x m complex entries whatever the grid
+        # the two realized factors and their product, then the product, the
+        # clock realized once the factors are freed and their difference,
+        # and no eigenvectors: about 6 blocks of m x m complex entries
+        # whatever the grid
         model = d2_model(8)
         block = 16 * (model.chain.dim // 2) ** 2
         reports, peak = traced_peak(lambda: reconstruct_spin_evolution(model, [0.0, 1.0, 2.0]))
         assert len(reports) == 3
-        assert peak <= 9 * block
+        assert peak <= 7 * block
