@@ -18,7 +18,8 @@ whose blocks are in the site basis or, between ``eigenbasis_blocks`` and
 full d^L x d^L matrix.
 
 The one-particle flow is read from the symbolic H.  The smeared field
-W(f) = sum_{x,j} f(x, j) B_xj lies in the span of B_xj = dressed_rs(x, j, 1);
+W(f) = sum_{x,j} f(x, j) B_xj lies in the span of B_xj = dressed_rs(x, j, 1),
+listed once per (params, chain) by ``span_basis``;
 when every i[H, B_k] stays in that span, its coefficients are the columns
 of the generator M and tau_t(W(f)) = W(exp(tM) f) on the open chain.  At
 d = 2 this is the Lieb-Schultz-Mattis reduction; at d >= 3 the span is not
@@ -27,7 +28,9 @@ invariant and there is no generator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -63,16 +66,13 @@ class QuadraticModel:
     @property
     def hamiltonian(self) -> AlgebraElement:
         if self._hamiltonian is None:
-            half = AlgebraElement.zero(self.chain.d)
-            for x, a in sorted(self.hopping.coefficients.items()):
-                for z in range(self.chain.L):
-                    if not 0 <= z + x < self.chain.L:
-                        continue
-                    term = mono_mul(
-                        dressed_weyl(z, 1, self.params, self.chain),
-                        mono_adjoint(dressed_weyl(z + x, 1, self.params, self.chain)),
-                    )
-                    half = half + AlgebraElement.from_monomials([(a, term)], self.chain.d)
+            pr, ch = self.params, self.chain
+            pairs = [
+                (a, mono_mul(dressed_weyl(z, 1, pr, ch), mono_adjoint(dressed_weyl(z + x, 1, pr, ch))))
+                for x, a in sorted(self.hopping.coefficients.items())
+                for z in range(max(0, -x), min(ch.L, ch.L - x))
+            ]
+            half = AlgebraElement.from_monomials(pairs, ch.d)
             self._hamiltonian = half + half.adjoint()
         return self._hamiltonian
 
@@ -156,10 +156,18 @@ def heisenberg_evolve(a: AlgebraElement | DenseOperator, model: QuadraticModel, 
     return model.site_blocks(phase_blocks(model.eigenbasis_blocks(dense), model.propagator(t)))
 
 
+@functools.cache
+def span_basis(params: GradingParams, chain: ChainSpec) -> tuple[tuple[WeylMonomial, ...], MappingProxyType]:
+    """The d * L monomials B_xj = dressed_rs(x, j, 1) in index order k = j * L + x, and a read-only key -> (x, j) index."""
+    basis = tuple(dressed_weyl_rs(x, j, 1, params, chain) for j in range(params.d) for x in range(chain.L))
+    return basis, MappingProxyType({b.key(): (k % chain.L, k // chain.L) for k, b in enumerate(basis)})
+
+
 def smear(f: OneParticleVector, params: GradingParams, chain: ChainSpec) -> AlgebraElement:
-    """Smeared charge-1 field: sum_{x,j} f(x,j) dressed_rs(x, j, 1)."""
+    """Smeared charge-1 field: sum_{x,j} f(x,j) B_xj, each B_xj taken from ``span_basis``."""
     if f.d != params.d:
         raise ValueError("charge index dimension differs from qudit dimension")
+    basis, _ = span_basis(params, chain)
     pairs = []
     for j in range(f.d):
         for x in range(f.N):
@@ -168,7 +176,7 @@ def smear(f: OneParticleVector, params: GradingParams, chain: ChainSpec) -> Alge
                 continue
             if x >= chain.L:
                 raise ValueError(f"amplitude at site {x} outside chain 0..{chain.L - 1}")
-            pairs.append((a, dressed_weyl_rs(x, j, 1, params, chain)))
+            pairs.append((a, basis[j * chain.L + x]))
     return AlgebraElement.from_monomials(pairs, params.d)
 
 
@@ -176,21 +184,19 @@ def span_split(a: AlgebraElement, params: GradingParams, chain: ChainSpec) -> tu
     """Coefficients of a on B_xj = dressed_rs(x, j, 1), and the weight of a outside their span.
 
     Distinct monomials are Hilbert-Schmidt orthogonal with squared norm d^L, so
-    both are read from the labels: c_xj is the coefficient at the label of B_xj
-    over the phase of B_xj, and the weight ||rest||^2 / d^L sums |coefficient|^2
-    over every other label.  Nothing is realized.
+    both are read from the labels through the key index of ``span_basis``:
+    c_xj is the coefficient at the label of B_xj over the phase of B_xj, and
+    the weight ||rest||^2 / d^L sums |coefficient|^2 over every other label.
+    Nothing is built or realized.
     """
-    basis = {}
-    for x in range(chain.L):
-        for j in range(params.d):
-            b = dressed_weyl_rs(x, j, 1, params, chain)
-            basis[b.key()] = (x, j), b.phase_factor()
-    coeffs = {basis[key][0]: c / basis[key][1] for key, c in a.terms.items() if key in basis}
-    return coeffs, sum(abs(c) ** 2 for key, c in a.terms.items() if key not in basis)
+    basis, index = span_basis(params, chain)
+    inside = [(index[key], c) for key, c in a.terms.items() if key in index]
+    coeffs = {(x, j): c / basis[j * chain.L + x].phase_factor() for (x, j), c in inside}
+    return coeffs, sum(abs(c) ** 2 for key, c in a.terms.items() if key not in index)
 
 
 def generator(model: QuadraticModel) -> np.ndarray | None:
-    """M with i[H, B_k] = sum_k' M[k', k] B_k', k = j * L + x for B_xj = dressed_rs(x, j, 1).
+    """M with i[H, B_k] = sum_k' M[k', k] B_k', B_k the k-th monomial of ``span_basis``, each column read by ``span_split``.
 
     None when some i[H, B_k] has weight outside the span: at d >= 3 for any
     hopping between distinct sites, and at d = 2 with j_plus != j_minus
@@ -198,15 +204,14 @@ def generator(model: QuadraticModel) -> np.ndarray | None:
     the flavour-1 generators out of the span).
     """
     ch, pr = model.chain, model.params
-    m = np.zeros((pr.d * ch.L,) * 2, dtype=complex)
-    for j in range(pr.d):
-        for x in range(ch.L):
-            b = dressed_weyl_rs(x, j, 1, pr, ch).as_element()
-            coeffs, outside = span_split(model.hamiltonian.commutator(b).scale(1j), pr, ch)
-            if outside:
-                return None
-            for (x2, j2), c in coeffs.items():
-                m[j2 * ch.L + x2, j * ch.L + x] = c
+    basis, _ = span_basis(pr, ch)
+    m = np.zeros((len(basis),) * 2, dtype=complex)
+    for k, b in enumerate(basis):
+        coeffs, outside = span_split(model.hamiltonian.commutator(b.as_element()).scale(1j), pr, ch)
+        if outside:
+            return None
+        for (x, j), c in coeffs.items():
+            m[j * ch.L + x, k] = c
     return m
 
 
@@ -368,26 +373,19 @@ def span_residual(model: QuadraticModel, f: OneParticleVector) -> tuple[float, d
     return (float(np.sqrt(outside / total)) if total else 0.0), coeffs
 
 
-@dataclass
-class ReconstructionReport:
-    site: int
-    t: float
-    deviation: float
-
-
-def reconstruct_spin_evolution(model: QuadraticModel, t_grid) -> list[ReconstructionReport]:
-    """Check the clock generator at site L // 2 against its dressed product; one report per t.
+def reconstruct_spin_evolution(model: QuadraticModel) -> float:
+    """Check the clock generator at site L // 2 against its dressed product: one deviation per model.
 
     The identity W_x(1, 0) = exp(2i*pi/d) dressed(x, 0, 1) dressed_rs(x, 1, -1)
     holds exactly (the strings cancel), so the deviation is round-off.
     tau_t is conjugation by the one unitary exp(iHt), so the Hilbert-Schmidt
     norm of tau_t(W) - omega tau_t(a) tau_t(b) is that of W - omega a b at
-    every t and in every orthonormal basis: it is taken once, in the site
-    basis, with no diagonalisation.  It compares two independent
-    computations, the realized W against the block-wise product of the
-    realized factors, and bounds the operator norm and hence every entry.
-    The factors are freed once their product exists, and only then is W
-    realized.
+    every t and in every orthonormal basis: the one value returned holds for
+    every t, and it is taken in the site basis, with no diagonalisation.  It
+    compares two independent computations, the realized W against the
+    block-wise product of the realized factors, and bounds the operator norm
+    and hence every entry.  The factors are freed once their product exists,
+    and only then is W realized.
     """
     ch, pr = model.chain, model.params
     site = ch.L // 2
@@ -396,8 +394,7 @@ def reconstruct_spin_evolution(model: QuadraticModel, t_grid) -> list[Reconstruc
     product = fa @ fb
     del fa, fb
     difference = realize(WeylMonomial.single(ch.d, site, 1, 0), ch).sub(product, phase_value(2, ch.d))
-    dev = float(np.sqrt(difference.vdot(difference).real))
-    return [ReconstructionReport(site=site, t=float(t), deviation=dev) for t in t_grid]
+    return float(np.sqrt(difference.vdot(difference).real))
 
 
 def gauge_invariance_defect(model: QuadraticModel) -> float:

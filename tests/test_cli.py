@@ -132,6 +132,18 @@ class TestExitCodes:
         assert "decay needs l >= 5" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_evolve_one_site_exits_2(self, tmp_path, capsys, d):
+        # the initial field sits at sites l // 2 - 1 and l // 2, so a one-site chain
+        # is rejected up front, before any site outside the chain is named
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(f"experiment = evolve\nd = {d}\nl = 1\nhopping =\nt_start = 0\nt_stop = 1\nt_count = 2\n")
+        out = tmp_path / "o.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "evolve needs l >= 2" in err and "outside chain" not in err
+        assert not out.exists()
+
     def test_cap_exceeded_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "big.cfg"
         cfg.write_text("experiment = decay\nd = 2\nl = 8\nhopping = 1=0-0.25j, -1=0+0.25j\n"

@@ -13,7 +13,7 @@ from grading_lab.states import clustering_report, trace_state, two_point
 from grading_lab.weyl import AlgebraElement, GradingParams, WeylMonomial, gauge_rotate
 
 from test_dense import forbid_full_matrix
-from test_dynamics import _charged_input
+from test_dynamics import _charged_input, program_evolution
 from test_weyl import random_element
 
 D2 = GradingParams(2, 1, 1)
@@ -70,11 +70,9 @@ class TestTwoPoint:
         chain = model.chain
         a = dressed_matrix_unit(1, 0, 1, D2, chain)
         b = dressed_matrix_unit(3, 1, 0, D2, chain)
-        from grading_lab.dynamics import heisenberg_evolve
-
         ad = realize(a, chain).entries
-        for t in (0.0, 1.3):
-            bt = heisenberg_evolve(realize(b, chain), model, t).entries
+        for evolved in program_evolution(model, realize(b, chain), (0.0, 1.3)):
+            bt = evolved.entries
             lhs = np.trace(ad @ bt) / chain.dim
             rhs = np.trace(bt @ ad) / chain.dim
             assert lhs == pytest.approx(rhs, abs=1e-12)
