@@ -341,12 +341,14 @@ def cmd_decay(cfg: ExperimentConfig, out: str, cap: int) -> int:
 def cmd_block(cfg: ExperimentConfig, out: str, cap: int) -> int:
     with _config_values():
         chain = ChainSpec(cfg.d, cfg.l, cap=cap)
+    if cfg.l < 2:
+        raise ConfigError(f"block needs l >= 2 (the blocked element uses sites 0 and 1), got l = {cfg.l}")
     if cfg.block_k < 1 or cfg.l % cfg.block_k:
         raise ConfigError(f"block_k = {cfg.block_k} does not divide l = {cfg.l}")
     element = AlgebraElement.from_monomials(
         [
             (1.0, WeylMonomial.single(cfg.d, 0, 1, 1)),
-            (0.5, WeylMonomial.from_labels(cfg.d, {0: (0, 1), min(1, cfg.l - 1): (1, 0)})),
+            (0.5, WeylMonomial.from_labels(cfg.d, {0: (0, 1), 1: (1, 0)})),
         ],
         cfg.d,
     )

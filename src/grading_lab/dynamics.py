@@ -216,11 +216,20 @@ def generator(model: QuadraticModel) -> np.ndarray | None:
 
 
 def one_particle_flow(m: np.ndarray, f: OneParticleVector, t_grid) -> list[OneParticleVector]:
-    """exp(tM) f on the chain sites of f, for each t, from one eigh of iM (M antihermitian to 1e-12, as i ad_H is)."""
+    """exp(tM) f on the chain sites of f, for each t, from one eigh of iM (M antihermitian to 1e-12, as i ad_H is).
+
+    Raises ValueError when f has fewer sites than the chain of M, or an
+    amplitude on a site past it.
+    """
     if np.abs(m + m.conj().T).max() > 1e-12:
         raise ValueError("one-particle generator is not antihermitian")
-    w, v = np.linalg.eigh(1j * m)
     L = m.shape[0] // f.d
+    if f.N < L:
+        raise ValueError(f"amplitudes on {f.N} sites, chain has {L}")
+    outside = np.flatnonzero(f.position[:, L:].any(axis=0))
+    if outside.size:
+        raise ValueError(f"amplitude at site {L + outside[0]} outside chain 0..{L - 1}")
+    w, v = np.linalg.eigh(1j * m)
     c0 = v.conj().T @ f.position[:, :L].reshape(-1)
     flows = []
     for t in t_grid:

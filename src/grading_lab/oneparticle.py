@@ -1,13 +1,11 @@
-"""One-particle layer: hopping symbols, quasifree flow, decay, shifts.
+"""One-particle layer: hopping amplitudes, amplitude vectors, shifts, power-law fits.
 
-Amplitudes f(x, j) live on an N-site position torus (N a multiple of d)
-with a charge index j in 0..d-1.  The momentum form holds N uniform
-samples per charge of f_hat(p_k) = sum_x f(x) exp(-2i*pi*k*x/N); all
-gridded integrals are plain Riemann sums so results are bit-reproducible.
-
-The quasifree flow multiplies each charge component by exp(i*h_hat(p)*t)
-with h_hat(p) = sum_x h(x) exp(2i*pi*p*x), the unique Fourier-multiplier
-solution of the position-space convolution flow generated by the hopping.
+Amplitudes f(x, j) live on N sites (N a multiple of d) with a charge
+index j in 0..d-1.  The quasifree flow of the lab is the open chain's
+exp(tM), computed by ``dynamics.one_particle_flow`` on the first L sites.
+The momentum form, N uniform samples per charge of
+f_hat(p_k) = sum_x f(x) exp(-2i*pi*k*x/N), reads the N sites as a torus;
+the fractional shifts of acceptance 7 act on it.
 """
 
 from __future__ import annotations
@@ -15,9 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-FIT_T_MIN = 5.0  # default fit windows start here, past the pre-asymptotic regime
-CONSTRAINT_TOL = 1e-12  # largest |fine - blocked| that counts as equal
 
 
 @dataclass(frozen=True)
@@ -40,7 +35,7 @@ class Hopping:
         return 2 * max(abs(x) for x in self.coefficients)
 
     def velocity_bound(self) -> float:
-        """Lieb-Robinson style speed bound 2 * sum |h(x)| * |x|."""
+        """Lieb-Robinson style speed bound 2 * sum |h(x)| * |x|; acceptance 9 reads its pre-recurrence window from it."""
         return 2.0 * sum(abs(a) * abs(x) for x, a in self.coefficients.items())
 
 
@@ -48,7 +43,9 @@ def symbol(h: Hopping, N: int) -> np.ndarray:
     """Sampled dispersion h_hat(p) = sum_x h(x) e^{2i*pi*p*x} on the N-grid.
 
     Hermiticity makes the symbol real; the imaginary part is checked to
-    vanish within 1e-12 and dropped.
+    vanish within 1e-12 and dropped.  Kept only for ``evolve`` and
+    because ``perfbench/tracer.py`` binds it in ``TARGETS``; no command or
+    acceptance criterion reads it.
     """
     if h.coefficients and N < h.support_diameter():
         raise ValueError(f"grid N={N} smaller than twice the hopping radius")
@@ -83,19 +80,17 @@ class OneParticleVector:
 
     @staticmethod
     def from_momentum(d: int, N: int, momentum: np.ndarray) -> "OneParticleVector":
+        """Inverse of ``momentum``; ``evolve`` and acceptance 7 build vectors from momentum samples."""
         mom = np.asarray(momentum, dtype=complex).reshape(d, N)
         return OneParticleVector(d, N, np.fft.ifft(mom, axis=1))
 
     @property
     def momentum(self) -> np.ndarray:
-        """(d, N) samples of f_hat(p_k) per charge, p_k = k/N."""
+        """(d, N) samples of f_hat(p_k) per charge, p_k = k/N; read by ``evolve`` and acceptance 7."""
         return np.fft.fft(self.position, axis=1)
 
     def l2_norm(self) -> float:
         return float(np.linalg.norm(self.position))
-
-    def momentum_l2_norm(self) -> float:
-        return float(np.linalg.norm(self.momentum) / np.sqrt(self.N))
 
     def sup_abs(self) -> float:
         return float(np.abs(self.position).max())
@@ -112,7 +107,12 @@ class OneParticleVector:
 
 
 def evolve(f: OneParticleVector, h: Hopping, t: float) -> OneParticleVector:
-    """Quasifree flow: multiply each charge component by exp(i*h_hat(p)*t)."""
+    """Torus flow: multiply each charge component by exp(i*h_hat(p)*t).
+
+    Kept only because ``perfbench/tracer.py`` binds it in ``TARGETS``; no
+    command, acceptance criterion or cross-check reads it.  The lab's flow
+    is the open chain's exp(tM) (``dynamics.one_particle_flow``).
+    """
     mult = np.exp(1j * symbol(h, f.N) * t)
     return OneParticleVector.from_momentum(f.d, f.N, f.momentum * mult[None, :])
 
@@ -122,21 +122,8 @@ def particle_shift(f: OneParticleVector, n: int) -> OneParticleVector:
     return OneParticleVector(f.d, f.N, np.roll(f.position, n, axis=1))
 
 
-@dataclass
-class DecaySeries:
-    """Sup-norm decay measurements with a power-law fit helper."""
-
-    times: np.ndarray
-    sups: np.ndarray
-    fit_window: tuple[float, float]
-    fit_exponent: float
-
-    def rows(self):
-        return list(zip(self.times.tolist(), self.sups.tolist()))
-
-
 def fit_power_law(times: np.ndarray, values: np.ndarray, window: tuple[float, float]) -> float:
-    """Least-squares slope of log(value) vs log(t) over the window."""
+    """Least-squares slope of log(value) vs log(t) over the window; acceptance 6 reads the decay exponent from it."""
     lo, hi = window
     mask = (times >= lo) & (times <= hi) & (values > 0)
     if mask.sum() < 2:
@@ -145,27 +132,6 @@ def fit_power_law(times: np.ndarray, values: np.ndarray, window: tuple[float, fl
     y = np.log(values[mask])
     slope, _ = np.polyfit(x, y, 1)
     return float(slope)
-
-
-def sup_decay(
-    f: OneParticleVector,
-    h: Hopping,
-    t_grid,
-    fit_window: tuple[float, float] | None = None,
-) -> DecaySeries:
-    """Series of (t, sup_{x,j} |f_t(x,j)|) with a log-log exponent fit.
-
-    The fit excludes t below ``FIT_T_MIN`` unless an explicit window is
-    given, to avoid pre-asymptotic bias.
-    """
-    times = np.asarray(sorted(float(t) for t in t_grid))
-    if len(times) == 0:
-        raise ValueError("empty time grid")
-    sups = np.array([evolve(f, h, t).sup_abs() for t in times])
-    if fit_window is None:
-        fit_window = (max(FIT_T_MIN, float(times[0])), float(times[-1]))
-    exponent = fit_power_law(times, sups, fit_window)
-    return DecaySeries(times=times, sups=sups, fit_window=fit_window, fit_exponent=exponent)
 
 
 def fractional_shift(f: OneParticleVector, delta: float, twist: int) -> OneParticleVector:
@@ -203,48 +169,3 @@ def fractional_shift(f: OneParticleVector, delta: float, twist: int) -> OneParti
     for j in range(d):
         out[j] = refined[(twist * j) % d :: d]
     return OneParticleVector(d, N, out)
-
-
-def sector_translate(f: OneParticleVector, j: int, k: int) -> OneParticleVector:
-    """Translate the momentum samples by (j-k)/d of a period."""
-    step = ((j - k) % f.d) * (f.N // f.d)
-    mom = f.momentum
-    # f'(p) = f(p + (j-k)/d): sample m picks up sample m + step
-    shifted = np.roll(mom, -step, axis=1)
-    return OneParticleVector.from_momentum(f.d, f.N, shifted)
-
-
-@dataclass
-class ConstraintRow:
-    l: int
-    p: float
-    fine_value: float
-    blocked_value: float
-    equal: bool
-
-
-@dataclass
-class ConstraintReport:
-    k: int
-    rows: list[ConstraintRow]
-    coincide: bool
-
-
-def blocked_symbol_constraints(h: Hopping, k: int) -> ConstraintReport:
-    """Dispersion values at p = l/k for a hopping and its k-blocked reindexing.
-
-    The blocked lattice keeps the hopping between block origins,
-    h_B(X) = h(k*X); the report states whether the two constraint sets
-    coincide within ``CONSTRAINT_TOL``, with no further interpretation.
-    """
-    if k < 1:
-        raise ValueError("block size must be >= 1")
-    hb = Hopping({x // k: a for x, a in h.coefficients.items() if x % k == 0})
-    rows = []
-    for l in range(k):
-        p = l / k
-        fine = sum((a * np.exp(2j * np.pi * p * x)).real for x, a in h.coefficients.items())
-        blocked = sum((a * np.exp(2j * np.pi * p * x)).real for x, a in hb.coefficients.items())
-        rows.append(ConstraintRow(l=l, p=p, fine_value=float(fine), blocked_value=float(blocked),
-                                  equal=abs(fine - blocked) <= CONSTRAINT_TOL))
-    return ConstraintReport(k=k, rows=rows, coincide=all(r.equal for r in rows))

@@ -22,6 +22,7 @@ monomials.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 from dataclasses import dataclass
@@ -168,17 +169,20 @@ def commutation_phase(a: WeylMonomial, b: WeylMonomial) -> int:
     """Exchange exponent c with a.b = exp(2i*pi*c/d) b.a, computed exactly.
 
     The symplectic form sums k_a*l_b - l_a*k_b over shared sites; operators
-    on disjoint sites commute.
+    on disjoint sites commute.  The form is antisymmetric, so the shorter
+    site list is walked and each of its sites is bisected in the longer one
+    (``sites`` is sorted).
     """
     if a.d != b.d:
         raise ValueError(f"dimension mismatch: {a.d} != {b.d}")
-    bl = dict(b.sites)
+    short, longer, sign = (a.sites, b.sites, 1) if len(a.sites) <= len(b.sites) else (b.sites, a.sites, -1)
     c = 0
-    for x, (ka, la) in a.sites:
-        if x in bl:
-            kb, lb = bl[x]
-            c += ka * lb - la * kb
-    return c % a.d
+    for x, (ks, ls) in short:
+        i = bisect.bisect_left(longer, (x,))
+        if i < len(longer) and longer[i][0] == x:
+            kl, ll = longer[i][1]
+            c += ks * ll - ls * kl
+    return sign * c % a.d
 
 
 @dataclass(frozen=True)
@@ -315,7 +319,27 @@ class AlgebraElement:
         return AlgebraElement(self.d, out)
 
     def commutator(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self * other - other * self
+        """[A, B] with one product per pair of monomials that do not commute.
+
+        For monomials with a.b = exp(2i*pi*c/d) b.a (``commutation_phase``),
+        b.a = exp(-2i*pi*c/d) a.b, so the pair contributes
+        (1 - exp(-2i*pi*c/d)) a.b, the phase read by ``phase_value``, and
+        nothing when c = 0.
+        """
+        if self.d != other.d:
+            raise ValueError("dimension mismatch")
+        d = self.d
+        out: dict[tuple, complex] = {}
+        others = [(WeylMonomial(d, kb, 0), cb) for kb, cb in other.terms.items()]
+        for ka, ca in self.terms.items():
+            ma = WeylMonomial(d, ka, 0)
+            for mb, cb in others:
+                c = commutation_phase(ma, mb)
+                if c:
+                    m = mono_mul(ma, mb)
+                    key = m.key()
+                    out[key] = out.get(key, 0j) + ca * cb * (1 - phase_value(-2 * c, d)) * m.phase_factor()
+        return AlgebraElement(d, out)
 
     def __str__(self) -> str:
         if not self.terms:

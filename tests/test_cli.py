@@ -167,9 +167,10 @@ class TestExitCodes:
         ("evolve", "d = 2\nl = 4\nt_count = 0\n"),
         ("verify", "d = 2\nl = 1\n"),
         ("evolve", "d = 2\nl = 1\nhopping =\n"),
+        ("block", "d = 2\nl = 1\nblock_k = 1\n"),
     ], ids=["d1", "l0", "block_k_not_divisor", "evolve_non_hermitian", "decay_non_hermitian", "decay_short_chain",
             "evolve_nan_hopping", "decay_inf_hopping", "verify_nan_hopping", "evolve_nan_t_stop", "decay_inf_t_start",
-            "evolve_empty_grid", "verify_one_site", "evolve_one_site"])
+            "evolve_empty_grid", "verify_one_site", "evolve_one_site", "block_one_site"])
     def test_bad_value_exits_2(self, tmp_path, capsys, command, body):
         cfg = tmp_path / "bad.cfg"
         # the default grid fills only the grid keys the case leaves unset

@@ -21,7 +21,7 @@ from grading_lab.dynamics import (
     smear,
     span_residual,
 )
-from grading_lab.oneparticle import Hopping, OneParticleVector, evolve
+from grading_lab.oneparticle import Hopping, OneParticleVector
 from grading_lab.weyl import AlgebraElement, GradingParams, WeylMonomial, commutation_phase
 
 from test_dense import block_bits, signed_zero_blocks
@@ -31,8 +31,8 @@ D3 = GradingParams(3, 1, 1)
 IM_NN = Hopping({1: -1j / 16, -1: 1j / 16})
 
 
-def d2_model(L=8, scale=1.0):
-    return QuadraticModel(ChainSpec(2, L), D2, Hopping({1: -1j * scale / 16, -1: 1j * scale / 16}))
+def d2_model(L=8):
+    return QuadraticModel(ChainSpec(2, L), D2, IM_NN)
 
 
 def program_evolution(model, a, times):
@@ -157,20 +157,19 @@ class TestHeisenbergEvolve:
         assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_free_flow_dictionary(self):
-        # dense flow of the charge-0-flavor field equals the torus multiplier
-        # of the hopping scaled by 8 (see TestGenerator); the hopping is kept
-        # small so boundary leakage stays far below the tolerance
-        model = d2_model(8, scale=0.01)
+        # dense flow of the charge-0-flavor field equals the smeared field of
+        # the open chain's one-particle flow exp(tM) f0 (see TestGenerator)
+        model = d2_model(8)
         f0 = OneParticleVector.from_amplitudes(2, 8, {(3, 0): 1.0, (4, 0): 0.5 - 0.25j})
-        heff = Hopping({x: 8 * a for x, a in model.hopping.coefficients.items()})
         a0 = realize(smear(f0, D2, model.chain), model.chain)
         times = (0.5, 1.5)
-        for t, evolved in zip(times, program_evolution(model, a0, times)):
+        flows = dynamics.one_particle_flow(generator(model), f0, times)
+        for ft, evolved in zip(flows, program_evolution(model, a0, times)):
             lhs = evolved.entries
-            rhs = realize(smear(evolve(f0, heff, t), D2, model.chain), model.chain).entries
+            rhs = realize(smear(ft, D2, model.chain), model.chain).entries
             dev = np.abs(lhs - rhs).max()
             signal = np.abs(lhs - a0.entries).max()
-            assert dev < 1e-6
+            assert dev < 1e-12
             assert signal > 1e-3  # the comparison tracks a real evolution
 
     def test_orthogonal_flavor_frozen(self):
@@ -494,14 +493,17 @@ class TestSpanResidual:
         assert all(abs(c - f.position[j, x]) <= 1e-15 for (x, j), c in coeffs.items())
 
 
+GENERATOR_MODELS = pytest.mark.parametrize("L, hopping", [
+    (8, {1: -1j / 16, -1: 1j / 16}),
+    (7, {1: 0.0375 - 0.05j, -1: 0.0375 + 0.05j, 2: 0.03 + 0.02j, -2: 0.03 - 0.02j}),
+    (4, {3: -0.5j, -3: 0.5j, 1: 0.25, -1: 0.25}),
+    (10, {1: -0.0625j, -1: 0.0625j}),
+    (40, {1: -0.0625j, -1: 0.0625j}),
+], ids=["nn", "nnn_complex", "range_3", "evolve_d2", "L40"])
+
+
 class TestGenerator:
-    @pytest.mark.parametrize("L, hopping", [
-        (8, {1: -1j / 16, -1: 1j / 16}),
-        (7, {1: 0.0375 - 0.05j, -1: 0.0375 + 0.05j, 2: 0.03 + 0.02j, -2: 0.03 - 0.02j}),
-        (4, {3: -0.5j, -3: 0.5j, 1: 0.25, -1: 0.25}),
-        (10, {1: -0.0625j, -1: 0.0625j}),
-        (40, {1: -0.0625j, -1: 0.0625j}),
-    ], ids=["nn", "nnn_complex", "range_3", "evolve_d2", "L40"])
+    @GENERATOR_MODELS
     def test_d2_dictionary(self, L, hopping):
         # at d = 2, j+ = j- = 1 the generator moves the first flavor by
         # M[y + x, y] = 8 Im h(x) on every bond inside the chain (the real part
@@ -518,6 +520,28 @@ class TestGenerator:
         if model.chain.dense_allowed:
             h = model.dense_hamiltonian
             assert (h - h.adjoint()).max_abs() == 0.0
+
+    @GENERATOR_MODELS
+    def test_matches_two_product_commutators(self, L, hopping):
+        # the columns read from i(H B_k - B_k H), both products formed in full
+        model = QuadraticModel(ChainSpec(2, L), D2, Hopping(hopping))
+        h = model.hamiltonian
+        basis, _ = dynamics.span_basis(D2, model.chain)
+        want = np.zeros((2 * L, 2 * L), dtype=complex)
+        for k, b in enumerate(basis):
+            b = b.as_element()
+            coeffs, outside = dynamics.span_split((h * b - b * h).scale(1j), D2, model.chain)
+            assert not outside
+            for (x, j), c in coeffs.items():
+                want[j * L + x, k] = c
+        assert generator(model).tobytes() == want.tobytes()
+
+    def test_flow_rejects_input_outside_the_chain(self):
+        m = np.zeros((12, 12))
+        with pytest.raises(ValueError, match="amplitude at site 8 outside chain 0..5"):
+            dynamics.one_particle_flow(m, OneParticleVector.from_amplitudes(2, 10, {(8, 1): 5.0}), [1.0])
+        with pytest.raises(ValueError, match="amplitudes on 4 sites, chain has 6"):
+            dynamics.one_particle_flow(m, OneParticleVector.from_amplitudes(2, 4, {(1, 0): 1.0}), [1.0])
 
     def test_flow_rejects_a_generator_that_is_not_antihermitian(self):
         f = OneParticleVector.from_amplitudes(2, 4, {(1, 0): 1.0})

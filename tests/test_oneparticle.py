@@ -1,20 +1,21 @@
-"""One-particle layer: symbols, quasifree flow, shifts, constraints."""
+"""One-particle layer: hoppings, vectors, sup-norm decay fits, shifts; the torus symbol and flow."""
 
 import numpy as np
 import pytest
 from scipy.special import jv
 
+from grading_lab.dense import ChainSpec
+from grading_lab.dynamics import QuadraticModel, generator, one_particle_flow
 from grading_lab.oneparticle import (
     Hopping,
     OneParticleVector,
-    blocked_symbol_constraints,
     evolve,
+    fit_power_law,
     fractional_shift,
     particle_shift,
-    sector_translate,
-    sup_decay,
     symbol,
 )
+from grading_lab.weyl import GradingParams
 
 COS_HOPPING = Hopping({1: 0.5, -1: 0.5})
 
@@ -68,7 +69,7 @@ class TestVector:
     def test_parseval(self):
         rng = np.random.default_rng(2)
         f = OneParticleVector(2, 16, rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16)))
-        assert abs(f.l2_norm() - f.momentum_l2_norm()) < 1e-12
+        assert abs(f.l2_norm() - np.linalg.norm(f.momentum) / np.sqrt(f.N)) < 1e-12
 
     def test_grid_divisibility(self):
         with pytest.raises(ValueError):
@@ -76,6 +77,7 @@ class TestVector:
 
 
 class TestEvolve:
+    # the torus flow stays only while perfbench/tracer.py binds it
     def test_t0_identity(self):
         f = OneParticleVector.from_amplitudes(2, 16, {(3, 0): 1.0, (5, 1): 2.0})
         assert evolve(f, COS_HOPPING, 0.0).isclose(f, 1e-14)
@@ -110,24 +112,33 @@ class TestEvolve:
         assert a.isclose(b, 1e-12)
 
 
+def chain_sups(L, hopping, times):
+    """Sup norms of the open chain's flow exp(tM) f0, f0 a delta at flavour-0 site L // 2, d = 2."""
+    model = QuadraticModel(ChainSpec(2, L), GradingParams(2, 1, 1), Hopping(hopping))
+    f0 = OneParticleVector.from_amplitudes(2, L, {(L // 2, 0): 1.0})
+    return np.array([f.sup_abs() for f in one_particle_flow(generator(model), f0, times)])
+
+
 class TestSupDecay:
+    # the decay exponent of acceptance 6, on shorter chains and windows
     def test_constant_symbol_flat(self):
-        f = OneParticleVector.from_amplitudes(1, 32, {(0, 0): 1.0, (1, 0): 0.5})
-        ds = sup_decay(f, Hopping({0: 2.0}), np.linspace(1, 9, 9), fit_window=(1, 9))
-        assert np.abs(ds.sups - ds.sups[0]).max() < 1e-13
-        assert abs(ds.fit_exponent) < 1e-10
+        # on-site hopping makes H a multiple of 1, so M = 0 and nothing moves
+        times = np.linspace(1, 9, 9)
+        sups = chain_sups(16, {0: 2.0}, times)
+        assert np.abs(sups - sups[0]).max() < 1e-13
+        assert abs(fit_power_law(times, sups, (1, 9))) < 1e-10
 
     def test_cos_dispersion_exponent(self):
-        f = OneParticleVector.from_amplitudes(1, 1024, {(0, 0): 1.0})
-        ds = sup_decay(f, COS_HOPPING, np.linspace(10, 100, 46), fit_window=(10, 100))
-        assert -0.5 <= ds.fit_exponent <= -0.30
+        times = np.linspace(10, 60, 26)
+        exponent = fit_power_law(times, chain_sups(160, {1: 1j / 16, -1: -1j / 16}, times), (10, 60))
+        assert -0.5 <= exponent <= -0.30
 
     def test_reproducible(self):
-        f = OneParticleVector.from_amplitudes(1, 256, {(0, 0): 1.0})
-        a = sup_decay(f, COS_HOPPING, np.linspace(5, 30, 11))
-        b = sup_decay(f, COS_HOPPING, np.linspace(5, 30, 11))
-        assert np.array_equal(a.sups, b.sups)
-        assert a.fit_exponent == b.fit_exponent
+        times = np.linspace(5, 30, 11)
+        a = chain_sups(64, {1: 1j / 16, -1: -1j / 16}, times)
+        b = chain_sups(64, {1: 1j / 16, -1: -1j / 16}, times)
+        assert np.array_equal(a, b)
+        assert fit_power_law(times, a, (5, 30)) == fit_power_law(times, b, (5, 30))
 
 
 class TestFractionalShift:
@@ -180,71 +191,3 @@ class TestFractionalShift:
         f = OneParticleVector(4, 8, np.zeros((4, 8)))
         with pytest.raises(ValueError):
             fractional_shift(f, 0.25, 2)
-
-
-class TestSectorTranslate:
-    def test_identity(self):
-        assert sector_translate(
-            OneParticleVector.from_amplitudes(3, 6, {(1, 0): 1.0}), 2, 2
-        ).isclose(OneParticleVector.from_amplitudes(3, 6, {(1, 0): 1.0}), 1e-13)
-
-    def test_periodicity(self):
-        rng = np.random.default_rng(8)
-        f = OneParticleVector(3, 12, rng.standard_normal((3, 12)) + 1j * rng.standard_normal((3, 12)))
-        g = f
-        for _ in range(3):
-            g = sector_translate(g, 1, 0)
-        assert g.isclose(f, 1e-12)
-
-    def test_commutes_with_evolve_iff_symbol_periodic(self):
-        rng = np.random.default_rng(9)
-        f = OneParticleVector(2, 16, rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16)))
-        # period-1/2 symbol: offsets multiples of 2
-        fast = Hopping({2: 0.5, -2: 0.5})
-        a = sector_translate(evolve(f, fast, 1.3), 1, 0)
-        b = evolve(sector_translate(f, 1, 0), fast, 1.3)
-        assert a.isclose(b, 1e-12)
-        slow = COS_HOPPING
-        a = sector_translate(evolve(f, slow, 1.3), 1, 0)
-        b = evolve(sector_translate(f, 1, 0), slow, 1.3)
-        assert not a.isclose(b, 1e-6)
-
-    def test_grid_divisibility_checked(self):
-        f = OneParticleVector(2, 16, np.zeros((2, 16)))
-        g = sector_translate(f, 1, 0)
-        assert g.N == 16
-
-
-class TestBlockedConstraints:
-    def test_k1_trivially_coincides(self):
-        rep = blocked_symbol_constraints(COS_HOPPING, 1)
-        assert rep.coincide
-        assert len(rep.rows) == 1
-
-    def test_nearest_neighbor_k2(self):
-        rep = blocked_symbol_constraints(COS_HOPPING, 2)
-        assert [r.p for r in rep.rows] == [0.0, 0.5]
-        assert rep.rows[0].fine_value == pytest.approx(1.0)
-        assert rep.rows[1].fine_value == pytest.approx(-1.0)
-        # the blocked reindexing keeps only offsets divisible by 2: empty here
-        assert rep.rows[0].blocked_value == pytest.approx(0.0)
-        assert not rep.coincide
-
-    def test_onsite_hopping_coincides(self):
-        rep = blocked_symbol_constraints(Hopping({0: 0.75}), 2)
-        assert rep.coincide
-
-    def test_reindexing_changes_constraints(self):
-        # offsets divisible by k survive the reindexing but the symbol is
-        # evaluated at the same p points, so the constraint sets still differ
-        rep = blocked_symbol_constraints(Hopping({2: 0.5, -2: 0.5}), 2)
-        assert rep.rows[1].fine_value == pytest.approx(1.0)
-        assert rep.rows[1].blocked_value == pytest.approx(-1.0)
-        assert not rep.coincide
-
-    def test_deterministic(self):
-        a = blocked_symbol_constraints(COS_HOPPING, 3)
-        b = blocked_symbol_constraints(COS_HOPPING, 3)
-        assert [(r.l, r.p, r.fine_value, r.blocked_value, r.equal) for r in a.rows] == [
-            (r.l, r.p, r.fine_value, r.blocked_value, r.equal) for r in b.rows
-        ]

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.special import jv
 
 from grading_lab.dense import ChainSpec, realize
 from grading_lab.dressing import dressed_matrix_unit
-from grading_lab.dynamics import QuadraticModel
-from grading_lab.oneparticle import Hopping, OneParticleVector, evolve
+from grading_lab.dynamics import QuadraticModel, generator, one_particle_flow, span_basis
+from grading_lab.oneparticle import Hopping, OneParticleVector
 from grading_lab.states import clustering_report, trace_state, two_point
 from grading_lab.weyl import AlgebraElement, GradingParams, WeylMonomial, gauge_rotate
 
@@ -78,21 +77,24 @@ class TestTwoPoint:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_d2_free_propagator_tracking(self):
-        # the creation/annihilation pair tracks (1/4) of the one-particle
-        # propagator; the propagator itself is Bessel up to the rate factor
-        hop = Hopping({1: -1j / 80, -1: 1j / 80})
-        model = QuadraticModel(ChainSpec(2, 10), D2, hop)
-        a = dressed_matrix_unit(3, 0, 1, D2, model.chain)
-        b = dressed_matrix_unit(5, 1, 0, D2, model.chain)
+        # tau_t(B_y) = sum_x exp(tM)[x, y] B_x and omega(B_x B_x') vanishes for
+        # x != x', so two_point(B_x, B_y) = exp(tM)[x, y] omega(B_x^2) on every
+        # pair of the 2L basis monomials (omega(B_y) = 0, B_y has charge 1)
         times = [0.0, 0.5, 1.0, 1.5]
-        series = two_point(a, b, model, times)
-        heff = Hopping({x: 8 * a for x, a in hop.coefficients.items()})
-        delta = OneParticleVector.from_amplitudes(2, 10, {(3, 0): 1.0})
-        rate = 8 * 2 * (1 / 80)
-        for t, v in zip(series.times, series.values):
-            prop = evolve(delta, heff, t).amplitude(5)
-            assert abs(v) == pytest.approx(abs(prop) / 4, abs=1e-8)
-            assert abs(prop) == pytest.approx(abs(jv(2, rate * t)), abs=1e-8)
+        for hopping in (
+            {1: -1j / 16, -1: 1j / 16},
+            {1: 0.0375 - 0.05j, -1: 0.0375 + 0.05j, 2: 0.03 + 0.02j, -2: 0.03 - 0.02j},
+        ):
+            model = QuadraticModel(ChainSpec(2, 8), D2, Hopping(hopping))
+            m = generator(model)
+            basis = [b.as_element() for b in span_basis(D2, model.chain)[0]]
+            for y, by in enumerate(basis):
+                delta = OneParticleVector(2, 8, np.eye(16)[y])
+                columns = [f.position.reshape(-1) for f in one_particle_flow(m, delta, times)]
+                for x, bx in enumerate(basis):
+                    series = two_point(bx, by, model, times)
+                    want = [col[x] * trace_state(bx * bx) for col in columns]
+                    assert np.abs(series.values - want).max() < 1e-12
 
 
 class TestTwoPointOracle:

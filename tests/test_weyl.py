@@ -160,6 +160,14 @@ class TestElements:
         a = random_element(rng, 3, 3)
         assert a.commutator(a).isclose(AlgebraElement.zero(3), 1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_commutator_matches_two_products(self, d):
+        # the exchange rule forms one product per pair that does not commute
+        rng = np.random.default_rng(20 + d)
+        for _ in range(20):
+            a, b = random_element(rng, d, 5, terms=4), random_element(rng, d, 5, terms=4)
+            assert a.commutator(b).isclose(a * b - b * a, 1e-13)
+
     def test_mul_distributes_vs_dense(self):
         rng = np.random.default_rng(9)
         chain = ChainSpec(3, 4)
