@@ -5,10 +5,10 @@ state |t_0, ..., t_{L-1}> has index sum_x t_x * d^(L-1-x).  The clock
 generator W(1, 0) realizes as diag(w^t) with w = exp(2i*pi/d) and the shift
 generator W(0, 1) maps |t> -> |t+1 mod d>.  Every monomial is therefore a
 generalized permutation matrix and is realized by exact index/phase
-arithmetic; each entry's phase is one exponent mod 2d, looked up in
-``weyl.roots``, so floating point enters only through that table and the
-coefficients.  The gauge unitary and k-site blocking are built from
-``realize``, blocking with ``weyl.matrix_unit``.
+arithmetic, written once in ``monomial_action``; each entry's phase is one
+exponent mod 2d, looked up in ``weyl.roots``, so floating point enters only
+through that table and the coefficients.  The gauge unitary and k-site
+blocking are built from ``realize``, blocking with ``weyl.matrix_unit``.
 
 A monomial of shift charge q maps charge sector c (digit sum mod d) into
 sector c + q, so a dense operator is held as its nonzero charge-sector
@@ -86,6 +86,15 @@ class ChainSpec:
         """
         charges = self.digit_sums() % self.d
         out = np.argsort(charges, kind="stable").reshape(self.d, -1)
+        out.flags.writeable = False
+        return out
+
+    @functools.cache
+    def positions(self) -> np.ndarray:
+        """(dim,) read-only array: the position of every basis state inside its row of ``sectors``."""
+        sectors = self.sectors()
+        out = np.empty(self.dim, dtype=np.int64)
+        out[sectors] = np.arange(sectors.shape[1])
         out.flags.writeable = False
         return out
 
@@ -193,13 +202,35 @@ def clock_shift(d: int) -> tuple[DenseOperator, DenseOperator]:
     return D, S
 
 
+def monomial_action(mono: WeylMonomial, chain: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Where a monomial of shift charge q sends the basis, sector by sector: two (d, m) arrays.
+
+    State j of sector c (``chain.sectors()[c, j]``) goes to the state at
+    position rows[c, j] of sector c + q, with the entry phases[c, j].  Each
+    entry's phase is one integer exponent mod 2d, the monomial's own phase
+    included, read from ``weyl.roots``.  The support is not checked.
+    """
+    d = chain.d
+    sectors = chain.sectors()
+    digits = chain.digits()
+    target = sectors.copy()
+    q = np.full(sectors.shape, mono.phase, dtype=np.int64)
+    for x, (k, l) in mono.sites:
+        t = digits[x][sectors]
+        tl = (t + l) % d
+        target += (tl - t) * d ** (chain.L - 1 - x)
+        q += 2 * k * (t + l) - k * l
+    return chain.positions()[target], np.array(roots(d))[q % (2 * d)]
+
+
 def realize(a: AlgebraElement | WeylMonomial, chain: ChainSpec) -> DenseOperator:
     """Tensor-product embedding of an element on the chain, written as charge blocks.
 
     A monomial of shift charge q maps the state at position j of sector c to
-    one state of sector c + q, so it adds one entry per column to each of its
-    d blocks (c + q, c).  Every block is its own array, so an operator frees
-    each block it drops; blocks that end up exactly zero are left out.
+    one state of sector c + q (``monomial_action``), so it adds one entry per
+    column to each of its d blocks (c + q, c).  Every block is its own array,
+    so an operator frees each block it drops; blocks that end up exactly zero
+    are left out.
     """
     if isinstance(a, WeylMonomial):
         a = a.as_element()
@@ -211,23 +242,12 @@ def realize(a: AlgebraElement | WeylMonomial, chain: ChainSpec) -> DenseOperator
         raise ValueError(f"support {supp} outside chain 0..{chain.L - 1}")
 
     d = chain.d
-    sectors = chain.sectors()
-    m = sectors.shape[1]
-    digits = chain.digits()[:, sectors]  # (L, d, m): digits of the states of each sector
-    position = np.empty(chain.dim, dtype=np.int64)
-    position[sectors] = np.arange(m)  # index of every basis state inside its sector
-    table = np.array(roots(d))
+    m = chain.dim // d
     cols = np.arange(m)
     blocks = {((c + s) % d, c): np.zeros((m, m), dtype=complex) for s in a.charges() for c in range(d)}
     for coeff, mono in a.monomials():
-        target = sectors.copy()
-        q = np.zeros(sectors.shape, dtype=np.int64)
-        for x, (k, l) in mono.sites:
-            t = digits[x]
-            tl = (t + l) % d
-            target += (tl - t) * d ** (chain.L - 1 - x)
-            q += 2 * k * (t + l) - k * l
-        rows, values = position[target], coeff * table[q % (2 * d)]
+        rows, phases = monomial_action(mono, chain)
+        values = coeff * phases
         s = mono.charge()
         for c in range(d):
             blocks[(c + s) % d, c][rows[c], cols] += values[c]

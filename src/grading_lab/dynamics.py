@@ -9,13 +9,19 @@ self-adjoint by construction.  It therefore commutes with the gauge
 unitary and splits into d charge sectors of d^(L-1) states each.  Every
 evolution uses one cached per-sector eigendecomposition per model, read
 from the diagonal charge blocks of the dense H, which it does not keep.
-There is one evolution: the charge blocks of an operator are rotated once
-into that eigenbasis, where exp(iHt) is the phase table
-``QuadraticModel.propagator(t)`` and tau_t multiplies block entry [m, n] by
-exp(i (E_m - E_n) t).  Every step takes and returns a ``DenseOperator``,
-whose blocks are in the site basis or, between ``eigenbasis_blocks`` and
-``site_blocks``, in the eigenbasis, so no evolution or check assembles the
-full d^L x d^L matrix.
+It takes one eigh per orbit of a charge-raising symmetry: every H built
+here commutes with some charge-1 B_xj (below), a phased permutation U
+that maps sector c onto sector c + 1, so one eigh of sector 0 gives every
+sector, sector c + 1 by the row gather U V_c.  Before a derived sector is
+used, the realized blocks are checked to obey H_{c+1,c+1} = U H_cc U^dag
+entrywise, and a ValueError is raised if they do not; an H with no such
+U falls back to one eigh per sector.  There is one evolution: the charge
+blocks of an operator are rotated once into that eigenbasis, where
+exp(iHt) is the phase table ``QuadraticModel.propagator(t)`` and tau_t
+multiplies block entry [m, n] by exp(i (E_m - E_n) t).  Every step takes
+and returns a ``DenseOperator``, whose blocks are in the site basis or,
+between ``eigenbasis_blocks`` and ``site_blocks``, in the eigenbasis, so
+no evolution or check assembles the full d^L x d^L matrix.
 
 The one-particle flow is read from the symbolic H.  The smeared field
 W(f) = sum_{x,j} f(x, j) B_xj lies in the span of B_xj = dressed_rs(x, j, 1),
@@ -34,13 +40,15 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .dense import ChainSpec, DenseOperator, gauge_unitary, op_norm, realize
+from .dense import ChainSpec, DenseOperator, gauge_unitary, monomial_action, op_norm, realize
 from .dressing import dressed_weyl, dressed_weyl_rs
 from .oneparticle import Hopping, OneParticleVector
 from .weyl import (
     AlgebraElement,
     GradingParams,
     WeylMonomial,
+    commutation_phase,
+    lattice_shift,
     mono_adjoint,
     mono_mul,
     phase_value,
@@ -66,13 +74,15 @@ class QuadraticModel:
     @property
     def hamiltonian(self) -> AlgebraElement:
         if self._hamiltonian is None:
-            pr, ch = self.params, self.chain
-            pairs = [
-                (a, mono_mul(dressed_weyl(z, 1, pr, ch), mono_adjoint(dressed_weyl(z + x, 1, pr, ch))))
-                for x, a in sorted(self.hopping.coefficients.items())
-                for z in range(max(0, -x), min(ch.L, ch.L - x))
-            ]
-            half = AlgebraElement.from_monomials(pairs, ch.d)
+            pr, L = self.params, self.chain.L
+            pairs = []
+            for x, a in sorted(self.hopping.coefficients.items()):
+                # the two strings cancel outside the bond, so it is built once
+                # on |x| + 1 sites and shifted to each of its places
+                bond_chain, z0 = ChainSpec(pr.d, abs(x) + 1), max(0, -x)
+                bond = mono_mul(dressed_weyl(z0, 1, pr, bond_chain), mono_adjoint(dressed_weyl(z0 + x, 1, pr, bond_chain)))
+                pairs += [(a, lattice_shift(bond, z - z0)) for z in range(z0, min(L, L - x))]
+            half = AlgebraElement.from_monomials(pairs, pr.d)
             self._hamiltonian = half + half.adjoint()
         return self._hamiltonian
 
@@ -81,15 +91,33 @@ class QuadraticModel:
         """H realized on its charge blocks, afresh on each call."""
         return realize(self.hamiltonian, self.chain)
 
+    def raising_symmetry(self) -> WeylMonomial | None:
+        """The first B_xj of ``span_basis`` (each of shift charge 1) that commutes with every monomial of H, or None.
+
+        Exact: ``commutation_phase`` is integer arithmetic.  At d = 2 with
+        j+ = j- (mod 2) it is the frozen second-flavour generator at site
+        0; the others found are end-site B_xj too.
+        """
+        basis, _ = span_basis(self.params, self.chain)
+        terms = [WeylMonomial(self.chain.d, key, 0) for key in self.hamiltonian.terms]
+        return next((b for b in basis if not any(commutation_phase(b, t) for t in terms)), None)
+
     @property
     def eigensystem(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Per-sector eigenvalues (d, m) and eigenvectors, one m x m array per sector, m = d^(L-1).
 
         Block c is H restricted to the basis states ``chain.sectors()[c]``.
         Raises ValueError unless H is hermitian and maps every charge sector
-        into itself; both checks run block by block.  H is realized for this
-        call only and each diagonal block is freed once its eigenvectors
-        exist, so a diagonalised model holds the eigenvectors and no copy of H.
+        into itself; both checks run block by block.  When H commutes with a
+        charge-raising U (``raising_symmetry``), only sector 0 is
+        diagonalised: H_{c+1,c+1} = U_{c+1,c} H_cc U_{c+1,c}^dag, so sector
+        c + 1 has the values of sector c and the vectors U_{c+1,c} V_c, a
+        phased row gather.  That premise is checked entrywise on the
+        realized blocks first, and a ValueError is raised if it fails.
+        Without such a U every sector has its own eigh.  H is realized for
+        this call only and each diagonal block is freed once it is no longer
+        needed, so a diagonalised model holds the eigenvectors and no copy
+        of H.
         """
         if self._eig is None:
             h = self.dense_hamiltonian
@@ -97,12 +125,31 @@ class QuadraticModel:
                 raise ValueError("dense Hamiltonian is not hermitian")
             if DenseOperator(h.chain, {(r, c): blk for (r, c), blk in h.blocks.items() if r != c}).max_abs() > 1e-12:
                 raise ValueError("dense Hamiltonian mixes charge sectors")
+            d, m = self.chain.d, self.chain.dim // self.chain.d
+            diagonal = [h.blocks.pop((c, c), None) for c in range(d)]
+            diagonal = [np.zeros((m, m), dtype=complex) if blk is None else blk for blk in diagonal]
+            raising = self.raising_symmetry()
+            if raising is not None:
+                rows, phases = monomial_action(raising, self.chain)
+                # U_{c+1,c} as a row gather: row r of U X is gain[c, r] X[source[c, r]]
+                source = np.argsort(rows, axis=1)
+                gain = np.take_along_axis(phases, source, axis=1)
+                for c in range(d - 1):
+                    want = diagonal[c][np.ix_(source[c], source[c])]
+                    want *= gain[c][:, None]
+                    want *= gain[c].conj()
+                    if np.abs(np.subtract(want, diagonal[c + 1], out=want)).max() > 1e-12:
+                        raise ValueError("dense Hamiltonian does not commute with its charge-raising symmetry")
+                    del want
+                del diagonal[1:]
             values, vectors = [], []
-            for c in range(self.chain.d):
-                blk = h.blocks.pop((c, c), None)
-                if blk is None:
-                    blk = np.zeros((self.chain.dim // self.chain.d,) * 2, dtype=complex)
-                w, v = np.linalg.eigh(blk)
+            for c in range(d):
+                if c < len(diagonal):
+                    w, v = np.linalg.eigh(diagonal[c])
+                    diagonal[c] = None
+                else:
+                    v = vectors[-1][source[c - 1]]
+                    v *= gain[c - 1][:, None]
                 values.append(w)
                 vectors.append(v)
             self._eig = np.array(values), tuple(vectors)

@@ -22,7 +22,7 @@ from grading_lab.dynamics import (
     span_residual,
 )
 from grading_lab.oneparticle import Hopping, OneParticleVector
-from grading_lab.weyl import AlgebraElement, GradingParams, WeylMonomial, commutation_phase
+from grading_lab.weyl import AlgebraElement, GradingParams, WeylMonomial, commutation_phase, mono_adjoint, mono_mul
 
 from test_dense import block_bits, signed_zero_blocks
 
@@ -102,6 +102,28 @@ class TestBuildHamiltonian:
                 if 0 <= z + x < L:
                     ref += 2j * a.imag * (g[z] @ g[z + x])
         assert np.abs(model.dense_hamiltonian.entries - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("L", [5, 9])
+    def test_bonds_match_dressed_products(self, d, L):
+        # each bond is built once on |x| + 1 sites and shifted into place: the
+        # same term keys, in the same order, with the same coefficient bytes
+        # as the product of the two full-chain dressed generators per bond
+        hopping = Hopping({0: 0.5, 1: 0.3 - 0.2j, -1: 0.3 + 0.2j, 3: 0.1j, -3: -0.1j})
+        chain = ChainSpec(d, L)
+        for j_plus in range(d):
+            for j_minus in range(d):
+                params = GradingParams(d, j_plus, j_minus)
+                pairs = [
+                    (a, mono_mul(dressed_weyl(z, 1, params, chain), mono_adjoint(dressed_weyl(z + x, 1, params, chain))))
+                    for x, a in sorted(hopping.coefficients.items())
+                    for z in range(max(0, -x), min(L, L - x))
+                ]
+                half = AlgebraElement.from_monomials(pairs, d)
+                want = half + half.adjoint()
+                got = QuadraticModel(chain, params, hopping).hamiltonian
+                assert list(got.terms) == list(want.terms)
+                assert np.array(list(got.terms.values())).tobytes() == np.array(list(want.terms.values())).tobytes()
 
     def test_support_too_large(self):
         with pytest.raises(ValueError):
@@ -193,6 +215,39 @@ def _charged_input(d, charges, seed):
     return AlgebraElement.from_monomials(pairs, d)
 
 
+GENERATOR_MODELS = pytest.mark.parametrize("L, hopping", [
+    (8, {1: -1j / 16, -1: 1j / 16}),
+    (7, {1: 0.0375 - 0.05j, -1: 0.0375 + 0.05j, 2: 0.03 + 0.02j, -2: 0.03 - 0.02j}),
+    (4, {3: -0.5j, -3: 0.5j, 1: 0.25, -1: 0.25}),
+    (10, {1: -0.0625j, -1: 0.0625j}),
+    (40, {1: -0.0625j, -1: 0.0625j}),
+], ids=["nn", "nnn_complex", "range_3", "evolve_d2", "L40"])
+
+
+def counted_eigh(monkeypatch):
+    """Replace np.linalg.eigh by a wrapper that appends each input's shape to the returned list."""
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def assert_exact_eigensystem(model, blocks):
+    """Every sector's eigenpairs solve its realized block (absent: zero) to 1e-12, with orthonormal vectors and the eigvalsh spectrum."""
+    values, vectors = model.eigensystem
+    zero = np.zeros((values.shape[1],) * 2, dtype=complex)
+    for c in range(model.chain.d):
+        h, v, w = blocks.get((c, c), zero), vectors[c], values[c]
+        assert np.abs(h @ v - v * w).max() <= 1e-12
+        assert np.abs(v.conj().T @ v - np.eye(len(w))).max() <= 1e-12
+        assert np.abs(w - np.linalg.eigvalsh(h)).max() <= 1e-12
+
+
 class TestSectorBlocks:
     @pytest.mark.parametrize("d, L, hopping", [
         (2, 4, IM_NN),
@@ -251,16 +306,74 @@ class TestSectorBlocks:
         (2, 4, IM_NN),
         (3, 3, Hopping({1: 0.5 - 0.25j, -1: 0.5 + 0.25j})),
     ])
-    def test_eigensystem_is_per_sector_eigh(self, d, L, hopping):
-        # bit for bit the eigh of each realized diagonal block, in sector order
+    def test_eigensystem_derives_sectors_from_sector_0(self, d, L, hopping):
+        # sector 0 is bit for bit the eigh of its realized block; every other
+        # sector is reached through the charge-raising symmetry, so it has
+        # the values of its source byte for byte and vectors that diagonalise
+        # its own realized block
         model = QuadraticModel(ChainSpec(d, L), GradingParams(d, 1, 1), hopping)
         blocks = model.dense_hamiltonian.blocks
         values, vectors = model.eigensystem
         assert values.shape == (d, d ** (L - 1)) and len(vectors) == d
+        w, v = np.linalg.eigh(blocks[0, 0])
+        assert values[0].tobytes() == w.tobytes()
+        assert vectors[0].tobytes() == v.tobytes()
+        for c in range(1, d):
+            assert values[c].tobytes() == values[c - 1].tobytes()
+        assert_exact_eigensystem(model, blocks)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @GENERATOR_MODELS
+    def test_one_eigh_per_eigensystem(self, monkeypatch, d, L, hopping):
+        # every buildable H commutes with a charge-1 B_xj, so one eigh serves
+        # all d sectors, for every (j+, j-)
+        L = min(L, {2: 10, 3: 5, 4: 4}[d])
+        calls = counted_eigh(monkeypatch)
+        for j_plus in range(d):
+            for j_minus in range(d):
+                model = QuadraticModel(ChainSpec(d, L), GradingParams(d, j_plus, j_minus), Hopping(hopping))
+                assert model.raising_symmetry() is not None
+                calls.clear()
+                model.eigensystem
+                assert calls == [(d ** (L - 1),) * 2]
+                assert_exact_eigensystem(model, model.dense_hamiltonian.blocks)
+
+    @pytest.mark.parametrize("d, L", [(2, 6), (3, 4)])
+    def test_no_raising_symmetry_falls_back_to_one_eigh_per_sector(self, monkeypatch, d, L):
+        # a clock field W_x(1, 0) + h.c. on every site fails to commute with
+        # every B_xj (W_x(j, 1) at site x): each sector has its own eigh, bit
+        # for bit that of its realized block
+        params = GradingParams(d, 1, 1)
+        model = QuadraticModel(ChainSpec(d, L), params, Hopping({1: 0.3 - 0.2j, -1: 0.3 + 0.2j}))
+        field = AlgebraElement.from_monomials(
+            [(0.1 * (x + 1), WeylMonomial.single(d, x, 1, 0)) for x in range(L)], d
+        )
+        model._hamiltonian = model.hamiltonian + field + field.adjoint()
+        assert model.raising_symmetry() is None
+        blocks = model.dense_hamiltonian.blocks
+        eigh = np.linalg.eigh
+        calls = counted_eigh(monkeypatch)
+        values, vectors = model.eigensystem
+        assert calls == [(d ** (L - 1),) * 2] * d
         for c in range(d):
-            w, v = np.linalg.eigh(blocks[c, c])
+            w, v = eigh(blocks[c, c])
             assert values[c].tobytes() == w.tobytes()
             assert vectors[c].tobytes() == v.tobytes()
+
+    def test_broken_raising_symmetry_rejected(self, monkeypatch):
+        # block (1, 1) moved by a hermitian 1e-9 passes the hermiticity and
+        # sector checks, but no longer equals U H_00 U^dag
+        model = QuadraticModel(ChainSpec(2, 4), D2, IM_NN)
+        realize_h = dynamics.realize
+
+        def realize_shifted(a, chain):
+            h = realize_h(a, chain)
+            h.blocks[1, 1][0, 0] += 1e-9
+            return h
+
+        monkeypatch.setattr(dynamics, "realize", realize_shifted)
+        with pytest.raises(ValueError, match="charge-raising symmetry"):
+            model.eigensystem
 
     def test_eigensystem_working_set(self):
         # the realized H, one hermiticity temporary at a time and the
@@ -493,13 +606,6 @@ class TestSpanResidual:
         assert all(abs(c - f.position[j, x]) <= 1e-15 for (x, j), c in coeffs.items())
 
 
-GENERATOR_MODELS = pytest.mark.parametrize("L, hopping", [
-    (8, {1: -1j / 16, -1: 1j / 16}),
-    (7, {1: 0.0375 - 0.05j, -1: 0.0375 + 0.05j, 2: 0.03 + 0.02j, -2: 0.03 - 0.02j}),
-    (4, {3: -0.5j, -3: 0.5j, 1: 0.25, -1: 0.25}),
-    (10, {1: -0.0625j, -1: 0.0625j}),
-    (40, {1: -0.0625j, -1: 0.0625j}),
-], ids=["nn", "nnn_complex", "range_3", "evolve_d2", "L40"])
 
 
 class TestGenerator:
