@@ -52,7 +52,7 @@ from .dynamics import (
     smear,
     span_residual,
 )
-from .oneparticle import Hopping, OneParticleVector
+from .oneparticle import Hopping
 from .weyl import (
     AlgebraElement,
     GradingParams,
@@ -270,7 +270,8 @@ def cmd_evolve(cfg: ExperimentConfig, out: str, cap: int) -> int:
         if L < 2:
             raise ConfigError(f"evolve needs l >= 2 (the initial field sits at sites l // 2 - 1 and l // 2), got l = {L}")
         model = QuadraticModel(chain, params, Hopping(cfg.hopping))
-        f0 = OneParticleVector.from_amplitudes(d, d * L, {(L // 2 - 1, 0): 1.0, (L // 2, 0): 0.5})
+        f0 = np.zeros((d, L), dtype=complex)
+        f0[0, L // 2 - 1 : L // 2 + 1] = 1.0, 0.5
         field = smear(f0, params, chain)
     # the prediction W(exp(tM) f0) exists unless H moves the field out of its span (d >= 3)
     m = generator(model)
@@ -367,7 +368,7 @@ def cmd_block(cfg: ExperimentConfig, out: str, cap: int) -> int:
 
 
 def _read_table(path: str) -> tuple[list[str], list[list[str]]]:
-    """Header and non-blank rows of a CSV; ValueError if a row is short."""
+    """Header and non-blank rows of a CSV; ValueError if a row is not as wide as the header."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         table = [(reader.line_num, cells) for cells in reader if cells]
@@ -375,7 +376,7 @@ def _read_table(path: str) -> tuple[list[str], list[list[str]]]:
         raise ValueError(f"{path}: empty file")
     (_, header), *body = table
     for line, cells in body:
-        if len(cells) < len(header):
+        if len(cells) != len(header):
             raise ValueError(f"{path}, line {line}: {len(cells)} cells, header has {len(header)}")
     return header, [cells for _, cells in body]
 

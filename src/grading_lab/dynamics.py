@@ -9,13 +9,11 @@ self-adjoint by construction.  It therefore commutes with the gauge
 unitary and splits into d charge sectors of d^(L-1) states each.  Every
 evolution uses one cached per-sector eigendecomposition per model, read
 from the diagonal charge blocks of the dense H, which it does not keep.
-It takes one eigh per orbit of a charge-raising symmetry: every H built
-here commutes with some charge-1 B_xj (below), a phased permutation U
-that maps sector c onto sector c + 1, so one eigh of sector 0 gives every
-sector, sector c + 1 by the row gather U V_c.  Before a derived sector is
-used, the realized blocks are checked to obey H_{c+1,c+1} = U H_cc U^dag
-entrywise, and a ValueError is raised if they do not; an H with no such
-U falls back to one eigh per sector.  There is one evolution: the charge
+It takes one eigh, of sector 0: every H built here commutes with some
+charge-1 B_xj (below), a phased permutation U that maps sector c onto
+sector c + 1, whose vectors are the row gather U V_c.  An H with no such
+U, or whose realized blocks break H_{c+1,c+1} = U H_cc U^dag entrywise,
+raises ValueError before any eigh.  There is one evolution: the charge
 blocks of an operator are rotated once into that eigenbasis, where
 exp(iHt) is the phase table ``QuadraticModel.propagator(t)`` and tau_t
 multiplies block entry [m, n] by exp(i (E_m - E_n) t).  Every step takes
@@ -23,11 +21,13 @@ and returns a ``DenseOperator``, whose blocks are in the site basis or,
 between ``eigenbasis_blocks`` and ``site_blocks``, in the eigenbasis, so
 no evolution or check assembles the full d^L x d^L matrix.
 
-The one-particle flow is read from the symbolic H.  The smeared field
-W(f) = sum_{x,j} f(x, j) B_xj lies in the span of B_xj = dressed_rs(x, j, 1),
-listed once per (params, chain) by ``span_basis``;
-when every i[H, B_k] stays in that span, its coefficients are the columns
-of the generator M and tau_t(W(f)) = W(exp(tM) f) on the open chain.  At
+The one-particle flow is read from the symbolic H.  For a (d, N) array
+f[j, x], zero past the chain, the smeared field W(f) = sum_{x,j} f[j, x] B_xj
+lies in the span of B_xj = dressed_rs(x, j, 1), listed once per
+(params, chain) by ``span_basis`` in the order k = j * L + x of
+f[:, :L].ravel(); when every i[H, B_k] stays in that span, its coefficient
+vectors (``span_split``) are the columns of the generator M and
+tau_t(W(f)) = W(exp(tM) f) on the open chain.  At
 d = 2 this is the Lieb-Schultz-Mattis reduction; at d >= 3 the span is not
 invariant and there is no generator.
 """
@@ -42,7 +42,7 @@ import numpy as np
 
 from .dense import ChainSpec, DenseOperator, gauge_unitary, monomial_action, op_norm, realize
 from .dressing import dressed_weyl, dressed_weyl_rs
-from .oneparticle import Hopping, OneParticleVector
+from .oneparticle import Hopping
 from .weyl import (
     AlgebraElement,
     GradingParams,
@@ -107,19 +107,20 @@ class QuadraticModel:
         """Per-sector eigenvalues (d, m) and eigenvectors, one m x m array per sector, m = d^(L-1).
 
         Block c is H restricted to the basis states ``chain.sectors()[c]``.
-        Raises ValueError unless H is hermitian and maps every charge sector
-        into itself; both checks run block by block.  When H commutes with a
-        charge-raising U (``raising_symmetry``), only sector 0 is
-        diagonalised: H_{c+1,c+1} = U_{c+1,c} H_cc U_{c+1,c}^dag, so sector
-        c + 1 has the values of sector c and the vectors U_{c+1,c} V_c, a
-        phased row gather.  That premise is checked entrywise on the
-        realized blocks first, and a ValueError is raised if it fails.
-        Without such a U every sector has its own eigh.  H is realized for
-        this call only and each diagonal block is freed once it is no longer
-        needed, so a diagonalised model holds the eigenvectors and no copy
-        of H.
+        Only sector 0 is diagonalised.  Every H that ``hamiltonian`` builds
+        commutes with a charge-raising U (``raising_symmetry``), so
+        H_{c+1,c+1} = U_{c+1,c} H_cc U_{c+1,c}^dag and sector c + 1 has the
+        values of sector c and the vectors U_{c+1,c} V_c, a phased row
+        gather.  Raises ValueError, before any eigh, when H has no such U,
+        is not hermitian, mixes charge sectors, or breaks that premise
+        entrywise on the realized blocks.  H is realized for this call only
+        and each diagonal block is freed once it is no longer needed, so a
+        diagonalised model holds the eigenvectors and no copy of H.
         """
         if self._eig is None:
+            raising = self.raising_symmetry()
+            if raising is None:
+                raise ValueError("Hamiltonian has no charge-raising symmetry")
             h = self.dense_hamiltonian
             if h.hermiticity_defect() > 1e-12:
                 raise ValueError("dense Hamiltonian is not hermitian")
@@ -128,31 +129,25 @@ class QuadraticModel:
             d, m = self.chain.d, self.chain.dim // self.chain.d
             diagonal = [h.blocks.pop((c, c), None) for c in range(d)]
             diagonal = [np.zeros((m, m), dtype=complex) if blk is None else blk for blk in diagonal]
-            raising = self.raising_symmetry()
-            if raising is not None:
-                rows, phases = monomial_action(raising, self.chain)
-                # U_{c+1,c} as a row gather: row r of U X is gain[c, r] X[source[c, r]]
-                source = np.argsort(rows, axis=1)
-                gain = np.take_along_axis(phases, source, axis=1)
-                for c in range(d - 1):
-                    want = diagonal[c][np.ix_(source[c], source[c])]
-                    want *= gain[c][:, None]
-                    want *= gain[c].conj()
-                    if np.abs(np.subtract(want, diagonal[c + 1], out=want)).max() > 1e-12:
-                        raise ValueError("dense Hamiltonian does not commute with its charge-raising symmetry")
-                    del want
-                del diagonal[1:]
-            values, vectors = [], []
-            for c in range(d):
-                if c < len(diagonal):
-                    w, v = np.linalg.eigh(diagonal[c])
-                    diagonal[c] = None
-                else:
-                    v = vectors[-1][source[c - 1]]
-                    v *= gain[c - 1][:, None]
-                values.append(w)
+            rows, phases = monomial_action(raising, self.chain)
+            # U_{c+1,c} as a row gather: row r of U X is gain[c, r] X[source[c, r]]
+            source = np.argsort(rows, axis=1)
+            gain = np.take_along_axis(phases, source, axis=1)
+            for c in range(d - 1):
+                want = diagonal[c][np.ix_(source[c], source[c])]
+                want *= gain[c][:, None]
+                want *= gain[c].conj()
+                if np.abs(np.subtract(want, diagonal[c + 1], out=want)).max() > 1e-12:
+                    raise ValueError("dense Hamiltonian does not commute with its charge-raising symmetry")
+                del want
+            del diagonal[1:]
+            w, v = np.linalg.eigh(diagonal.pop())
+            vectors = [v]
+            for c in range(1, d):
+                v = vectors[-1][source[c - 1]]
+                v *= gain[c - 1][:, None]
                 vectors.append(v)
-            self._eig = np.array(values), tuple(vectors)
+            self._eig = np.array([w] * d), tuple(vectors)
         return self._eig
 
     def propagator(self, t: float) -> np.ndarray:
@@ -205,40 +200,49 @@ def heisenberg_evolve(a: AlgebraElement | DenseOperator, model: QuadraticModel, 
 
 @functools.cache
 def span_basis(params: GradingParams, chain: ChainSpec) -> tuple[tuple[WeylMonomial, ...], MappingProxyType]:
-    """The d * L monomials B_xj = dressed_rs(x, j, 1) in index order k = j * L + x, and a read-only key -> (x, j) index."""
+    """The d * L monomials B_xj = dressed_rs(x, j, 1) in index order k = j * L + x, and a read-only key -> k index."""
     basis = tuple(dressed_weyl_rs(x, j, 1, params, chain) for j in range(params.d) for x in range(chain.L))
-    return basis, MappingProxyType({b.key(): (k % chain.L, k // chain.L) for k, b in enumerate(basis)})
+    return basis, MappingProxyType({b.key(): k for k, b in enumerate(basis)})
 
 
-def smear(f: OneParticleVector, params: GradingParams, chain: ChainSpec) -> AlgebraElement:
-    """Smeared charge-1 field: sum_{x,j} f(x,j) B_xj, each B_xj taken from ``span_basis``."""
-    if f.d != params.d:
-        raise ValueError("charge index dimension differs from qudit dimension")
+def _chain_vector(f: np.ndarray, d: int, n: int) -> np.ndarray:
+    """The (d, N) array f[j, x] as the length-n vector f[:, :L].ravel() over ``span_basis``, L = n / d.
+
+    ValueError unless f has d rows, d divides n, N >= L and f is 0 past site L - 1.
+    """
+    f = np.asarray(f, dtype=complex)
+    L = n // d
+    if f.ndim != 2 or len(f) != d or d * L != n:
+        raise ValueError(f"amplitudes of shape {f.shape} do not fill {n} modes of {d} flavours")
+    if f.shape[1] < L:
+        raise ValueError(f"amplitudes on {f.shape[1]} sites, chain has {L}")
+    outside = np.flatnonzero(f[:, L:].any(axis=0))
+    if outside.size:
+        raise ValueError(f"amplitude at site {L + outside[0]} outside chain 0..{L - 1}")
+    return f[:, :L].reshape(-1)
+
+
+def smear(f: np.ndarray, params: GradingParams, chain: ChainSpec) -> AlgebraElement:
+    """Smeared charge-1 field of the (d, N) array f: sum_k f_k B_k over the B_k of ``span_basis``."""
     basis, _ = span_basis(params, chain)
-    pairs = []
-    for j in range(f.d):
-        for x in range(f.N):
-            a = f.position[j, x]
-            if a == 0:
-                continue
-            if x >= chain.L:
-                raise ValueError(f"amplitude at site {x} outside chain 0..{chain.L - 1}")
-            pairs.append((a, basis[j * chain.L + x]))
+    pairs = [(a, b) for a, b in zip(_chain_vector(f, params.d, len(basis)), basis) if a != 0]
     return AlgebraElement.from_monomials(pairs, params.d)
 
 
-def span_split(a: AlgebraElement, params: GradingParams, chain: ChainSpec) -> tuple[dict[tuple[int, int], complex], float]:
-    """Coefficients of a on B_xj = dressed_rs(x, j, 1), and the weight of a outside their span.
+def span_split(a: AlgebraElement, params: GradingParams, chain: ChainSpec) -> tuple[np.ndarray, float]:
+    """Coefficients of a on the B_k of ``span_basis``, a length-d*L vector, and the weight of a outside their span.
 
     Distinct monomials are Hilbert-Schmidt orthogonal with squared norm d^L, so
     both are read from the labels through the key index of ``span_basis``:
-    c_xj is the coefficient at the label of B_xj over the phase of B_xj, and
+    c_k is the coefficient at the label of B_k over the phase of B_k, and
     the weight ||rest||^2 / d^L sums |coefficient|^2 over every other label.
     Nothing is built or realized.
     """
     basis, index = span_basis(params, chain)
-    inside = [(index[key], c) for key, c in a.terms.items() if key in index]
-    coeffs = {(x, j): c / basis[j * chain.L + x].phase_factor() for (x, j), c in inside}
+    coeffs = np.zeros(len(basis), dtype=complex)
+    for key, c in a.terms.items():
+        if key in index:
+            coeffs[index[key]] = c / basis[index[key]].phase_factor()
     return coeffs, sum(abs(c) ** 2 for key, c in a.terms.items() if key not in index)
 
 
@@ -254,36 +258,23 @@ def generator(model: QuadraticModel) -> np.ndarray | None:
     basis, _ = span_basis(pr, ch)
     m = np.zeros((len(basis),) * 2, dtype=complex)
     for k, b in enumerate(basis):
-        coeffs, outside = span_split(model.hamiltonian.commutator(b.as_element()).scale(1j), pr, ch)
+        m[:, k], outside = span_split(model.hamiltonian.commutator(b.as_element()).scale(1j), pr, ch)
         if outside:
             return None
-        for (x, j), c in coeffs.items():
-            m[j * ch.L + x, k] = c
     return m
 
 
-def one_particle_flow(m: np.ndarray, f: OneParticleVector, t_grid) -> list[OneParticleVector]:
-    """exp(tM) f on the chain sites of f, for each t, from one eigh of iM (M antihermitian to 1e-12, as i ad_H is).
+def one_particle_flow(m: np.ndarray, f: np.ndarray, t_grid) -> list[np.ndarray]:
+    """exp(tM) f on the chain of M, one (d, L) array per t, from one eigh of iM (M antihermitian to 1e-12, as i ad_H is).
 
-    Raises ValueError when f has fewer sites than the chain of M, or an
-    amplitude on a site past it.
+    f is a (d, N) array, d dividing the order d * L of M, checked as ``smear`` checks it.
     """
     if np.abs(m + m.conj().T).max() > 1e-12:
         raise ValueError("one-particle generator is not antihermitian")
-    L = m.shape[0] // f.d
-    if f.N < L:
-        raise ValueError(f"amplitudes on {f.N} sites, chain has {L}")
-    outside = np.flatnonzero(f.position[:, L:].any(axis=0))
-    if outside.size:
-        raise ValueError(f"amplitude at site {L + outside[0]} outside chain 0..{L - 1}")
+    f0 = _chain_vector(f, len(f), len(m))
     w, v = np.linalg.eigh(1j * m)
-    c0 = v.conj().T @ f.position[:, :L].reshape(-1)
-    flows = []
-    for t in t_grid:
-        position = np.zeros_like(f.position)
-        position[:, :L] = (v @ (np.exp(-1j * t * w) * c0)).reshape(f.d, L)
-        flows.append(OneParticleVector(f.d, f.N, position))
-    return flows
+    c0 = v.conj().T @ f0
+    return [(v @ (np.exp(-1j * t * w) * c0)).reshape(len(f), -1) for t in t_grid]
 
 
 @dataclass
@@ -416,8 +407,8 @@ def claimed_commutator_audit(model: QuadraticModel, x: int, z: int) -> list[Audi
     return rows
 
 
-def span_residual(model: QuadraticModel, f: OneParticleVector) -> tuple[float, dict[tuple[int, int], complex]]:
-    """Relative Hilbert-Schmidt residual of i[H, W(f)] outside span{dressed_rs(x, j, 1)}, and its coefficients on it.
+def span_residual(model: QuadraticModel, f: np.ndarray) -> tuple[float, np.ndarray]:
+    """Relative Hilbert-Schmidt residual of i[H, W(f)] outside span{dressed_rs(x, j, 1)}, and its coefficient vector on it.
 
     Read from the labels by ``span_split``.  Residual 0 means the quasifree
     reduction closes exactly on this chain.

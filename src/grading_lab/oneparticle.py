@@ -1,11 +1,11 @@
-"""One-particle layer: hopping amplitudes, amplitude vectors, shifts, power-law fits.
+"""One-particle layer: hopping amplitudes, shifts, power-law fits.
 
-Amplitudes f(x, j) live on N sites (N a multiple of d) with a charge
-index j in 0..d-1.  The quasifree flow of the lab is the open chain's
-exp(tM), computed by ``dynamics.one_particle_flow`` on the first L sites.
-The momentum form, N uniform samples per charge of
-f_hat(p_k) = sum_x f(x) exp(-2i*pi*k*x/N), reads the N sites as a torus;
-the fractional shifts of acceptance 7 act on it.
+An amplitude is a (d, N) complex array f[j, x], charge j in 0..d-1.  The
+lab's quasifree flow is the open chain's exp(tM) on the first L <= N sites
+(``dynamics.one_particle_flow``), acting on f[:, :L].ravel(), the index
+k = j * L + x of ``dynamics.span_basis``.  The torus routines here read the
+N sites as a torus and take the momentum form
+f_hat(p_k) = sum_x f(x) exp(-2i*pi*k*x/N) as ``np.fft.fft(f, axis=1)``.
 """
 
 from __future__ import annotations
@@ -60,66 +60,34 @@ def symbol(h: Hopping, N: int) -> np.ndarray:
 
 
 class OneParticleVector:
-    """Finitely supported amplitude f(x, j) with a momentum-grid form."""
+    """Only ``from_amplitudes``, kept for ``perfbench/make_reference.py`` as ``symbol`` and ``evolve`` are for the tracer.
 
-    __slots__ = ("d", "N", "position")
-
-    def __init__(self, d: int, N: int, position: np.ndarray):
-        if N % d != 0:
-            raise ValueError(f"grid size {N} not divisible by d={d}")
-        self.d = d
-        self.N = N
-        self.position = np.asarray(position, dtype=complex).reshape(d, N)
+    An amplitude is a plain (d, N) array; ROADMAP item 1 deletes this class.
+    """
 
     @staticmethod
-    def from_amplitudes(d: int, N: int, amplitudes: dict[tuple[int, int], complex]) -> "OneParticleVector":
-        pos = np.zeros((d, N), dtype=complex)
+    def from_amplitudes(d: int, N: int, amplitudes: dict[tuple[int, int], complex]) -> np.ndarray:
+        """The (d, N) array f[j, x] holding each amplitude at (x, j), x taken mod N and j mod d."""
+        f = np.zeros((d, N), dtype=complex)
         for (x, j), a in amplitudes.items():
-            pos[j % d, x % N] += a
-        return OneParticleVector(d, N, pos)
-
-    @staticmethod
-    def from_momentum(d: int, N: int, momentum: np.ndarray) -> "OneParticleVector":
-        """Inverse of ``momentum``; ``evolve`` and acceptance 7 build vectors from momentum samples."""
-        mom = np.asarray(momentum, dtype=complex).reshape(d, N)
-        return OneParticleVector(d, N, np.fft.ifft(mom, axis=1))
-
-    @property
-    def momentum(self) -> np.ndarray:
-        """(d, N) samples of f_hat(p_k) per charge, p_k = k/N; read by ``evolve`` and acceptance 7."""
-        return np.fft.fft(self.position, axis=1)
-
-    def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.position))
-
-    def sup_abs(self) -> float:
-        return float(np.abs(self.position).max())
-
-    def amplitude(self, x: int, j: int = 0) -> complex:
-        return complex(self.position[j % self.d, x % self.N])
-
-    def isclose(self, other: "OneParticleVector", tol: float = 1e-12) -> bool:
-        return (
-            self.d == other.d
-            and self.N == other.N
-            and float(np.abs(self.position - other.position).max()) <= tol
-        )
+            f[j % d, x % N] += a
+        return f
 
 
-def evolve(f: OneParticleVector, h: Hopping, t: float) -> OneParticleVector:
-    """Torus flow: multiply each charge component by exp(i*h_hat(p)*t).
+def evolve(f: np.ndarray, h: Hopping, t: float) -> np.ndarray:
+    """Torus flow of the (d, N) array f: multiply each charge component's momentum form by exp(i*h_hat(p)*t).
 
     Kept only because ``perfbench/tracer.py`` binds it in ``TARGETS``; no
     command, acceptance criterion or cross-check reads it.  The lab's flow
     is the open chain's exp(tM) (``dynamics.one_particle_flow``).
     """
-    mult = np.exp(1j * symbol(h, f.N) * t)
-    return OneParticleVector.from_momentum(f.d, f.N, f.momentum * mult[None, :])
+    mult = np.exp(1j * symbol(h, np.shape(f)[1]) * t)
+    return np.fft.ifft(np.fft.fft(f, axis=1) * mult, axis=1)
 
 
-def particle_shift(f: OneParticleVector, n: int) -> OneParticleVector:
-    """Integer lattice translation f(x) -> f(x - n) on the torus."""
-    return OneParticleVector(f.d, f.N, np.roll(f.position, n, axis=1))
+def particle_shift(f: np.ndarray, n: int) -> np.ndarray:
+    """Integer lattice translation f(x) -> f(x - n) of the (d, N) array f on the torus."""
+    return np.roll(f, n, axis=1)
 
 
 def fit_power_law(times: np.ndarray, values: np.ndarray, window: tuple[float, float]) -> float:
@@ -134,8 +102,8 @@ def fit_power_law(times: np.ndarray, values: np.ndarray, window: tuple[float, fl
     return float(slope)
 
 
-def fractional_shift(f: OneParticleVector, delta: float, twist: int) -> OneParticleVector:
-    """Continuously extended shift by delta with a charge-twist convention.
+def fractional_shift(f: np.ndarray, delta: float, twist: int) -> np.ndarray:
+    """Continuously extended shift of the (d, N) array f by delta, with a charge-twist convention.
 
     twist != 0 (the d-twisted, Fermi-type convention): the charge index is
     interleaved into a refined lattice with spacing 1/d (charge j sits at
@@ -149,23 +117,22 @@ def fractional_shift(f: OneParticleVector, delta: float, twist: int) -> OneParti
     exp(2i*pi*(delta)*q/d) on charge q.  The family fails the group law at
     integer crossings by the sector phase exp(2i*pi*q/d).
     """
-    d, N = f.d, f.N
+    d, N = np.shape(f)
     twist = twist % d
     if twist == 0:
         n = int(np.floor(delta))
         frac = delta - n
-        out = np.roll(f.position, n, axis=1)
         phases = np.exp(2j * np.pi * frac * np.arange(d) / d)
-        return OneParticleVector(d, N, phases[:, None] * out)
+        return phases[:, None] * np.roll(f, n, axis=1)
     if d > 2 and np.gcd(twist, d) != 1:
         raise ValueError(f"twist {twist} shares a factor with d={d}; refined lattice degenerate")
     refined = np.zeros(N * d, dtype=complex)
     for j in range(d):
-        refined[(twist * j) % d :: d] = f.position[j]
+        refined[(twist * j) % d :: d] = f[j]
     spectrum = np.fft.fft(refined)
     spectrum *= np.exp(-2j * np.pi * np.fft.fftfreq(N * d) * d * delta)
     refined = np.fft.ifft(spectrum)
     out = np.empty((d, N), dtype=complex)
     for j in range(d):
         out[j] = refined[(twist * j) % d :: d]
-    return OneParticleVector(d, N, out)
+    return out

@@ -15,7 +15,7 @@ from grading_lab.config import ConfigError, ExperimentConfig, load_config, parse
 from grading_lab.dense import ChainSpec, DenseOperator, realize
 from grading_lab.dressing import dressed_weyl, dressed_weyl_rs
 from grading_lab.dynamics import QuadraticModel, generator, smear, span_residual
-from grading_lab.oneparticle import Hopping, OneParticleVector
+from grading_lab.oneparticle import Hopping
 from grading_lab.weyl import GradingParams, WeylMonomial
 
 from test_dense import forbid_full_matrix
@@ -423,6 +423,12 @@ class TestReportErrors:
         src.write_text("relation_id,tier,status,deviation\ngroup_law,exact,EXACT,0\nunit_norm,exact\n")
         self._report(tmp_path, capsys, src)
 
+    def test_long_row_exits_2(self, tmp_path, capsys):
+        # a row wider than the header is not one the tool writes
+        src = tmp_path / "long.csv"
+        src.write_text("quantity,value\nx,1,999\n")
+        self._report(tmp_path, capsys, src)
+
 
 class TestEvolveCommand:
     def test_small_free_run(self, tmp_path):
@@ -472,9 +478,9 @@ class TestEvolveCommand:
         # adjoint, which holds for a hermitian field only: a field with one
         # generator scaled by 1j stops the run before any flow column is written
         def skewed(f, params, chain):
-            position = f.position.copy()
-            position[0, np.flatnonzero(position[0])[0]] *= 1j
-            return smear(OneParticleVector(f.d, f.N, position), params, chain)
+            f = f.copy()
+            f[0, np.flatnonzero(f[0])[0]] *= 1j
+            return smear(f, params, chain)
 
         monkeypatch.setattr(cli, "smear", skewed)
         cfg = tmp_path / "e.cfg"
@@ -614,7 +620,8 @@ def _per_t_evolve_rows(cfg):
     params = GradingParams(d, cfg.j_plus, cfg.j_minus)
     chain = ChainSpec(d, L)
     model = QuadraticModel(chain, params, Hopping(cfg.hopping))
-    f0 = OneParticleVector.from_amplitudes(d, ((L + d - 1) // d) * d, {(L // 2 - 1, 0): 1.0, (L // 2, 0): 0.5})
+    f0 = np.zeros((d, L), dtype=complex)
+    f0[0, L // 2 - 1 : L // 2 + 1] = 1.0, 0.5
     res, _ = span_residual(model, f0)
     h = model.dense_hamiltonian.entries
     a0 = realize(smear(f0, params, chain), chain).entries
@@ -633,9 +640,9 @@ def _per_t_evolve_rows(cfg):
         u = scipy.linalg.expm(1j * t * h)
         flow = float("nan")
         if d == 2:
-            position = f0.position.copy()
-            position[0, :L] = scipy.linalg.expm(t * k) @ position[0, :L]
-            pred = realize(smear(OneParticleVector(d, f0.N, position), params, chain), chain)
+            ft = f0.copy()
+            ft[0] = scipy.linalg.expm(t * k) @ f0[0]
+            pred = realize(smear(ft, params, chain), chain)
             flow = float(np.abs(u @ a0 @ u.conj().T - pred.entries).max())
         lhs, fa, fb = (u @ m @ u.conj().T for m in (clock, ma, mb))
         rec = float(np.linalg.norm(lhs - cmath.exp(2j * cmath.pi / d) * (fa @ fb)))

@@ -1,6 +1,8 @@
 """Heisenberg dynamics: Hamiltonian structure, flows, audits, residuals."""
 
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from grading_lab.dynamics import (
     smear,
     span_residual,
 )
-from grading_lab.oneparticle import Hopping, OneParticleVector
+from grading_lab.oneparticle import Hopping
 from grading_lab.weyl import AlgebraElement, GradingParams, WeylMonomial, commutation_phase, mono_adjoint, mono_mul
 
 from test_dense import block_bits, signed_zero_blocks
@@ -33,6 +35,14 @@ IM_NN = Hopping({1: -1j / 16, -1: 1j / 16})
 
 def d2_model(L=8):
     return QuadraticModel(ChainSpec(2, L), D2, IM_NN)
+
+
+def amplitudes(d, N, values):
+    """The (d, N) amplitude array f with f[j, x] = values[x, j]."""
+    f = np.zeros((d, N), dtype=complex)
+    for (x, j), a in values.items():
+        f[j, x] = a
+    return f
 
 
 def program_evolution(model, a, times):
@@ -182,7 +192,7 @@ class TestHeisenbergEvolve:
         # dense flow of the charge-0-flavor field equals the smeared field of
         # the open chain's one-particle flow exp(tM) f0 (see TestGenerator)
         model = d2_model(8)
-        f0 = OneParticleVector.from_amplitudes(2, 8, {(3, 0): 1.0, (4, 0): 0.5 - 0.25j})
+        f0 = amplitudes(2, 8, {(3, 0): 1.0, (4, 0): 0.5 - 0.25j})
         a0 = realize(smear(f0, D2, model.chain), model.chain)
         times = (0.5, 1.5)
         flows = dynamics.one_particle_flow(generator(model), f0, times)
@@ -197,7 +207,7 @@ class TestHeisenbergEvolve:
     def test_orthogonal_flavor_frozen(self):
         # the charge-1 flavor generators commute with the d=2 Hamiltonian
         model = d2_model(6)
-        f1 = OneParticleVector.from_amplitudes(2, 6, {(2, 1): 1.0})
+        f1 = amplitudes(2, 6, {(2, 1): 1.0})
         a = realize(smear(f1, D2, model.chain), model.chain)
         (got,) = program_evolution(model, a, [2.0])
         assert np.abs(got.entries - a.entries).max() < 1e-12
@@ -339,10 +349,9 @@ class TestSectorBlocks:
                 assert_exact_eigensystem(model, model.dense_hamiltonian.blocks)
 
     @pytest.mark.parametrize("d, L", [(2, 6), (3, 4)])
-    def test_no_raising_symmetry_falls_back_to_one_eigh_per_sector(self, monkeypatch, d, L):
+    def test_no_raising_symmetry_rejected(self, monkeypatch, d, L):
         # a clock field W_x(1, 0) + h.c. on every site fails to commute with
-        # every B_xj (W_x(j, 1) at site x): each sector has its own eigh, bit
-        # for bit that of its realized block
+        # every B_xj (W_x(j, 1) at site x): such an H is rejected before any eigh
         params = GradingParams(d, 1, 1)
         model = QuadraticModel(ChainSpec(d, L), params, Hopping({1: 0.3 - 0.2j, -1: 0.3 + 0.2j}))
         field = AlgebraElement.from_monomials(
@@ -350,15 +359,10 @@ class TestSectorBlocks:
         )
         model._hamiltonian = model.hamiltonian + field + field.adjoint()
         assert model.raising_symmetry() is None
-        blocks = model.dense_hamiltonian.blocks
-        eigh = np.linalg.eigh
         calls = counted_eigh(monkeypatch)
-        values, vectors = model.eigensystem
-        assert calls == [(d ** (L - 1),) * 2] * d
-        for c in range(d):
-            w, v = eigh(blocks[c, c])
-            assert values[c].tobytes() == w.tobytes()
-            assert vectors[c].tobytes() == v.tobytes()
+        with pytest.raises(ValueError, match="no charge-raising symmetry"):
+            model.eigensystem
+        assert calls == []
 
     def test_broken_raising_symmetry_rejected(self, monkeypatch):
         # block (1, 1) moved by a hermitian 1e-9 passes the hermiticity and
@@ -539,47 +543,47 @@ def _dense_span_residual(model, f):
     """``span_residual`` by projection of the realized i[H, W(f)] onto the realized basis."""
     ch, pr = model.chain, model.params
     target = realize(model.hamiltonian.commutator(smear(f, pr, ch)).scale(1j), ch)
-    rest, coeffs = target, {}
+    rest, coeffs = target, np.zeros(pr.d * ch.L, dtype=complex)
     for x in range(ch.L):
         for j in range(pr.d):
             basis = realize(dressed_weyl_rs(x, j, 1, pr, ch), ch)
-            coeffs[x, j] = basis.vdot(target) / ch.dim
-            rest = rest.sub(basis, coeffs[x, j])
+            coeffs[j * ch.L + x] = basis.vdot(target) / ch.dim
+            rest = rest.sub(basis, coeffs[j * ch.L + x])
     return float(np.sqrt(rest.vdot(rest).real / target.vdot(target).real)), coeffs
 
 
 class TestSpanResidual:
     def test_d2_free_closure(self):
         model = d2_model(8)
-        f = OneParticleVector.from_amplitudes(2, 8, {(3, 0): 1.0, (4, 1): 0.5, (5, 0): 0.25j})
+        f = amplitudes(2, 8, {(3, 0): 1.0, (4, 1): 0.5, (5, 0): 0.25j})
         res, coeffs = span_residual(model, f)
         assert res == 0.0
-        assert coeffs
+        assert coeffs.any()
 
     def test_zero_hopping(self):
         model = QuadraticModel(ChainSpec(2, 6), D2, Hopping({}))
-        f = OneParticleVector.from_amplitudes(2, 6, {(2, 0): 1.0})
+        f = amplitudes(2, 6, {(2, 0): 1.0})
         res, coeffs = span_residual(model, f)
-        assert res == 0.0 and not coeffs
+        assert res == 0.0 and not coeffs.any()
 
     def test_d3_residual_reported(self):
         model = QuadraticModel(ChainSpec(3, 5), D3, Hopping({1: 0.5, -1: 0.5}))
-        f = OneParticleVector.from_amplitudes(3, 6, {(2, 0): 1.0})
+        f = amplitudes(3, 5, {(2, 0): 1.0})
         res, _ = span_residual(model, f)
         assert 0.0 < res <= 1.0
 
-    @pytest.mark.parametrize("model, amplitudes", [
+    @pytest.mark.parametrize("model, values", [
         (QuadraticModel(ChainSpec(2, 6), D2, Hopping({1: 0.3 - 0.2j, -1: 0.3 + 0.2j, 2: 0.1j, -2: -0.1j})),
          {(2, 0): 1.0, (3, 1): 0.5 - 0.25j}),
         (QuadraticModel(ChainSpec(3, 5), D3, Hopping({1: 0.5, -1: 0.5})), {(2, 0): 1.0}),
         (QuadraticModel(ChainSpec(3, 4), GradingParams(3, 2, 1), Hopping({1: 0.25 - 0.5j, -1: 0.25 + 0.5j})),
          {(1, 0): 1.0, (2, 2): 0.5j}),
     ], ids=["d2", "d3", "d3_grading_charge_1"])
-    def test_matches_dense_projection(self, model, amplitudes, monkeypatch):
+    def test_matches_dense_projection(self, model, values, monkeypatch):
         # the residual and the coefficients are read from labels: nothing is
         # realized, and they are those of the dense Hilbert-Schmidt projection
         # onto the realized basis
-        f = OneParticleVector.from_amplitudes(model.params.d, 6, amplitudes)
+        f = amplitudes(model.params.d, model.chain.L, values)
         want, want_coeffs = _dense_span_residual(model, f)
 
         def forbidden(*args):
@@ -588,7 +592,7 @@ class TestSpanResidual:
         monkeypatch.setattr(dynamics, "realize", forbidden)
         res, coeffs = span_residual(model, f)
         assert abs(res - want) <= 1e-12
-        assert all(abs(coeffs.get(k, 0) - c) <= 1e-12 for k, c in want_coeffs.items())
+        assert np.abs(coeffs - want_coeffs).max() <= 1e-12
 
 
     @pytest.mark.parametrize("d, L", [(2, 4), (3, 6)])
@@ -598,12 +602,13 @@ class TestSpanResidual:
         # coefficient to the weight outside the span
         params, chain = GradingParams(d, 1, 1), ChainSpec(d, L)
         rng = np.random.default_rng(d)
-        f = OneParticleVector(d, L, rng.standard_normal((d, L)) + 1j * rng.standard_normal((d, L)))
+        f = rng.standard_normal((d, L)) + 1j * rng.standard_normal((d, L))
         element = smear(f, params, chain) + WeylMonomial.single(d, 1, 1, 0).as_element().scale(0.5)
         coeffs, outside = dynamics.span_split(element, params, chain)
         assert outside == 0.25
-        assert len(coeffs) == d * L
-        assert all(abs(c - f.position[j, x]) <= 1e-15 for (x, j), c in coeffs.items())
+        assert coeffs.shape == (d * L,)
+        # coefficient k = j * L + x is f[j, x]: the row-major flattening of f
+        assert np.abs(coeffs - f.reshape(-1)).max() <= 1e-15
 
 
 
@@ -636,21 +641,19 @@ class TestGenerator:
         want = np.zeros((2 * L, 2 * L), dtype=complex)
         for k, b in enumerate(basis):
             b = b.as_element()
-            coeffs, outside = dynamics.span_split((h * b - b * h).scale(1j), D2, model.chain)
+            want[:, k], outside = dynamics.span_split((h * b - b * h).scale(1j), D2, model.chain)
             assert not outside
-            for (x, j), c in coeffs.items():
-                want[j * L + x, k] = c
         assert generator(model).tobytes() == want.tobytes()
 
     def test_flow_rejects_input_outside_the_chain(self):
         m = np.zeros((12, 12))
         with pytest.raises(ValueError, match="amplitude at site 8 outside chain 0..5"):
-            dynamics.one_particle_flow(m, OneParticleVector.from_amplitudes(2, 10, {(8, 1): 5.0}), [1.0])
+            dynamics.one_particle_flow(m, amplitudes(2, 10, {(8, 1): 5.0}), [1.0])
         with pytest.raises(ValueError, match="amplitudes on 4 sites, chain has 6"):
-            dynamics.one_particle_flow(m, OneParticleVector.from_amplitudes(2, 4, {(1, 0): 1.0}), [1.0])
+            dynamics.one_particle_flow(m, amplitudes(2, 4, {(1, 0): 1.0}), [1.0])
 
     def test_flow_rejects_a_generator_that_is_not_antihermitian(self):
-        f = OneParticleVector.from_amplitudes(2, 4, {(1, 0): 1.0})
+        f = amplitudes(2, 4, {(1, 0): 1.0})
         m = np.zeros((8, 8))
         m[1, 0] = 0.5
         with pytest.raises(ValueError, match="not antihermitian"):
@@ -658,7 +661,7 @@ class TestGenerator:
         # d/dt f(0) = -f(1)/2 and d/dt f(1) = f(0)/2: at t = pi the amplitude has turned to -1 at site 0
         m[0, 1] = -0.5
         (ft,) = dynamics.one_particle_flow(m, f, [np.pi])
-        assert np.abs(ft.position - OneParticleVector.from_amplitudes(2, 4, {(0, 0): -1.0}).position).max() < 1e-15
+        assert np.abs(ft - amplitudes(2, 4, {(0, 0): -1.0})).max() < 1e-15
 
     def test_each_basis_monomial_built_once(self, monkeypatch):
         # generator, span_residual and smear all read the one table of B_xj:
@@ -674,7 +677,7 @@ class TestGenerator:
         dynamics.span_basis.cache_clear()
         monkeypatch.setattr(dynamics, "dressed_weyl_rs", counting)
         model = d2_model(10)
-        f = OneParticleVector.from_amplitudes(2, 10, {(4, 0): 1.0, (5, 1): 0.5})
+        f = amplitudes(2, 10, {(4, 0): 1.0, (5, 1): 0.5})
         assert generator(model) is not None
         span_residual(model, f)
         smear(f, D2, model.chain)
@@ -683,10 +686,10 @@ class TestGenerator:
     def test_basis_table_is_read_only(self):
         basis, index = dynamics.span_basis(D3, ChainSpec(3, 4))
         assert len(basis) == len(index) == 12
-        assert all(index[b.key()] == (k % 4, k // 4) for k, b in enumerate(basis))
+        assert all(index[b.key()] == k for k, b in enumerate(basis))
         assert basis[2 * 4 + 1] == dressed_weyl_rs(1, 2, 1, D3, ChainSpec(3, 4))
         with pytest.raises(TypeError):
-            index[()] = (0, 0)
+            index[()] = 0
         with pytest.raises(TypeError):
             basis[0] = basis[1]
 
@@ -694,6 +697,51 @@ class TestGenerator:
         # at d >= 3 a hopping between distinct sites leaves the span
         assert generator(QuadraticModel(ChainSpec(3, 4), D3, Hopping({1: 0.5, -1: 0.5}))) is None
         assert not generator(QuadraticModel(ChainSpec(3, 4), D3, Hopping({}))).any()
+
+
+REFERENCE_SCRIPT = Path(__file__).resolve().parent.parent / "perfbench" / "make_reference.py"
+
+
+class TestAmplitudeArrays:
+    # an amplitude is a (d, N) array f[j, x] with N >= L, zero past the chain
+    D3_CHAIN = ChainSpec(3, 5)
+
+    def test_reference_script_call(self):
+        # perfbench/make_reference.py builds evolve_d3's field by this exact
+        # call, through the names it imports: a (3, 6) array on the 5-site
+        # chain, whose field is that of the (3, 5) array
+        spec = importlib.util.spec_from_file_location("perfbench_make_reference", REFERENCE_SCRIPT)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        f = script.OneParticleVector.from_amplitudes(3, 6, {(1, 0): 1.0, (2, 0): 0.5})
+        got = script.smear(f, GradingParams(3, 1, 1), ChainSpec(3, 5))
+        assert got.terms == smear(amplitudes(3, 5, {(1, 0): 1.0, (2, 0): 0.5}), D3, self.D3_CHAIN).terms
+        assert got.terms
+
+    def test_amplitude_past_the_chain_rejected(self):
+        f = amplitudes(3, 6, {(1, 0): 1.0, (5, 2): 0.5})
+        with pytest.raises(ValueError, match="amplitude at site 5 outside chain 0..4"):
+            smear(f, D3, self.D3_CHAIN)
+        with pytest.raises(ValueError, match="amplitude at site 5 outside chain 0..4"):
+            span_residual(QuadraticModel(self.D3_CHAIN, D3, Hopping({1: 0.5, -1: 0.5})), f)
+
+    @pytest.mark.parametrize("shape, match", [
+        ((2, 5), "do not fill 15 modes"),
+        ((15,), "do not fill 15 modes"),
+        ((3, 4), "amplitudes on 4 sites, chain has 5"),
+    ], ids=["wrong_d", "flat", "short"])
+    def test_smear_rejects_shape(self, shape, match):
+        with pytest.raises(ValueError, match=match):
+            smear(np.ones(shape), D3, self.D3_CHAIN)
+
+    @pytest.mark.parametrize("shape, match", [
+        ((2, 5), "do not fill 15 modes"),
+        ((3, 4), "amplitudes on 4 sites, chain has 5"),
+    ], ids=["wrong_d", "short"])
+    def test_flow_rejects_shape(self, shape, match):
+        # M of order 15 is a 3-flavour, 5-site generator: 2 rows do not divide it
+        with pytest.raises(ValueError, match=match):
+            dynamics.one_particle_flow(np.zeros((15, 15)), np.ones(shape), [1.0])
 
 
 class TestReconstruction:

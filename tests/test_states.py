@@ -7,7 +7,7 @@ import scipy.linalg
 from grading_lab.dense import ChainSpec, realize
 from grading_lab.dressing import dressed_matrix_unit
 from grading_lab.dynamics import QuadraticModel, generator, one_particle_flow, span_basis
-from grading_lab.oneparticle import Hopping, OneParticleVector
+from grading_lab.oneparticle import Hopping
 from grading_lab.states import clustering_report, trace_state, two_point
 from grading_lab.weyl import AlgebraElement, GradingParams, WeylMonomial, gauge_rotate
 
@@ -89,8 +89,8 @@ class TestTwoPoint:
             m = generator(model)
             basis = [b.as_element() for b in span_basis(D2, model.chain)[0]]
             for y, by in enumerate(basis):
-                delta = OneParticleVector(2, 8, np.eye(16)[y])
-                columns = [f.position.reshape(-1) for f in one_particle_flow(m, delta, times)]
+                delta = np.eye(16)[y].reshape(2, 8)
+                columns = [f.reshape(-1) for f in one_particle_flow(m, delta, times)]
                 for x, bx in enumerate(basis):
                     series = two_point(bx, by, model, times)
                     want = [col[x] * trace_state(bx * bx) for col in columns]
