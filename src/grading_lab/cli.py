@@ -275,7 +275,7 @@ def cmd_evolve(cfg: ExperimentConfig, out: str, cap: int) -> int:
         field = smear(f0, params, chain)
     # the prediction W(exp(tM) f0) exists unless H moves the field out of its span (d >= 3)
     m = generator(model)
-    flows = None if m is None else one_particle_flow(m, f0, grid)
+    flows = None if m is None else one_particle_flow(m, f0, params, grid)
     res, _ = span_residual(model, f0)
     # the reconstruction's working set is freed before the field is realized
     rec = reconstruct_spin_evolution(model)

@@ -9,17 +9,21 @@ self-adjoint by construction.  It therefore commutes with the gauge
 unitary and splits into d charge sectors of d^(L-1) states each.  Every
 evolution uses one cached per-sector eigendecomposition per model, read
 from the diagonal charge blocks of the dense H, which it does not keep.
-It takes one eigh, of sector 0: every H built here commutes with some
+Only sector 0 is diagonalised: every H built here commutes with some
 charge-1 B_xj (below), a phased permutation U that maps sector c onto
-sector c + 1, whose vectors are the row gather U V_c.  An H with no such
-U, or whose realized blocks break H_{c+1,c+1} = U H_cc U^dag entrywise,
-raises ValueError before any eigh.  There is one evolution: the charge
-blocks of an operator are rotated once into that eigenbasis, where
-exp(iHt) is the phase table ``QuadraticModel.propagator(t)`` and tau_t
-multiplies block entry [m, n] by exp(i (E_m - E_n) t).  Every step takes
-and returns a ``DenseOperator``, whose blocks are in the site basis or,
-between ``eigenbasis_blocks`` and ``site_blocks``, in the eigenbasis, so
-no evolution or check assembles the full d^L x d^L matrix.
+sector c + 1, whose vectors are the row gather U V_c.  The charge-0
+products U_a^dag U_b of two such B_xj commute with H as well; a group G
+of them (``QuadraticModel.block_symmetries``) splits sector 0 into its
+joint eigenspaces, one eigh of m / |G| states each.  An H with no such U,
+or whose realized blocks break H_{c+1,c+1} = U H_cc U^dag or
+S H_00 S^dag = H_00 for a generator S of G entrywise, raises ValueError
+before any eigh.  There is one evolution: the charge blocks of an
+operator are rotated once into that eigenbasis, where exp(iHt) is the
+phase table ``QuadraticModel.propagator(t)`` and tau_t multiplies block
+entry [m, n] by exp(i (E_m - E_n) t).  Every step takes and returns a
+``DenseOperator``, whose blocks are in the site basis or, between
+``eigenbasis_blocks`` and ``site_blocks``, in the eigenbasis, so no
+evolution or check assembles the full d^L x d^L matrix.
 
 The one-particle flow is read from the symbolic H.  For a (d, N) array
 f[j, x], zero past the chain, the smeared field W(f) = sum_{x,j} f[j, x] B_xj
@@ -35,6 +39,7 @@ invariant and there is no generator.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -52,6 +57,7 @@ from .weyl import (
     mono_adjoint,
     mono_mul,
     phase_value,
+    roots,
 )
 
 class QuadraticModel:
@@ -91,31 +97,81 @@ class QuadraticModel:
         """H realized on its charge blocks, afresh on each call."""
         return realize(self.hamiltonian, self.chain)
 
-    def raising_symmetry(self) -> WeylMonomial | None:
-        """The first B_xj of ``span_basis`` (each of shift charge 1) that commutes with every monomial of H, or None.
+    def _commuting_raisers(self) -> list[WeylMonomial]:
+        """Every B_xj of ``span_basis`` (each of shift charge 1) that commutes with every monomial of H, in basis order.
 
-        Exact: ``commutation_phase`` is integer arithmetic.  At d = 2 with
-        j+ = j- (mod 2) it is the frozen second-flavour generator at site
-        0; the others found are end-site B_xj too.
+        Exact: ``commutation_phase`` is integer arithmetic.
         """
         basis, _ = span_basis(self.params, self.chain)
         terms = [WeylMonomial(self.chain.d, key, 0) for key in self.hamiltonian.terms]
-        return next((b for b in basis if not any(commutation_phase(b, t) for t in terms)), None)
+        return [b for b in basis if not any(commutation_phase(b, t) for t in terms)]
+
+    def raising_symmetry(self) -> WeylMonomial | None:
+        """The first B_xj of ``span_basis`` (each of shift charge 1) that commutes with every monomial of H, or None.
+
+        It maps charge sector c onto sector c + 1 (``eigensystem``), and it
+        is the first of the B_xj that ``block_symmetries`` pairs into
+        charge-0 symmetries.  At d = 2 with j+ = j- (mod 2) it is the frozen
+        second-flavour generator at site 0; the others found are end-site
+        B_xj too.
+        """
+        return next(iter(self._commuting_raisers()), None)
+
+    def block_symmetries(self) -> tuple[WeylMonomial, ...]:
+        """Generators S_1..S_r of a group G of d^r charge-0 monomials that commute with H and with each other.
+
+        Each S_i is a product U_a^dag U_b of two charge-1 B_xj that commute
+        with H (``raising_symmetry`` returns the first of them).  The pairs
+        a < b are walked in basis order and one is kept when it commutes with
+        every S already kept and its shift vector adds d new cosets to the
+        group the kept ones span (n l is outside it for n = 1..d-1), so the
+        d^r products have distinct shift vectors: G moves every basis state
+        and each orbit holds d^r states.  S^d is the identity monomial times
+        +-1; where it is -1 the phase exponent is lowered by 1, so S_i^d = 1
+        and the joint eigenvalues are d-th roots of unity.  An H with no
+        monomials keeps none (G = 1), so its eigenvectors stay the identity.
+        Exact: every step is integer label arithmetic.  Dense chains only
+        (``ChainSpec.check_dense``), since the shift vectors of G are listed
+        and G is at most the size of a charge sector.
+        """
+        self.chain.check_dense()
+        d, L = self.chain.d, self.chain.L
+        if not self.hamiltonian.terms:
+            return ()
+        raisers = self._commuting_raisers()
+        kept: list[WeylMonomial] = []
+        shifts = {(0,) * L}
+        for a, ua in enumerate(raisers):
+            for ub in raisers[a + 1 :]:
+                s = mono_mul(mono_adjoint(ua), ub)
+                if any(commutation_phase(s, k) for k in kept):
+                    continue
+                labels = s.labels()
+                multiples = [tuple(n * labels.get(x, (0, 0))[1] % d for x in range(L)) for n in range(d)]
+                if any(v in shifts for v in multiples[1:]):
+                    continue
+                shifts = {tuple((p + q) % d for p, q in zip(v, n_l)) for v in shifts for n_l in multiples}
+                kept.append(s if s.pow(d).phase == 0 else WeylMonomial(d, s.sites, (s.phase - 1) % (2 * d)))
+        return tuple(kept)
 
     @property
     def eigensystem(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Per-sector eigenvalues (d, m) and eigenvectors, one m x m array per sector, m = d^(L-1).
 
         Block c is H restricted to the basis states ``chain.sectors()[c]``.
-        Only sector 0 is diagonalised.  Every H that ``hamiltonian`` builds
-        commutes with a charge-raising U (``raising_symmetry``), so
-        H_{c+1,c+1} = U_{c+1,c} H_cc U_{c+1,c}^dag and sector c + 1 has the
-        values of sector c and the vectors U_{c+1,c} V_c, a phased row
-        gather.  Raises ValueError, before any eigh, when H has no such U,
-        is not hermitian, mixes charge sectors, or breaks that premise
-        entrywise on the realized blocks.  H is realized for this call only
-        and each diagonal block is freed once it is no longer needed, so a
-        diagonalised model holds the eigenvectors and no copy of H.
+        Only sector 0 is diagonalised, and it is split first.  Every H that
+        ``hamiltonian`` builds commutes with a charge-raising U
+        (``raising_symmetry``), so H_{c+1,c+1} = U_{c+1,c} H_cc U_{c+1,c}^dag
+        and sector c + 1 has the values of sector c and the vectors
+        U_{c+1,c} V_c, a phased row gather.  Sector 0 itself is split by the
+        group G of ``block_symmetries``: ``_symmetry_eigh`` runs one eigh
+        per joint eigenspace, each of size m / |G|, and sorts the values
+        with a stable argsort.  Raises ValueError, before any eigh, when H
+        has no such U, is not hermitian, mixes charge sectors, or breaks
+        either premise entrywise on the realized blocks.  H is realized for
+        this call only and each diagonal block is freed once it is no longer
+        needed, so a diagonalised model holds the eigenvectors and no copy
+        of H.
         """
         if self._eig is None:
             raising = self.raising_symmetry()
@@ -130,18 +186,12 @@ class QuadraticModel:
             diagonal = [h.blocks.pop((c, c), None) for c in range(d)]
             diagonal = [np.zeros((m, m), dtype=complex) if blk is None else blk for blk in diagonal]
             rows, phases = monomial_action(raising, self.chain)
-            # U_{c+1,c} as a row gather: row r of U X is gain[c, r] X[source[c, r]]
-            source = np.argsort(rows, axis=1)
-            gain = np.take_along_axis(phases, source, axis=1)
+            source, gain = _row_gather(rows, phases)
             for c in range(d - 1):
-                want = diagonal[c][np.ix_(source[c], source[c])]
-                want *= gain[c][:, None]
-                want *= gain[c].conj()
-                if np.abs(np.subtract(want, diagonal[c + 1], out=want)).max() > 1e-12:
+                if _conjugation_defect(diagonal[c], diagonal[c + 1], source[c], gain[c]) > 1e-12:
                     raise ValueError("dense Hamiltonian does not commute with its charge-raising symmetry")
-                del want
             del diagonal[1:]
-            w, v = np.linalg.eigh(diagonal.pop())
+            w, v = _symmetry_eigh(diagonal.pop(), self.block_symmetries(), self.chain)
             vectors = [v]
             for c in range(1, d):
                 v = vectors[-1][source[c - 1]]
@@ -170,6 +220,79 @@ class QuadraticModel:
         """Inverse of ``eigenbasis_blocks``, block by block: (r, c) maps back to V_r X_rc V_c^dag."""
         _, vecs = self.eigensystem
         return DenseOperator(a.chain, {(r, c): vecs[r] @ blk @ vecs[c].conj().T for (r, c), blk in a.blocks.items()})
+
+
+def _row_gather(rows: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A ``monomial_action`` as row gathers: row r of U X (sector by sector) is gain[c, r] X[source[c, r]]."""
+    source = np.argsort(rows, axis=1)
+    return source, np.take_along_axis(phases, source, axis=1)
+
+
+def _conjugation_defect(blk: np.ndarray, target: np.ndarray, source: np.ndarray, gain: np.ndarray) -> float:
+    """Largest entry modulus of U X U^dag - Y, U the row gather (source, gain): entry [a, b] of U X U^dag is gain[a] X[source[a], source[b]] conj(gain[b]).
+
+    One m x m temporary, freed on return.
+    """
+    out = blk[np.ix_(source, source)]
+    out *= gain[:, None]
+    out *= gain.conj()
+    return float(np.abs(np.subtract(out, target, out=out)).max())
+
+
+def _symmetry_eigh(h00: np.ndarray, symmetries: tuple[WeylMonomial, ...], chain: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of sector 0's block h00, one eigh per joint eigenspace of the group the symmetries generate.
+
+    The r generators S_i (S_i^d = 1, commuting with each other and with H)
+    give G = d^r elements g_n = prod S_i^(n_i), each realized on sector 0 by
+    ``monomial_action``, so every phase is read from ``weyl.roots``.  G acts
+    freely, and the orbit of each representative rep_o (the least state of
+    its orbit) is g|rep_o> = phase[g, o] |state[g, o]>.  On the joint
+    eigenspace where g reads chi_k(g) = exp(2i pi k.n / d) the vectors
+    |o, k> = G^(-1/2) sum_g conj(chi_k(g)) g|rep_o> are orthonormal, and
+    since H commutes with G,
+    <o, k|H|o', k> = sum_g conj(chi_k(g)) phase[g, o'] H[rep_o, state[g, o']],
+    one gather of m^2 / G entries and a G x G character contraction.  The
+    values of all blocks are merged by a stable argsort, and eigenvector j
+    of block k is scattered into the column of its value in V_0, with entry
+    conj(chi_k(g)) phase[g, o] R_k[o, j] / sqrt(G) at state[g, o].
+    Raises ValueError, before any eigh, when some S_i H S_i^dag differs
+    from h00 by more than 1e-12 in an entry.  G = 1 is one block, h00.
+    """
+    d, m = chain.d, len(h00)
+    for s in symmetries:
+        rows, phases = monomial_action(s, chain)
+        source, gain = _row_gather(rows, phases)
+        if _conjugation_defect(h00, h00, source[0], gain[0]) > 1e-12:
+            raise ValueError("dense Hamiltonian does not commute with its block symmetry")
+    powers = np.array(list(itertools.product(range(d), repeat=len(symmetries))), dtype=np.int64)
+    group = len(powers)
+    rows = np.empty((group, m), dtype=np.int64)
+    phases = np.empty((group, m), dtype=complex)
+    for g, n in enumerate(powers.tolist()):
+        element = functools.reduce(mono_mul, map(WeylMonomial.pow, symmetries, n), WeylMonomial.identity(d))
+        action = monomial_action(element, chain)
+        rows[g], phases[g] = action[0][0], action[1][0]
+    reps = np.flatnonzero(rows.min(axis=0) == np.arange(m))
+    states, phase = rows[:, reps], phases[:, reps]
+    del rows, phases
+    size = len(reps)
+    chars = np.array(roots(d))[2 * (powers @ powers.T) % (2 * d)]
+    gathered = h00[reps[None, :, None], states[:, None, :]]
+    del h00
+    gathered *= phase[:, None, :]
+    blocks = (chars.conj() @ gathered.reshape(group, -1)).reshape(group, size, size)
+    del gathered
+    pairs = [np.linalg.eigh(blk) for blk in blocks]
+    del blocks
+    values = np.concatenate([w for w, _ in pairs])
+    order = np.argsort(values, kind="stable")
+    column = np.empty(m, dtype=np.int64)
+    column[order] = np.arange(m)
+    vectors = np.empty((m, m), dtype=complex)
+    for k, (_, r) in enumerate(pairs):
+        weight = chars[k].conj()[:, None] * phase / np.sqrt(group)
+        vectors[np.ix_(states.ravel(), column[k * size : (k + 1) * size])] = (weight[:, :, None] * r).reshape(m, size)
+    return values[order], vectors
 
 
 def phase_blocks(a: DenseOperator, u: np.ndarray) -> DenseOperator:
@@ -264,17 +387,17 @@ def generator(model: QuadraticModel) -> np.ndarray | None:
     return m
 
 
-def one_particle_flow(m: np.ndarray, f: np.ndarray, t_grid) -> list[np.ndarray]:
+def one_particle_flow(m: np.ndarray, f: np.ndarray, params: GradingParams, t_grid) -> list[np.ndarray]:
     """exp(tM) f on the chain of M, one (d, L) array per t, from one eigh of iM (M antihermitian to 1e-12, as i ad_H is).
 
-    f is a (d, N) array, d dividing the order d * L of M, checked as ``smear`` checks it.
+    f is a (d, N) array over the d = params.d flavours of M's chain, L = len(M) / d, checked as ``smear`` checks it.
     """
     if np.abs(m + m.conj().T).max() > 1e-12:
         raise ValueError("one-particle generator is not antihermitian")
-    f0 = _chain_vector(f, len(f), len(m))
+    f0 = _chain_vector(f, params.d, len(m))
     w, v = np.linalg.eigh(1j * m)
     c0 = v.conj().T @ f0
-    return [(v @ (np.exp(-1j * t * w) * c0)).reshape(len(f), -1) for t in t_grid]
+    return [(v @ (np.exp(-1j * t * w) * c0)).reshape(params.d, -1) for t in t_grid]
 
 
 @dataclass

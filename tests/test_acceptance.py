@@ -127,7 +127,7 @@ def test_05_d2_free_fermion_oracle():
     f0[0, 4:6] = 1.0, 0.5 - 0.125j
     times = (0.5, 1.0, 1.5, 2.0)
     # the open chain's one-particle flow exp(tM) f0, M read from the symbolic H
-    flows = one_particle_flow(generator(model), f0, times)
+    flows = one_particle_flow(generator(model), f0, params, times)
     a0 = realize(smear(f0, params, chain), chain)
     # the field evolved as `evolve` does it: rotated once, then phased and rotated back per t
     rotated = model.eigenbasis_blocks(a0)
@@ -153,7 +153,7 @@ def test_06_quasifree_decay():
     f0 = np.zeros((2, 400), dtype=complex)
     f0[0, 200] = 1.0
     times = np.linspace(10, 100, 46)
-    *decay, at37, at5, at20 = one_particle_flow(generator(model), f0, [*times, 37.0, 5.0, 20.0])
+    *decay, at37, at5, at20 = one_particle_flow(generator(model), f0, model.params, [*times, 37.0, 5.0, 20.0])
     exponent = fit_power_law(times, np.array([np.abs(f).max() for f in decay]), (10, 100))
     ok_exp = -0.5 <= exponent <= -0.30
     drift = abs(np.linalg.norm(at37) - 1.0)

@@ -9,7 +9,8 @@ import pytest
 import scipy.linalg
 
 import grading_lab.dynamics as dynamics
-from grading_lab.dense import ChainSpec, DenseOperator, gauge_project, op_norm, realize
+from grading_lab.config import load_config
+from grading_lab.dense import ChainSpec, DenseOperator, DimensionCapError, gauge_project, monomial_action, op_norm, realize
 from grading_lab.dressing import dressed_matrix_unit, dressed_weyl, dressed_weyl_rs
 from grading_lab.dynamics import (
     QuadraticModel,
@@ -31,6 +32,7 @@ from test_dense import block_bits, signed_zero_blocks
 D2 = GradingParams(2, 1, 1)
 D3 = GradingParams(3, 1, 1)
 IM_NN = Hopping({1: -1j / 16, -1: 1j / 16})
+PRESETS = Path(__file__).resolve().parent.parent / "src" / "grading_lab" / "presets"
 
 
 def d2_model(L=8):
@@ -195,7 +197,7 @@ class TestHeisenbergEvolve:
         f0 = amplitudes(2, 8, {(3, 0): 1.0, (4, 0): 0.5 - 0.25j})
         a0 = realize(smear(f0, D2, model.chain), model.chain)
         times = (0.5, 1.5)
-        flows = dynamics.one_particle_flow(generator(model), f0, times)
+        flows = dynamics.one_particle_flow(generator(model), f0, D2, times)
         for ft, evolved in zip(flows, program_evolution(model, a0, times)):
             lhs = evolved.entries
             rhs = realize(smear(ft, D2, model.chain), model.chain).entries
@@ -317,36 +319,124 @@ class TestSectorBlocks:
         (3, 3, Hopping({1: 0.5 - 0.25j, -1: 0.5 + 0.25j})),
     ])
     def test_eigensystem_derives_sectors_from_sector_0(self, d, L, hopping):
-        # sector 0 is bit for bit the eigh of its realized block; every other
-        # sector is reached through the charge-raising symmetry, so it has
-        # the values of its source byte for byte and vectors that diagonalise
-        # its own realized block
+        # sector 0 is solved to 1e-12 against its realized block; every other
+        # sector is reached through the charge-raising symmetry, so it has the
+        # values of its source byte for byte and, byte for byte, the vectors
+        # of its source gathered by the rows of U and scaled by their phases
         model = QuadraticModel(ChainSpec(d, L), GradingParams(d, 1, 1), hopping)
         blocks = model.dense_hamiltonian.blocks
         values, vectors = model.eigensystem
         assert values.shape == (d, d ** (L - 1)) and len(vectors) == d
-        w, v = np.linalg.eigh(blocks[0, 0])
-        assert values[0].tobytes() == w.tobytes()
-        assert vectors[0].tobytes() == v.tobytes()
+        rows, phases = monomial_action(model.raising_symmetry(), model.chain)
         for c in range(1, d):
             assert values[c].tobytes() == values[c - 1].tobytes()
+            gathered = np.empty_like(vectors[c])
+            gathered[rows[c - 1]] = vectors[c - 1] * phases[c - 1][:, None]
+            assert vectors[c].tobytes() == gathered.tobytes()
         assert_exact_eigensystem(model, blocks)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @GENERATOR_MODELS
     def test_one_eigh_per_eigensystem(self, monkeypatch, d, L, hopping):
-        # every buildable H commutes with a charge-1 B_xj, so one eigh serves
-        # all d sectors, for every (j+, j-)
+        # every buildable H commutes with a charge-1 B_xj, so sector 0 serves
+        # all d sectors, and its G = d^r joint eigenspaces of the block
+        # symmetries take one eigh each, of size m / G, for every (j+, j-)
         L = min(L, {2: 10, 3: 5, 4: 4}[d])
+        m = d ** (L - 1)
         calls = counted_eigh(monkeypatch)
         for j_plus in range(d):
             for j_minus in range(d):
                 model = QuadraticModel(ChainSpec(d, L), GradingParams(d, j_plus, j_minus), Hopping(hopping))
                 assert model.raising_symmetry() is not None
+                group = d ** len(model.block_symmetries())
                 calls.clear()
                 model.eigensystem
-                assert calls == [(d ** (L - 1),) * 2]
+                assert calls == [(m // group,) * 2] * group
                 assert_exact_eigensystem(model, model.dense_hamiltonian.blocks)
+
+    @pytest.mark.parametrize("name, group", [
+        ("block_d2.cfg", 1),
+        ("decay_d2.cfg", 32),
+        ("decay_d3.cfg", 3),
+        ("evolve_d2.cfg", 32),
+        ("evolve_d3.cfg", 3),
+        ("verify_d2.cfg", 16),
+    ])
+    def test_preset_symmetry_groups(self, monkeypatch, name, group):
+        # the group each shipped preset's model gets (block_d2's H is empty),
+        # and one eigh per joint eigenspace; verify_d3's chain is above the cap
+        cfg = load_config(str(PRESETS / name))
+        model = QuadraticModel(ChainSpec(cfg.d, cfg.l), GradingParams(cfg.d, cfg.j_plus, cfg.j_minus), Hopping(cfg.hopping))
+        assert cfg.d ** len(model.block_symmetries()) == group
+        calls = counted_eigh(monkeypatch)
+        model.eigensystem
+        assert calls == [(cfg.d ** (cfg.l - 1) // group,) * 2] * group
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @GENERATOR_MODELS
+    def test_block_symmetries_form_a_free_group(self, d, L, hopping):
+        # each S_i is charge 0, commutes with every monomial of H and with the
+        # other S_j, and S_i^d = 1 after the rescale; the d^r products move
+        # every basis state of sector 0, so each orbit holds exactly G states
+        L = min(L, {2: 10, 3: 5, 4: 4}[d])
+        chain = ChainSpec(d, L)
+        for j_plus in range(d):
+            for j_minus in range(d):
+                model = QuadraticModel(chain, GradingParams(d, j_plus, j_minus), Hopping(hopping))
+                terms = [WeylMonomial(d, key, 0) for key in model.hamiltonian.terms]
+                symmetries = model.block_symmetries()
+                for s in symmetries:
+                    assert s.charge() == 0
+                    assert not any(commutation_phase(s, t) for t in terms + list(symmetries))
+                    assert s.pow(d) == WeylMonomial.identity(d)
+                group = [WeylMonomial.identity(d)]
+                for s in symmetries:
+                    group = [mono_mul(g, s.pow(n)) for g in group for n in range(d)]
+                images = np.array([monomial_action(g, chain)[0][0] for g in group])
+                assert all(len(set(column)) == len(group) for column in images.T.tolist())
+
+    def test_block_symmetries_need_a_dense_chain(self):
+        # the group's shift vectors are listed, and the group is at most a
+        # charge sector: above the dense cap it is not formed
+        model = QuadraticModel(ChainSpec(2, 40), D2, IM_NN)
+        with pytest.raises(DimensionCapError):
+            model.block_symmetries()
+
+    def test_broken_block_symmetry_rejected(self, monkeypatch):
+        # a hermitian 1e-9 on the diagonal entry of state 0 in block (0, 0),
+        # and its image under U in block (1, 1), passes the hermiticity,
+        # sector and charge-raising checks, but S_1 moves state 0, so
+        # S_1 H_00 S_1^dag no longer equals H_00: no eigh runs
+        model = d2_model(6)
+        (first, *_) = model.block_symmetries()
+        rows, _ = monomial_action(model.raising_symmetry(), model.chain)
+        assert monomial_action(first, model.chain)[0][0, 0] != 0
+        realize_h = dynamics.realize
+
+        def realize_shifted(a, chain):
+            h = realize_h(a, chain)
+            h.blocks[0, 0][0, 0] += 1e-9
+            h.blocks[1, 1][rows[0, 0], rows[0, 0]] += 1e-9
+            return h
+
+        monkeypatch.setattr(dynamics, "realize", realize_shifted)
+        calls = counted_eigh(monkeypatch)
+        with pytest.raises(ValueError, match="block symmetry"):
+            model.eigensystem
+        assert calls == []
+
+    @pytest.mark.parametrize("d, L, hopping", [
+        (2, 8, IM_NN),
+        (3, 5, Hopping({1: 0.5 - 0.25j, -1: 0.5 + 0.25j})),
+    ])
+    def test_trivial_group_is_one_eigh(self, d, L, hopping):
+        # with no symmetry the split is one block, and its eigenpairs are
+        # those of one eigh of the whole sector, byte for byte
+        model = QuadraticModel(ChainSpec(d, L), GradingParams(d, 1, 1), hopping)
+        h = model.dense_hamiltonian.blocks[0, 0]
+        w, v = np.linalg.eigh(h)
+        got_w, got_v = dynamics._symmetry_eigh(h.copy(), (), model.chain)
+        assert got_w.tobytes() == w.tobytes() and got_v.tobytes() == v.tobytes()
 
     @pytest.mark.parametrize("d, L", [(2, 6), (3, 4)])
     def test_no_raising_symmetry_rejected(self, monkeypatch, d, L):
@@ -648,19 +738,19 @@ class TestGenerator:
     def test_flow_rejects_input_outside_the_chain(self):
         m = np.zeros((12, 12))
         with pytest.raises(ValueError, match="amplitude at site 8 outside chain 0..5"):
-            dynamics.one_particle_flow(m, amplitudes(2, 10, {(8, 1): 5.0}), [1.0])
+            dynamics.one_particle_flow(m, amplitudes(2, 10, {(8, 1): 5.0}), D2, [1.0])
         with pytest.raises(ValueError, match="amplitudes on 4 sites, chain has 6"):
-            dynamics.one_particle_flow(m, amplitudes(2, 4, {(1, 0): 1.0}), [1.0])
+            dynamics.one_particle_flow(m, amplitudes(2, 4, {(1, 0): 1.0}), D2, [1.0])
 
     def test_flow_rejects_a_generator_that_is_not_antihermitian(self):
         f = amplitudes(2, 4, {(1, 0): 1.0})
         m = np.zeros((8, 8))
         m[1, 0] = 0.5
         with pytest.raises(ValueError, match="not antihermitian"):
-            dynamics.one_particle_flow(m, f, [1.0])
+            dynamics.one_particle_flow(m, f, D2, [1.0])
         # d/dt f(0) = -f(1)/2 and d/dt f(1) = f(0)/2: at t = pi the amplitude has turned to -1 at site 0
         m[0, 1] = -0.5
-        (ft,) = dynamics.one_particle_flow(m, f, [np.pi])
+        (ft,) = dynamics.one_particle_flow(m, f, D2, [np.pi])
         assert np.abs(ft - amplitudes(2, 4, {(0, 0): -1.0})).max() < 1e-15
 
     def test_each_basis_monomial_built_once(self, monkeypatch):
@@ -741,7 +831,13 @@ class TestAmplitudeArrays:
     def test_flow_rejects_shape(self, shape, match):
         # M of order 15 is a 3-flavour, 5-site generator: 2 rows do not divide it
         with pytest.raises(ValueError, match=match):
-            dynamics.one_particle_flow(np.zeros((15, 15)), np.ones(shape), [1.0])
+            dynamics.one_particle_flow(np.zeros((15, 15)), np.ones(shape), D3, [1.0])
+
+    def test_flow_rejects_a_wrong_d(self):
+        # 3 flavours x 4 sites fill the 12 modes of a 2-flavour, 6-site M as
+        # well: only the chain's d tells them apart
+        with pytest.raises(ValueError, match=r"shape \(3, 4\) do not fill 12 modes of 2 flavours"):
+            dynamics.one_particle_flow(np.zeros((12, 12)), np.ones((3, 4)), D2, [1.0])
 
 
 class TestReconstruction:

@@ -111,7 +111,7 @@ def chain_sups(L, hopping, times):
     model = QuadraticModel(ChainSpec(2, L), GradingParams(2, 1, 1), Hopping(hopping))
     f0 = np.zeros((2, L))
     f0[0, L // 2] = 1.0
-    return np.array([np.abs(f).max() for f in one_particle_flow(generator(model), f0, times)])
+    return np.array([np.abs(f).max() for f in one_particle_flow(generator(model), f0, model.params, times)])
 
 
 class TestSupDecay:

@@ -90,7 +90,7 @@ class TestTwoPoint:
             basis = [b.as_element() for b in span_basis(D2, model.chain)[0]]
             for y, by in enumerate(basis):
                 delta = np.eye(16)[y].reshape(2, 8)
-                columns = [f.reshape(-1) for f in one_particle_flow(m, delta, times)]
+                columns = [f.reshape(-1) for f in one_particle_flow(m, delta, D2, times)]
                 for x, bx in enumerate(basis):
                     series = two_point(bx, by, model, times)
                     want = [col[x] * trace_state(bx * bx) for col in columns]
