@@ -50,6 +50,8 @@ class ChainSpec:
     def __post_init__(self):
         if self.d < 2 or self.L < 1:
             raise ValueError(f"invalid chain: d={self.d}, L={self.L}")
+        if self.cap < 1:
+            raise ValueError(f"dimension cap must be >= 1, got {self.cap}")
 
     @property
     def dim(self) -> int:

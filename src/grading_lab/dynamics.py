@@ -9,21 +9,19 @@ self-adjoint by construction.  It therefore commutes with the gauge
 unitary and splits into d charge sectors of d^(L-1) states each.  Every
 evolution uses one cached per-sector eigendecomposition per model, read
 from the diagonal charge blocks of the dense H, which it does not keep.
-Only sector 0 is diagonalised: every H built here commutes with some
-charge-1 B_xj (below), a phased permutation U that maps sector c onto
-sector c + 1, whose vectors are the row gather U V_c.  The charge-0
-products U_a^dag U_b of two such B_xj commute with H as well; a group G
-of them (``QuadraticModel.block_symmetries``) splits sector 0 into its
-joint eigenspaces, one eigh of m / |G| states each.  An H with no such U,
-or whose realized blocks break H_{c+1,c+1} = U H_cc U^dag or
-S H_00 S^dag = H_00 for a generator S of G entrywise, raises ValueError
-before any eigh.  There is one evolution: the charge blocks of an
-operator are rotated once into that eigenbasis, where exp(iHt) is the
-phase table ``QuadraticModel.propagator(t)`` and tau_t multiplies block
-entry [m, n] by exp(i (E_m - E_n) t).  Every step takes and returns a
-``DenseOperator``, whose blocks are in the site basis or, between
-``eigenbasis_blocks`` and ``site_blocks``, in the eigenbasis, so no
-evolution or check assembles the full d^L x d^L matrix.
+The charge-0 products U_a^dag U_b of two charge-1 B_xj (below) that
+commute with H commute with it as well; a group G of them
+(``QuadraticModel.block_symmetries``) splits every charge sector into its
+joint eigenspaces, one eigh of d^(L-1) / |G| states each, and an H with
+no such pair has G = 1, one eigh per sector.  An H whose realized blocks
+break g^dag H_cc g = H_cc for some g in G entrywise, in any sector,
+raises ValueError before any eigh.  There is one evolution: the charge
+blocks of an operator are rotated once into that eigenbasis, where
+exp(iHt) is the phase table ``QuadraticModel.propagator(t)`` and tau_t
+multiplies block entry [m, n] by exp(i (E_m - E_n) t).  Every step takes
+and returns a ``DenseOperator``, whose blocks are in the site basis or,
+between ``eigenbasis_blocks`` and ``site_blocks``, in the eigenbasis, so
+no evolution or check assembles the full d^L x d^L matrix.
 
 The one-particle flow is read from the symbolic H.  For a (d, N) array
 f[j, x], zero past the chain, the smeared field W(f) = sum_{x,j} f[j, x] B_xj
@@ -97,40 +95,21 @@ class QuadraticModel:
         """H realized on its charge blocks, afresh on each call."""
         return realize(self.hamiltonian, self.chain)
 
-    def _commuting_raisers(self) -> list[WeylMonomial]:
-        """Every B_xj of ``span_basis`` (each of shift charge 1) that commutes with every monomial of H, in basis order.
-
-        Exact: ``commutation_phase`` is integer arithmetic.
-        """
-        basis, _ = span_basis(self.params, self.chain)
-        terms = [WeylMonomial(self.chain.d, key, 0) for key in self.hamiltonian.terms]
-        return [b for b in basis if not any(commutation_phase(b, t) for t in terms)]
-
-    def raising_symmetry(self) -> WeylMonomial | None:
-        """The first B_xj of ``span_basis`` (each of shift charge 1) that commutes with every monomial of H, or None.
-
-        It maps charge sector c onto sector c + 1 (``eigensystem``), and it
-        is the first of the B_xj that ``block_symmetries`` pairs into
-        charge-0 symmetries.  At d = 2 with j+ = j- (mod 2) it is the frozen
-        second-flavour generator at site 0; the others found are end-site
-        B_xj too.
-        """
-        return next(iter(self._commuting_raisers()), None)
-
     def block_symmetries(self) -> tuple[WeylMonomial, ...]:
         """Generators S_1..S_r of a group G of d^r charge-0 monomials that commute with H and with each other.
 
-        Each S_i is a product U_a^dag U_b of two charge-1 B_xj that commute
-        with H (``raising_symmetry`` returns the first of them).  The pairs
-        a < b are walked in basis order and one is kept when it commutes with
-        every S already kept and its shift vector adds d new cosets to the
-        group the kept ones span (n l is outside it for n = 1..d-1), so the
-        d^r products have distinct shift vectors: G moves every basis state
-        and each orbit holds d^r states.  S^d is the identity monomial times
-        +-1; where it is -1 the phase exponent is lowered by 1, so S_i^d = 1
-        and the joint eigenvalues are d-th roots of unity.  An H with no
-        monomials keeps none (G = 1), so its eigenvectors stay the identity.
-        Exact: every step is integer label arithmetic.  Dense chains only
+        Each S_i is a product U_a^dag U_b of two B_xj of ``span_basis`` (each
+        of shift charge 1) that commute with every monomial of H.  The pairs
+        a < b of those B_xj are walked in basis order and one is kept when it
+        commutes with every S already kept and its shift vector adds d new
+        cosets to the group the kept ones span (n l is outside it for
+        n = 1..d-1), so the d^r products have distinct shift vectors: G moves
+        every basis state and each orbit holds d^r states.  S^d is the
+        identity monomial times +-1; where it is -1 the phase exponent is
+        lowered by 1, so S_i^d = 1 and the joint eigenvalues are d-th roots of
+        unity.  An H with no two such B_xj, or with no monomials, keeps none
+        (G = 1), and ``eigensystem`` runs one eigh per sector.  Exact: every
+        step is integer label arithmetic.  Dense chains only
         (``ChainSpec.check_dense``), since the shift vectors of G are listed
         and G is at most the size of a charge sector.
         """
@@ -138,7 +117,9 @@ class QuadraticModel:
         d, L = self.chain.d, self.chain.L
         if not self.hamiltonian.terms:
             return ()
-        raisers = self._commuting_raisers()
+        basis, _ = span_basis(self.params, self.chain)
+        terms = [WeylMonomial(d, key, 0) for key in self.hamiltonian.terms]
+        raisers = [b for b in basis if not any(commutation_phase(b, t) for t in terms)]
         kept: list[WeylMonomial] = []
         shifts = {(0,) * L}
         for a, ua in enumerate(raisers):
@@ -159,24 +140,17 @@ class QuadraticModel:
         """Per-sector eigenvalues (d, m) and eigenvectors, one m x m array per sector, m = d^(L-1).
 
         Block c is H restricted to the basis states ``chain.sectors()[c]``.
-        Only sector 0 is diagonalised, and it is split first.  Every H that
-        ``hamiltonian`` builds commutes with a charge-raising U
-        (``raising_symmetry``), so H_{c+1,c+1} = U_{c+1,c} H_cc U_{c+1,c}^dag
-        and sector c + 1 has the values of sector c and the vectors
-        U_{c+1,c} V_c, a phased row gather.  Sector 0 itself is split by the
-        group G of ``block_symmetries``: ``_symmetry_eigh`` runs one eigh
-        per joint eigenspace, each of size m / |G|, and sorts the values
-        with a stable argsort.  Raises ValueError, before any eigh, when H
-        has no such U, is not hermitian, mixes charge sectors, or breaks
-        either premise entrywise on the realized blocks.  H is realized for
-        this call only and each diagonal block is freed once it is no longer
-        needed, so a diagonalised model holds the eigenvectors and no copy
+        The group G of ``block_symmetries`` has charge 0, so it maps every
+        sector onto itself, and ``_symmetry_eigh`` splits each sector into
+        its joint eigenspaces, one eigh of m / |G| states each, and sorts
+        each sector's values with a stable argsort.  Raises ValueError,
+        before any eigh, when H is not hermitian, mixes charge sectors, or
+        fails to commute with G entrywise in some sector.  H is realized for
+        this call only and each diagonal block is freed once it has been
+        gathered, so a diagonalised model holds the eigenvectors and no copy
         of H.
         """
         if self._eig is None:
-            raising = self.raising_symmetry()
-            if raising is None:
-                raise ValueError("Hamiltonian has no charge-raising symmetry")
             h = self.dense_hamiltonian
             if h.hermiticity_defect() > 1e-12:
                 raise ValueError("dense Hamiltonian is not hermitian")
@@ -185,19 +159,7 @@ class QuadraticModel:
             d, m = self.chain.d, self.chain.dim // self.chain.d
             diagonal = [h.blocks.pop((c, c), None) for c in range(d)]
             diagonal = [np.zeros((m, m), dtype=complex) if blk is None else blk for blk in diagonal]
-            rows, phases = monomial_action(raising, self.chain)
-            source, gain = _row_gather(rows, phases)
-            for c in range(d - 1):
-                if _conjugation_defect(diagonal[c], diagonal[c + 1], source[c], gain[c]) > 1e-12:
-                    raise ValueError("dense Hamiltonian does not commute with its charge-raising symmetry")
-            del diagonal[1:]
-            w, v = _symmetry_eigh(diagonal.pop(), self.block_symmetries(), self.chain)
-            vectors = [v]
-            for c in range(1, d):
-                v = vectors[-1][source[c - 1]]
-                v *= gain[c - 1][:, None]
-                vectors.append(v)
-            self._eig = np.array([w] * d), tuple(vectors)
+            self._eig = _symmetry_eigh(diagonal, self.block_symmetries(), self.chain)
         return self._eig
 
     def propagator(self, t: float) -> np.ndarray:
@@ -222,77 +184,94 @@ class QuadraticModel:
         return DenseOperator(a.chain, {(r, c): vecs[r] @ blk @ vecs[c].conj().T for (r, c), blk in a.blocks.items()})
 
 
-def _row_gather(rows: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A ``monomial_action`` as row gathers: row r of U X (sector by sector) is gain[c, r] X[source[c, r]]."""
-    source = np.argsort(rows, axis=1)
-    return source, np.take_along_axis(phases, source, axis=1)
+def _symmetry_defect(blk: np.ndarray, gathered: np.ndarray, states: np.ndarray, phase: np.ndarray, product: np.ndarray) -> float:
+    """Largest entry modulus of g^dag H g' - H g^-1 g' over one sector's block, read against its orbit gather.
 
-
-def _conjugation_defect(blk: np.ndarray, target: np.ndarray, source: np.ndarray, gain: np.ndarray) -> float:
-    """Largest entry modulus of U X U^dag - Y, U the row gather (source, gain): entry [a, b] of U X U^dag is gain[a] X[source[a], source[b]] conj(gain[b]).
-
-    One m x m temporary, freed on return.
+    Entry [(g, o), (g', o')] of g^dag H g' is
+    conj(phase[g, o]) phase[g', o'] H[state[g, o], state[g', o']], and that
+    of H h with h = g^-1 g' is gathered[h, o, o'] (``_symmetry_eigh``); the
+    two agree for every g, g' exactly when H commutes with the group.
+    product[g, h] is the index of g h.  Row slab g holds the m / G rows
+    state[g, :] with its columns in the order g' = g h, h = 0..G-1, so it is
+    compared with gathered as it stands: one (m / G) x m temporary at a
+    time.  The slab of the identity, g = 0, is the gather itself and is
+    skipped, so G = 1 checks nothing.
     """
-    out = blk[np.ix_(source, source)]
-    out *= gain[:, None]
-    out *= gain.conj()
-    return float(np.abs(np.subtract(out, target, out=out)).max())
+    worst = 0.0
+    for g in range(1, len(states)):
+        row = states[g]
+        slab = blk[row[:, None], states[product[g]].ravel()].reshape(len(row), len(states), -1)
+        slab *= phase[g].conj()[:, None, None]
+        slab *= phase[product[g]]
+        slab -= gathered.transpose(1, 0, 2)
+        worst = max(worst, float(np.abs(slab).max()))
+    return worst
 
 
-def _symmetry_eigh(h00: np.ndarray, symmetries: tuple[WeylMonomial, ...], chain: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of sector 0's block h00, one eigh per joint eigenspace of the group the symmetries generate.
+def _symmetry_eigh(diagonal: list[np.ndarray], symmetries: tuple[WeylMonomial, ...], chain: ChainSpec) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Eigenvalues (d, m), ascending per sector, and eigenvectors of the diagonal blocks H_cc, one eigh per joint eigenspace of the group the symmetries generate.
 
     The r generators S_i (S_i^d = 1, commuting with each other and with H)
-    give G = d^r elements g_n = prod S_i^(n_i), each realized on sector 0 by
-    ``monomial_action``, so every phase is read from ``weyl.roots``.  G acts
-    freely, and the orbit of each representative rep_o (the least state of
-    its orbit) is g|rep_o> = phase[g, o] |state[g, o]>.  On the joint
-    eigenspace where g reads chi_k(g) = exp(2i pi k.n / d) the vectors
+    give G = d^r elements g_n = prod S_i^(n_i), each realized on every
+    sector by ``monomial_action``, so every phase is read from
+    ``weyl.roots``.  G has charge 0 and acts freely, and in sector c the
+    orbit of each representative rep_o (the least state of its orbit) is
+    g|rep_o> = phase[g, o] |state[g, o]>.  On the joint eigenspace where g
+    reads chi_k(g) = exp(2i pi k.n / d) the vectors
     |o, k> = G^(-1/2) sum_g conj(chi_k(g)) g|rep_o> are orthonormal, and
     since H commutes with G,
     <o, k|H|o', k> = sum_g conj(chi_k(g)) phase[g, o'] H[rep_o, state[g, o']],
-    one gather of m^2 / G entries and a G x G character contraction.  The
-    values of all blocks are merged by a stable argsort, and eigenvector j
-    of block k is scattered into the column of its value in V_0, with entry
-    conj(chi_k(g)) phase[g, o] R_k[o, j] / sqrt(G) at state[g, o].
-    Raises ValueError, before any eigh, when some S_i H S_i^dag differs
-    from h00 by more than 1e-12 in an entry.  G = 1 is one block, h00.
+    one gather of m^2 / G entries and a G x G character contraction.  Every
+    sector is gathered and checked against its gather (``_symmetry_defect``)
+    before the first eigh, and its block is dropped from ``diagonal`` once
+    checked; ValueError when some entry is off by more than 1e-12.  The
+    values of a sector's blocks are merged by a stable argsort, and
+    eigenvector j of block k is scattered into the column of its value in
+    V_c, with entry conj(chi_k(g)) phase[g, o] R_k[o, j] / sqrt(G) at
+    state[g, o].  G = 1 is one block per sector, H_cc.
     """
-    d, m = chain.d, len(h00)
-    for s in symmetries:
-        rows, phases = monomial_action(s, chain)
-        source, gain = _row_gather(rows, phases)
-        if _conjugation_defect(h00, h00, source[0], gain[0]) > 1e-12:
-            raise ValueError("dense Hamiltonian does not commute with its block symmetry")
+    d, m = chain.d, len(diagonal[0])
     powers = np.array(list(itertools.product(range(d), repeat=len(symmetries))), dtype=np.int64)
     group = len(powers)
-    rows = np.empty((group, m), dtype=np.int64)
-    phases = np.empty((group, m), dtype=complex)
+    rows = np.empty((group, d, m), dtype=np.int64)
+    phases = np.empty((group, d, m), dtype=complex)
     for g, n in enumerate(powers.tolist()):
         element = functools.reduce(mono_mul, map(WeylMonomial.pow, symmetries, n), WeylMonomial.identity(d))
-        action = monomial_action(element, chain)
-        rows[g], phases[g] = action[0][0], action[1][0]
-    reps = np.flatnonzero(rows.min(axis=0) == np.arange(m))
-    states, phase = rows[:, reps], phases[:, reps]
-    del rows, phases
-    size = len(reps)
+        rows[g], phases[g] = monomial_action(element, chain)
+    # product[g, h] is the index of g h: powers add mod d, and the rows of powers count in base d
+    product = (powers[:, None, :] + powers) % d @ d ** np.arange(len(symmetries))[::-1]
     chars = np.array(roots(d))[2 * (powers @ powers.T) % (2 * d)]
-    gathered = h00[reps[None, :, None], states[:, None, :]]
-    del h00
-    gathered *= phase[:, None, :]
-    blocks = (chars.conj() @ gathered.reshape(group, -1)).reshape(group, size, size)
-    del gathered
-    pairs = [np.linalg.eigh(blk) for blk in blocks]
-    del blocks
-    values = np.concatenate([w for w, _ in pairs])
-    order = np.argsort(values, kind="stable")
-    column = np.empty(m, dtype=np.int64)
-    column[order] = np.arange(m)
-    vectors = np.empty((m, m), dtype=complex)
-    for k, (_, r) in enumerate(pairs):
-        weight = chars[k].conj()[:, None] * phase / np.sqrt(group)
-        vectors[np.ix_(states.ravel(), column[k * size : (k + 1) * size])] = (weight[:, :, None] * r).reshape(m, size)
-    return values[order], vectors
+    orbits = []
+    for c in range(d):
+        reps = np.flatnonzero(rows[:, c].min(axis=0) == np.arange(m))
+        states, phase = rows[:, c, reps], phases[:, c, reps]
+        gathered = diagonal[c][reps[None, :, None], states[:, None, :]]
+        gathered *= phase[:, None, :]
+        if _symmetry_defect(diagonal[c], gathered, states, phase, product) > 1e-12:
+            raise ValueError("dense Hamiltonian does not commute with its block symmetry")
+        diagonal[c] = None
+        orbits.append((states, phase, gathered))
+    del rows, phases
+    values, vectors = [], []
+    for c in range(d):
+        states, phase, gathered = orbits[c]
+        orbits[c] = None
+        size = states.shape[1]
+        blocks = (chars.conj() @ gathered.reshape(group, -1)).reshape(group, size, size)
+        del gathered
+        pairs = [np.linalg.eigh(blk) for blk in blocks]
+        del blocks
+        w = np.concatenate([pair[0] for pair in pairs])
+        order = np.argsort(w, kind="stable")
+        column = np.empty(m, dtype=np.int64)
+        column[order] = np.arange(m)
+        v = np.empty((m, m), dtype=complex)
+        for k, (_, r) in enumerate(pairs):
+            weight = chars[k].conj()[:, None] * phase / np.sqrt(group)
+            v[np.ix_(states.ravel(), column[k * size : (k + 1) * size])] = (weight[:, :, None] * r).reshape(m, size)
+        values.append(w[order])
+        vectors.append(v)
+    return np.array(values), tuple(vectors)
 
 
 def phase_blocks(a: DenseOperator, u: np.ndarray) -> DenseOperator:

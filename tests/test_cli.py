@@ -152,6 +152,19 @@ class TestExitCodes:
         assert code == 3
         assert "256" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "evolve", "decay", "block"])
+    @pytest.mark.parametrize("cap", ["0", "-5"], ids=["cap0", "cap_negative"])
+    def test_cap_not_positive_exits_2(self, tmp_path, capsys, command, cap):
+        # a cap below 1 is a config error, not a chain above the cap
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"experiment = {command}\nd = 2\nl = 6\nhopping = 1=0-0.25j, -1=0+0.25j\n"
+                       "t_start = 0\nt_stop = 1\nt_count = 2\n")
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--cap", cap]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"dimension cap must be >= 1, got {cap}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, body", [
         ("verify", "d = 1\nl = 4\n"),
         ("verify", "d = 2\nl = 0\n"),

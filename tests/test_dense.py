@@ -91,6 +91,9 @@ class TestChainSpec:
     def test_invalid_chain(self):
         with pytest.raises(ValueError):
             ChainSpec(1, 3)
+        for cap in (0, -5):
+            with pytest.raises(ValueError, match="cap must be >= 1"):
+                ChainSpec(2, 3, cap=cap)
 
 
 class TestClockShift:

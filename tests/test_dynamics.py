@@ -260,6 +260,25 @@ def assert_exact_eigensystem(model, blocks):
         assert np.abs(w - np.linalg.eigvalsh(h)).max() <= 1e-12
 
 
+def assert_broken_symmetry_rejected(monkeypatch, sector):
+    """A hermitian 1e-9 on the first diagonal entry of one sector's block of d2_model(6), whose first block symmetry moves that state, raises before any eigh."""
+    model = d2_model(6)
+    (first, *_) = model.block_symmetries()
+    assert monomial_action(first, model.chain)[0][sector, 0] != 0
+    realize_h = dynamics.realize
+
+    def realize_shifted(a, chain):
+        h = realize_h(a, chain)
+        h.blocks[sector, sector][0, 0] += 1e-9
+        return h
+
+    monkeypatch.setattr(dynamics, "realize", realize_shifted)
+    calls = counted_eigh(monkeypatch)
+    with pytest.raises(ValueError, match="block symmetry"):
+        model.eigensystem
+    assert calls == []
+
+
 class TestSectorBlocks:
     @pytest.mark.parametrize("d, L, hopping", [
         (2, 4, IM_NN),
@@ -318,40 +337,33 @@ class TestSectorBlocks:
         (2, 4, IM_NN),
         (3, 3, Hopping({1: 0.5 - 0.25j, -1: 0.5 + 0.25j})),
     ])
-    def test_eigensystem_derives_sectors_from_sector_0(self, d, L, hopping):
-        # sector 0 is solved to 1e-12 against its realized block; every other
-        # sector is reached through the charge-raising symmetry, so it has the
-        # values of its source byte for byte and, byte for byte, the vectors
-        # of its source gathered by the rows of U and scaled by their phases
+    def test_eigensystem_solves_every_sector(self, d, L, hopping):
+        # every sector is diagonalised on its own and solved to 1e-12 against
+        # its realized block; a charge-1 B_xj commutes with these H, so the
+        # sectors share one spectrum, which the independent solves reproduce
         model = QuadraticModel(ChainSpec(d, L), GradingParams(d, 1, 1), hopping)
         blocks = model.dense_hamiltonian.blocks
         values, vectors = model.eigensystem
         assert values.shape == (d, d ** (L - 1)) and len(vectors) == d
-        rows, phases = monomial_action(model.raising_symmetry(), model.chain)
-        for c in range(1, d):
-            assert values[c].tobytes() == values[c - 1].tobytes()
-            gathered = np.empty_like(vectors[c])
-            gathered[rows[c - 1]] = vectors[c - 1] * phases[c - 1][:, None]
-            assert vectors[c].tobytes() == gathered.tobytes()
+        assert np.abs(values - values[0]).max() <= 1e-12
         assert_exact_eigensystem(model, blocks)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @GENERATOR_MODELS
     def test_one_eigh_per_eigensystem(self, monkeypatch, d, L, hopping):
-        # every buildable H commutes with a charge-1 B_xj, so sector 0 serves
-        # all d sectors, and its G = d^r joint eigenspaces of the block
-        # symmetries take one eigh each, of size m / G, for every (j+, j-)
+        # the block symmetries split each of the d sectors into G = d^r joint
+        # eigenspaces, and each takes one eigh, of size m / G, for every
+        # (j+, j-)
         L = min(L, {2: 10, 3: 5, 4: 4}[d])
         m = d ** (L - 1)
         calls = counted_eigh(monkeypatch)
         for j_plus in range(d):
             for j_minus in range(d):
                 model = QuadraticModel(ChainSpec(d, L), GradingParams(d, j_plus, j_minus), Hopping(hopping))
-                assert model.raising_symmetry() is not None
                 group = d ** len(model.block_symmetries())
                 calls.clear()
                 model.eigensystem
-                assert calls == [(m // group,) * 2] * group
+                assert calls == [(m // group,) * 2] * (d * group)
                 assert_exact_eigensystem(model, model.dense_hamiltonian.blocks)
 
     @pytest.mark.parametrize("name, group", [
@@ -364,13 +376,14 @@ class TestSectorBlocks:
     ])
     def test_preset_symmetry_groups(self, monkeypatch, name, group):
         # the group each shipped preset's model gets (block_d2's H is empty),
-        # and one eigh per joint eigenspace; verify_d3's chain is above the cap
+        # and one eigh per joint eigenspace of each sector; verify_d3's chain
+        # is above the cap
         cfg = load_config(str(PRESETS / name))
         model = QuadraticModel(ChainSpec(cfg.d, cfg.l), GradingParams(cfg.d, cfg.j_plus, cfg.j_minus), Hopping(cfg.hopping))
         assert cfg.d ** len(model.block_symmetries()) == group
         calls = counted_eigh(monkeypatch)
         model.eigensystem
-        assert calls == [(cfg.d ** (cfg.l - 1) // group,) * 2] * group
+        assert calls == [(cfg.d ** (cfg.l - 1) // group,) * 2] * (cfg.d * group)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @GENERATOR_MODELS
@@ -403,80 +416,39 @@ class TestSectorBlocks:
             model.block_symmetries()
 
     def test_broken_block_symmetry_rejected(self, monkeypatch):
-        # a hermitian 1e-9 on the diagonal entry of state 0 in block (0, 0),
-        # and its image under U in block (1, 1), passes the hermiticity,
-        # sector and charge-raising checks, but S_1 moves state 0, so
+        # a hermitian 1e-9 on the diagonal entry of state 0 in block (0, 0)
+        # passes the hermiticity and sector checks, but S_1 moves state 0, so
         # S_1 H_00 S_1^dag no longer equals H_00: no eigh runs
-        model = d2_model(6)
-        (first, *_) = model.block_symmetries()
-        rows, _ = monomial_action(model.raising_symmetry(), model.chain)
-        assert monomial_action(first, model.chain)[0][0, 0] != 0
-        realize_h = dynamics.realize
+        assert_broken_symmetry_rejected(monkeypatch, 0)
 
-        def realize_shifted(a, chain):
-            h = realize_h(a, chain)
-            h.blocks[0, 0][0, 0] += 1e-9
-            h.blocks[1, 1][rows[0, 0], rows[0, 0]] += 1e-9
-            return h
-
-        monkeypatch.setattr(dynamics, "realize", realize_shifted)
-        calls = counted_eigh(monkeypatch)
-        with pytest.raises(ValueError, match="block symmetry"):
-            model.eigensystem
-        assert calls == []
+    def test_broken_symmetry_in_sector_1_rejected(self, monkeypatch):
+        # the same break in block (1, 1) only, sector 0 untouched: every
+        # sector is checked before the first eigh, so no eigh runs
+        assert_broken_symmetry_rejected(monkeypatch, 1)
 
     @pytest.mark.parametrize("d, L, hopping", [
         (2, 8, IM_NN),
         (3, 5, Hopping({1: 0.5 - 0.25j, -1: 0.5 + 0.25j})),
     ])
     def test_trivial_group_is_one_eigh(self, d, L, hopping):
-        # with no symmetry the split is one block, and its eigenpairs are
-        # those of one eigh of the whole sector, byte for byte
+        # with no symmetry the split is one block per sector, and its
+        # eigenpairs are those of one eigh of the whole sector, byte for byte
         model = QuadraticModel(ChainSpec(d, L), GradingParams(d, 1, 1), hopping)
-        h = model.dense_hamiltonian.blocks[0, 0]
-        w, v = np.linalg.eigh(h)
-        got_w, got_v = dynamics._symmetry_eigh(h.copy(), (), model.chain)
-        assert got_w.tobytes() == w.tobytes() and got_v.tobytes() == v.tobytes()
-
-    @pytest.mark.parametrize("d, L", [(2, 6), (3, 4)])
-    def test_no_raising_symmetry_rejected(self, monkeypatch, d, L):
-        # a clock field W_x(1, 0) + h.c. on every site fails to commute with
-        # every B_xj (W_x(j, 1) at site x): such an H is rejected before any eigh
-        params = GradingParams(d, 1, 1)
-        model = QuadraticModel(ChainSpec(d, L), params, Hopping({1: 0.3 - 0.2j, -1: 0.3 + 0.2j}))
-        field = AlgebraElement.from_monomials(
-            [(0.1 * (x + 1), WeylMonomial.single(d, x, 1, 0)) for x in range(L)], d
-        )
-        model._hamiltonian = model.hamiltonian + field + field.adjoint()
-        assert model.raising_symmetry() is None
-        calls = counted_eigh(monkeypatch)
-        with pytest.raises(ValueError, match="no charge-raising symmetry"):
-            model.eigensystem
-        assert calls == []
-
-    def test_broken_raising_symmetry_rejected(self, monkeypatch):
-        # block (1, 1) moved by a hermitian 1e-9 passes the hermiticity and
-        # sector checks, but no longer equals U H_00 U^dag
-        model = QuadraticModel(ChainSpec(2, 4), D2, IM_NN)
-        realize_h = dynamics.realize
-
-        def realize_shifted(a, chain):
-            h = realize_h(a, chain)
-            h.blocks[1, 1][0, 0] += 1e-9
-            return h
-
-        monkeypatch.setattr(dynamics, "realize", realize_shifted)
-        with pytest.raises(ValueError, match="charge-raising symmetry"):
-            model.eigensystem
+        blocks = model.dense_hamiltonian.blocks
+        got_w, got_v = dynamics._symmetry_eigh([blocks[c, c].copy() for c in range(d)], (), model.chain)
+        for c in range(d):
+            w, v = np.linalg.eigh(blocks[c, c])
+            assert got_w[c].tobytes() == w.tobytes() and got_v[c].tobytes() == v.tobytes()
 
     def test_eigensystem_working_set(self):
-        # the realized H, one hermiticity temporary at a time and the
-        # eigenvectors, each diagonal block freed once diagonalised: at most
-        # 5 blocks of m x m complex entries
-        model = d2_model(8)
-        block = 16 * (model.chain.dim // 2) ** 2
-        _, peak = traced_peak(lambda: model.eigensystem)
-        assert peak <= 5 * block
+        # the realized H, one hermiticity temporary at a time, the orbit
+        # gathers and the eigenvectors, each diagonal block freed once
+        # gathered: at most d + 3 blocks of m x m complex entries
+        for model in (d2_model(8), QuadraticModel(ChainSpec(3, 6), D3, Hopping({1: 0.5 - 0.25j, -1: 0.5 + 0.25j}))):
+            d = model.chain.d
+            block = 16 * (model.chain.dim // d) ** 2
+            _, peak = traced_peak(lambda: model.eigensystem)
+            assert peak <= (d + 3) * block
 
     @pytest.mark.parametrize("d, L, hopping", [
         (2, 4, IM_NN),
@@ -523,6 +495,71 @@ class TestSectorBlocks:
         assert block_bits(blocks) == before
         want = {(r, c): u[r][:, None] * blk * u[c].conj() for (r, c), blk in blocks.items()}
         assert block_bits(got) == block_bits(want)
+
+
+def clock_field_model(d, L):
+    """A hopping plus the clock field W_x(1, 0) + h.c. on every site, which fails to commute with every B_xj (W_x(j, 1) at site x)."""
+    model = QuadraticModel(ChainSpec(d, L), GradingParams(d, 1, 1), Hopping({1: 0.3 - 0.2j, -1: 0.3 + 0.2j}))
+    field = AlgebraElement.from_monomials([(0.1 * (x + 1), WeylMonomial.single(d, x, 1, 0)) for x in range(L)], d)
+    model._hamiltonian = model.hamiltonian + field + field.adjoint()
+    return model
+
+
+def two_flavour_model(L, seed=5):
+    """d = 2 nearest-neighbour hopping of both flavours, sum_z sum_{r,r'} h[r, r'] B_zr B_(z+1)r'^dag + h.c., with a seeded complex 2 x 2 h."""
+    model = QuadraticModel(ChainSpec(2, L), D2, Hopping({}))
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    half = AlgebraElement.from_monomials([
+        (h[r, s], mono_mul(dressed_weyl_rs(z, r, 1, D2, model.chain), mono_adjoint(dressed_weyl_rs(z + 1, s, 1, D2, model.chain))))
+        for z in range(L - 1) for r in range(2) for s in range(2)
+    ], 2)
+    model._hamiltonian = half + half.adjoint()
+    return model
+
+
+NO_RAISER_MODELS = pytest.mark.parametrize("make", [
+    lambda: clock_field_model(2, 6),
+    lambda: clock_field_model(3, 4),
+    lambda: two_flavour_model(6),
+], ids=["clock_d2", "clock_d3", "two_flavour_d2"])
+
+
+class TestNoCommutingRaiser:
+    """Hamiltonians that commute with no B_xj: G = 1, one eigh per sector, checked end to end against expm."""
+
+    @NO_RAISER_MODELS
+    def test_one_eigh_per_sector(self, monkeypatch, make):
+        model = make()
+        d, m = model.chain.d, model.chain.dim // model.chain.d
+        basis, _ = dynamics.span_basis(model.params, model.chain)
+        terms = [WeylMonomial(d, key, 0) for key in model.hamiltonian.terms]
+        assert all(any(commutation_phase(b, t) for t in terms) for b in basis)
+        assert model.block_symmetries() == ()
+        calls = counted_eigh(monkeypatch)
+        model.eigensystem
+        assert calls == [(m, m)] * d
+        assert_exact_eigensystem(model, model.dense_hamiltonian.blocks)
+
+    @NO_RAISER_MODELS
+    def test_heisenberg_evolve_matches_expm(self, make):
+        model = make()
+        d = model.chain.d
+        a = realize(_charged_input(d, tuple(range(d)), seed=17 * d), model.chain)
+        for t in (0.0, 1.3, 4.1):
+            assert np.abs(heisenberg_evolve(a, model, t).entries - expm_evolution(model, a, t)).max() <= 1e-12
+
+    @NO_RAISER_MODELS
+    def test_commutator_decay_matches_expm(self, make):
+        model = make()
+        d = model.chain.d
+        a, b = _charged_input(d, (1,), seed=19 * d), _charged_input(d, (0, 1), seed=23 * d)
+        ad, bd = realize(a, model.chain), realize(b, model.chain).entries
+        times = [0.0, 1.3, 4.1]
+        res = commutator_decay(a, b, model, times)
+        for t, norm in zip(times, res.norms):
+            at = expm_evolution(model, ad, t)
+            assert abs(norm - np.linalg.norm(at @ bd - bd @ at, 2)) <= 1e-12
 
 
 class TestCommutatorDecay:
