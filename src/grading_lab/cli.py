@@ -127,8 +127,10 @@ def _verify_rows(cfg: ExperimentConfig, seed: int, cap: int) -> list[list]:
         params = GradingParams(d, cfg.j_plus, cfg.j_minus)
         chain = ChainSpec(d, L, cap=cap)
         hopping = Hopping(cfg.hopping)
-    if L < 2:
-        raise ConfigError(f"verify needs l >= 2 (the sector and pair rows use sites 0 and 1), got l = {L}")
+        if L < 2:
+            raise ConfigError(f"verify needs l >= 2 (the sector and pair rows use sites 0 and 1), got l = {L}")
+        # the hopping must fit the configured chain, whichever chain the dense rows use
+        QuadraticModel(chain, params, hopping)
     small = ChainSpec(d, min(L, 5), cap=cap)
     # dense-verified rows fall back to the small chain above the cap
     dense_chain = chain if chain.dense_allowed else small
@@ -224,15 +226,17 @@ def _verify_rows(cfg: ExperimentConfig, seed: int, cap: int) -> list[list]:
 
     if cfg.hopping and dense_chain.L >= 4:
         ld = dense_chain.L
-        with _config_values():
-            model = QuadraticModel(dense_chain, params, hopping)
-        for r in claimed_commutator_audit(model, x=min(3, ld - 2), z=1):
+        # the audited claims read the chain and the grading, never the hopping
+        audited = QuadraticModel(dense_chain, params, Hopping({}))
+        for r in claimed_commutator_audit(audited, x=min(3, ld - 2), z=1):
             rows.append([r.claim_id, "audit", r.params, r.status, r.deviation, r.payload])
         if ld // 2 > 1:
-            for r in claimed_commutator_audit(model, x=1, z=ld // 2):
+            for r in claimed_commutator_audit(audited, x=1, z=ld // 2):
                 rows.append([r.claim_id, "audit", r.params, r.status, r.deviation, r.payload])
-        gdef = gauge_invariance_defect(model)
-        add("gauge_invariant_hamiltonian", "exact", f"d={d};L={ld}", gdef < 1e-12, gdef)
+        # above the cap a hopping longer than the dense subchain has no Hamiltonian on it
+        if hopping.support_diameter() // 2 < ld:
+            gdef = gauge_invariance_defect(QuadraticModel(dense_chain, params, hopping))
+            add("gauge_invariant_hamiltonian", "exact", f"d={d};L={ld}", gdef < 1e-12, gdef)
     return rows
 
 

@@ -1,47 +1,23 @@
-"""Flat key=value experiment configs with a canonical textual form.
+"""Flat key=value experiment configs.
 
 Format: UTF-8 lines ``key = value``, ``#`` starts a comment, blank lines
 ignored.  The hopping list is comma-separated ``offset=complex`` pairs
 with Python complex literals.  Unknown keys and non-finite numbers are
-rejected.  ``canonical_text`` round-trips through ``parse_config``
-bit-for-bit.
+rejected.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class ConfigError(ValueError):
     """Malformed or unknown configuration input."""
 
 
-_KEY_ORDER = [
-    "experiment",
-    "d",
-    "l",
-    "j_plus",
-    "j_minus",
-    "hopping",
-    "t_start",
-    "t_stop",
-    "t_count",
-    "block_k",
-    "out",
-]
-
 _INT_KEYS = {"d", "l", "j_plus", "j_minus", "t_count", "block_k"}
 _FLOAT_KEYS = {"t_start", "t_stop"}
-
-
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _fmt_complex(z: complex) -> str:
-    return f"{_fmt_float(z.real)}{'+' if math.copysign(1.0, z.imag) > 0 else '-'}{_fmt_float(abs(z.imag))}j"
 
 
 @dataclass
@@ -66,18 +42,8 @@ class ExperimentConfig:
         step = (self.t_stop - self.t_start) / (self.t_count - 1)
         return [self.t_start + i * step for i in range(self.t_count)]
 
-    def canonical_text(self) -> str:
-        lines = []
-        for key in _KEY_ORDER:
-            val = getattr(self, key)
-            if key == "hopping":
-                pairs = ", ".join(f"{x}={_fmt_complex(val[x])}" for x in sorted(val))
-                lines.append(f"hopping = {pairs}")
-            elif key in _FLOAT_KEYS:
-                lines.append(f"{key} = {_fmt_float(val)}")
-            else:
-                lines.append(f"{key} = {val}")
-        return "\n".join(lines) + "\n"
+
+_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def _parse_hopping(text: str) -> dict[int, complex]:
@@ -116,7 +82,7 @@ def parse_config(text: str) -> ExperimentConfig:
         key, val = line.split("=", 1)
         key = key.strip().lower()
         val = val.strip()
-        if key not in _KEY_ORDER:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")

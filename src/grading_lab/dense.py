@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weyl import AlgebraElement, WeylMonomial, gauge_project_symbolic, matrix_unit, roots
+from .weyl import AlgebraElement, WeylMonomial, matrix_unit, roots
 
 DEFAULT_DIM_CAP = 4096
 
@@ -192,17 +192,6 @@ class DenseOperator:
         keys = self.blocks.keys() & other.blocks.keys()
         return complex(sum(np.vdot(self.blocks[key], other.blocks[key]) for key in keys))
 
-def clock_shift(d: int) -> tuple[DenseOperator, DenseOperator]:
-    """Single-site clock and shift unitaries (D, S) with D S = w S D.
-
-    D realizes W(1, 0) (diagonal, generates the gauge rotation) and S
-    realizes W(0, 1) (cyclic permutation, carries one unit of charge).
-    """
-    chain = ChainSpec(d, 1)
-    D = realize(WeylMonomial.single(d, 0, 1, 0), chain)
-    S = realize(WeylMonomial.single(d, 0, 0, 1), chain)
-    return D, S
-
 
 def monomial_action(mono: WeylMonomial, chain: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
     """Where a monomial of shift charge q sends the basis, sector by sector: two (d, m) arrays.
@@ -295,16 +284,12 @@ def _charge_mask(rows: np.ndarray, cols: np.ndarray, order: int) -> np.ndarray:
     return (rows[:, None] - cols[None, :]) % order == 0
 
 
-def gauge_project(a: AlgebraElement | DenseOperator):
+def gauge_project(a: DenseOperator) -> DenseOperator:
     """Average over conjugation by powers of the global gauge unitary.
 
-    Symbolic input: keeps the monomials of total shift charge 0 mod d.
-    Dense input: (1/d) sum_j G^j M G^-j, which keeps exactly the diagonal
-    charge blocks (entries between basis states of equal charge) and drops
-    the rest.
+    (1/d) sum_j G^j M G^-j keeps exactly the diagonal charge blocks (entries
+    between basis states of equal charge) and drops the rest.
     """
-    if isinstance(a, AlgebraElement):
-        return gauge_project_symbolic(a)
     return DenseOperator(a.chain, {(r, c): blk for (r, c), blk in a.blocks.items() if r == c})
 
 
@@ -364,6 +349,8 @@ def block_sites(a: AlgebraElement, k: int, chain: ChainSpec) -> tuple[AlgebraEle
     one-block monomials.  The refined average masks every charge block of
     a monomial entrywise, and the plain one is ``gauge_project``.
     """
+    if k < 1:
+        raise ValueError(f"block size k must be >= 1, got k = {k}")
     if chain.L % k != 0:
         raise ValueError(f"chain length {chain.L} not divisible by block size {k}")
     d = chain.d

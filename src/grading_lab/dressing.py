@@ -31,7 +31,6 @@ from .weyl import (
     AlgebraElement,
     GradingParams,
     WeylMonomial,
-    lattice_shift,
     matrix_unit,
     mono_adjoint,
     mono_mul,
@@ -91,14 +90,8 @@ def dressed_matrix_unit(x: int, r: int, s: int, params: GradingParams, chain: Ch
 class ExchangeReport:
     """Oracle reordering data for a pair of dressed matrix units."""
 
-    x: int
-    y: int
-    closes: bool
     oracle_phase: complex | None
     residual: float
-    symbolic_exponent: int
-    claimed_phase_raw: complex
-    claimed_phase_scaled: complex
     status: str
 
 
@@ -116,9 +109,9 @@ def dressed_commutation_report(
 
     The claimed reordering phase exp(i*pi*(j-k-l+n)*(x-y)) is checked both
     as written and with the exponent divided by d; the dense oracle is the
-    ground truth and a single-phase closure is detected numerically.  Both
-    products are formed on charge blocks, and the phase and the residual
-    are Hilbert-Schmidt inner products summed over those blocks.
+    ground truth.  Both products are formed on charge blocks, and the phase
+    and the residual are Hilbert-Schmidt inner products summed over those
+    blocks.
     """
     if x == y:
         raise ValueError("exchange report requires distinct sites")
@@ -130,15 +123,10 @@ def dressed_commutation_report(
     if nvu < 1e-14:
         phase = None
         residual = float(np.sqrt(uv.vdot(uv).real))
-        closes = residual < 1e-14
     else:
         phase = complex(vu.vdot(uv) / nvu**2)
         rest = uv.sub(vu, phase)
         residual = float(np.sqrt(rest.vdot(rest).real) / nvu)
-        closes = residual < 1e-12
-    sym = ((j - k) * (l - n) * exchange_exponent(params)) % d
-    if x > y:
-        sym = (-sym) % d
     raw = phase_value(d * (j - k - l + n) * (x - y), d)
     scaled = phase_value((j - k - l + n) * (x - y), d)
     if phase is None:
@@ -147,26 +135,14 @@ def dressed_commutation_report(
         status = "MATCH"
     else:
         status = "MISMATCH"
-    return ExchangeReport(
-        x=x,
-        y=y,
-        closes=closes,
-        oracle_phase=phase,
-        residual=residual,
-        symbolic_exponent=sym,
-        claimed_phase_raw=raw,
-        claimed_phase_scaled=scaled,
-        status=status,
-    )
+    return ExchangeReport(oracle_phase=phase, residual=residual, status=status)
 
 
 @dataclass
 class ShiftDefect:
     """Local implementer of the shifted-vs-unshifted string rotation."""
 
-    x: int
     defect: WeylMonomial
-    truncation_mismatch: WeylMonomial
     dense_deviation: float
 
 
@@ -188,31 +164,20 @@ def shift_covariance_defect(x: int, params: GradingParams, chain: ChainSpec) -> 
     site 0 has finite support {0..x}: exponent j_minus at 0, j_minus-j_plus
     strictly inside, -j_plus at x.  The dense deviation compares the
     realized defect against the explicit ratio of the two rotation strings.
-    The truncation mismatch records the extra factor picked up when the
-    site-0 dressed generator is literally translated instead of re-dressed
-    (its string does not shift covariantly on a truncated chain); its
-    support splits into (0, x] and the out-of-chain shadow [L, L+x).
     """
     if not 0 < x < chain.L:
         raise ValueError(f"need 0 < x < L, got x={x}, L={chain.L}")
     defect = mono_mul(_rotation_string(x, params, chain), mono_adjoint(_rotation_string(0, params, chain)))
-
-    a = dressed_weyl(x, 1, params, chain)
-    b = lattice_shift(dressed_weyl(0, 1, params, chain), x)
-    mismatch = mono_mul(mono_mul(a, mono_adjoint(b)), mono_adjoint(defect))
-
     ux = realize(_rotation_string(x, params, chain), chain)
     u0 = realize(_rotation_string(0, params, chain), chain)
     dev = (realize(defect, chain) - ux @ u0.adjoint()).max_abs()
-    return ShiftDefect(x=x, defect=defect, truncation_mismatch=mismatch, dense_deviation=dev)
+    return ShiftDefect(defect=defect, dense_deviation=dev)
 
 
 @dataclass
 class BilinearConnection:
     """Charge-balanced dressed bilinear and the claimed undressed expansion."""
 
-    x: int
-    y: int
     lhs: AlgebraElement
     rhs: AlgebraElement
     deviation: float
@@ -249,4 +214,4 @@ def bilinear_connection(x: int, y: int, params: GradingParams, chain: ChainSpec)
     correction = None
     if dev > 1e-12:
         correction = mono_mul(lhs_mono, mono_adjoint(rhs_mono))
-    return BilinearConnection(x=x, y=y, lhs=lhs, rhs=rhs, deviation=dev, correction=correction)
+    return BilinearConnection(lhs=lhs, rhs=rhs, deviation=dev, correction=correction)

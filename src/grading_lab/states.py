@@ -17,13 +17,11 @@ import numpy as np
 
 from .dense import realize
 from .dynamics import QuadraticModel
-from .weyl import AlgebraElement, WeylMonomial
+from .weyl import AlgebraElement
 
 
-def trace_state(a: AlgebraElement | WeylMonomial) -> complex:
+def trace_state(a: AlgebraElement) -> complex:
     """Exact tracial-state value of a symbolic element."""
-    if isinstance(a, WeylMonomial):
-        return a.phase_factor() if a.is_identity() else 0j
     return complex(a.terms.get((), 0j))
 
 
@@ -69,39 +67,20 @@ def two_point(
 
 @dataclass
 class ClusteringReport:
-    """Envelope of |truncated correlation| and its ratio to the t=0 value."""
+    """Envelope of |truncated correlation| and its value at the first grid time."""
 
     series: CorrelationSeries
     envelope: np.ndarray
     initial: float
-    window: tuple[float, float]
-
-    def min_envelope_ratio(self) -> float:
-        if self.initial == 0.0:
-            return 0.0
-        lo, hi = self.window
-        mask = (self.series.times >= lo) & (self.series.times <= hi)
-        if not mask.any():
-            return float("nan")
-        return float(self.envelope[mask].min() / self.initial)
 
 
-def clustering_report(
-    a: AlgebraElement,
-    b: AlgebraElement,
-    model: QuadraticModel,
-    t_grid,
-    window: tuple[float, float] | None = None,
-) -> ClusteringReport:
+def clustering_report(a: AlgebraElement, b: AlgebraElement, model: QuadraticModel, t_grid) -> ClusteringReport:
     """Running-maximum envelope of the truncated correlation magnitude.
 
     The envelope at time t is the maximum of |correlation| over the grid
-    points at or after t; the window defaults to the full grid and is
-    normally set from the light-cone guard by the caller.
+    points at or after t.
     """
     series = two_point(a, b, model, t_grid)
     mags = np.abs(series.values)
     envelope = np.maximum.accumulate(mags[::-1])[::-1]
-    if window is None:
-        window = (float(series.times[0]), float(series.times[-1]))
-    return ClusteringReport(series=series, envelope=envelope, initial=float(mags[0]), window=window)
+    return ClusteringReport(series=series, envelope=envelope, initial=float(mags[0]))

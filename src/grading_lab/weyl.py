@@ -103,16 +103,9 @@ class WeylMonomial:
     def support(self) -> tuple[int, ...]:
         return tuple(x for x, _ in self.sites)
 
-    def is_identity(self) -> bool:
-        return not self.sites
-
     def charge(self) -> int:
         """Total shift charge: sum of shift exponents mod d."""
         return sum(l for _, (_, l) in self.sites) % self.d
-
-    def label_weight(self) -> int:
-        """Sum of all canonical exponents (clock and shift) mod d."""
-        return sum(k + l for _, (k, l) in self.sites) % self.d
 
     def key(self) -> tuple:
         """Phase-stripped identity of the monomial, used as element key."""
@@ -199,10 +192,6 @@ class GradingParams:
         object.__setattr__(self, "j_plus", self.j_plus % self.d)
         object.__setattr__(self, "j_minus", self.j_minus % self.d)
 
-    @property
-    def grading_charge(self) -> int:
-        return (self.j_plus - self.j_minus) % self.d
-
 
 class AlgebraElement:
     """Finite complex-linear combination of phase-stripped Weyl monomials."""
@@ -263,14 +252,8 @@ class AlgebraElement:
             if abs(c) > tol
         )
 
-    def norm_max_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
     def prune(self, tol: float) -> "AlgebraElement":
         return AlgebraElement(self.d, {k: v for k, v in self.terms.items() if abs(v) > tol})
-
-    def isclose(self, other: "AlgebraElement", tol: float = 1e-12) -> bool:
-        return (self - other).norm_max_coeff() <= tol
 
     # -- algebra ---------------------------------------------------------
 
@@ -370,26 +353,6 @@ def matrix_unit(d: int, r: int, s: int, site: int) -> AlgebraElement:
     return AlgebraElement.from_monomials(pairs, d)
 
 
-def gauge_rotate(a: AlgebraElement, alpha: float) -> AlgebraElement:
-    """Multiply each monomial by exp(i*alpha*c), c its shift charge in [0, d).
-
-    At alpha = 2*pi/d this is conjugation by the global gauge unitary.
-    """
-    out: dict[tuple, complex] = {}
-    for key, c in a.terms.items():
-        ch = WeylMonomial(a.d, key, 0).charge()
-        out[key] = c * cmath.exp(1j * alpha * ch)
-    return AlgebraElement(a.d, out)
-
-
 def lattice_shift(a: WeylMonomial, n: int) -> WeylMonomial:
     """Relabel every site x -> x+n; the phase is unchanged."""
     return WeylMonomial(a.d, tuple((x + n, kl) for x, kl in a.sites), a.phase)
-
-
-def gauge_project_symbolic(a: AlgebraElement) -> AlgebraElement:
-    """Keep the monomials with total shift charge 0 mod d."""
-    return AlgebraElement(
-        a.d,
-        {k: v for k, v in a.terms.items() if WeylMonomial(a.d, k, 0).charge() == 0},
-    )

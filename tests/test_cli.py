@@ -37,6 +37,12 @@ def read_rows(path):
 
 class TestConfig:
     def test_round_trip(self):
+        # every key, parsed from literal text into the config it spells out
+        text = (
+            "experiment = decay\nd = 3\nl = 6\nj_plus = 1\nj_minus = 2\n"
+            "hopping = 1=0.5-0.25j, -1=0.5+0.25j\n"
+            "t_start = 0\nt_stop = 4.0\nt_count = 9\nblock_k = 2\nout = x.csv\n"
+        )
         cfg = ExperimentConfig(
             experiment="decay",
             d=3,
@@ -50,21 +56,18 @@ class TestConfig:
             block_k=2,
             out="x.csv",
         )
-        text = cfg.canonical_text()
         again = parse_config(text)
         assert again == cfg
-        assert again.canonical_text() == text
+        assert all(isinstance(getattr(again, key), float) for key in ("t_start", "t_stop"))
 
     def test_round_trip_keeps_signed_zeros(self):
         cfg = parse_config("experiment = evolve\nhopping = 1=1-0j, -1=-0+0j, 2=-0-0j, -2=0.5+0j\n")
-        text = cfg.canonical_text()
-        again = parse_config(text)
-        assert again.canonical_text() == text
+        # the sign of each part as written, +1.0 or -1.0
+        signs = {1: (1.0, -1.0), -1: (-1.0, 1.0), 2: (-1.0, -1.0), -2: (1.0, 1.0)}
+        assert cfg.hopping.keys() == signs.keys()
         for x, z in cfg.hopping.items():
-            got = again.hopping[x]
-            assert math.copysign(1.0, got.real) == math.copysign(1.0, z.real), x
-            assert math.copysign(1.0, got.imag) == math.copysign(1.0, z.imag), x
-        assert math.copysign(1.0, again.hopping[1].imag) == -1.0
+            assert (math.copysign(1.0, z.real), math.copysign(1.0, z.imag)) == signs[x], x
+        assert math.copysign(1.0, cfg.hopping[1].imag) == -1.0
 
     def test_comments_and_blanks(self):
         cfg = parse_config("# hi\nexperiment = verify\n\nd = 2 # trailing\n")
@@ -294,6 +297,30 @@ class TestVerifyOutput:
         assert matches
         phases = [float(r["oracle_payload"].split(";")[0].split("=")[1]) for r in matches]
         assert any(abs(p + 1.0) < 1e-9 for p in phases)
+
+    @pytest.mark.parametrize("l, offset, code, hamiltonian_row", [
+        (13, 6, 0, False),
+        (13, 1, 0, True),
+        (3, 5, 2, False),
+    ], ids=["above_cap_range_6", "above_cap_range_1", "three_sites_range_5"])
+    def test_hopping_fits_the_configured_chain(self, tmp_path, capsys, l, offset, code, hamiltonian_row):
+        # above the cap the dense rows run on a 5-site subchain, yet the hopping
+        # is checked against the configured chain, as evolve checks it; the
+        # Hamiltonian row is left out when the hopping does not fit the subchain
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(f"experiment = verify\nd = 2\nl = {l}\nhopping = {offset}=0.5, -{offset}=0.5\n")
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == code
+        if code:
+            assert "hopping support does not fit in the chain" in capsys.readouterr().err
+            assert not out.exists()
+            cfg.write_text(cfg.read_text().replace("verify", "evolve"))
+            assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == code
+            return
+        _, rows = read_rows(out)
+        assert not [r for r in rows if r["status"] == "FAILED"]
+        assert any(r["relation_id"] == "endpoint_reduction_left" for r in rows)
+        assert any(r["relation_id"] == "gauge_invariant_hamiltonian" for r in rows) == hamiltonian_row
 
     def test_two_site_chain_writes_each_row_once(self, tmp_path):
         # at l = 2 the clamped pair_expansion pairs coincide

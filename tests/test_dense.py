@@ -8,7 +8,6 @@ from grading_lab.dense import (
     DenseOperator,
     DimensionCapError,
     block_sites,
-    clock_shift,
     gauge_project,
     gauge_unitary,
     op_norm,
@@ -16,9 +15,14 @@ from grading_lab.dense import (
     refined_gauge_unitary,
     sector_decompose,
 )
-from grading_lab.weyl import AlgebraElement, WeylMonomial, gauge_project_symbolic, mono_mul
+from grading_lab.weyl import AlgebraElement, WeylMonomial, mono_mul
 
-from test_weyl import random_element, random_monomial
+from test_weyl import isclose, random_element, random_monomial
+
+
+def clock_shift(d):
+    """Single-site clock D = diag(w^t), w = exp(2i*pi/d), and cyclic shift S |t> = |t+1 mod d>, built in numpy."""
+    return np.diag(np.exp(2j * np.pi * np.arange(d) / d)), np.roll(np.eye(d), 1, axis=0)
 
 
 def haar_unitary(rng, n):
@@ -101,19 +105,23 @@ class TestClockShift:
     def test_weyl_commutation(self, d):
         D, S = clock_shift(d)
         w = np.exp(2j * np.pi / d)
-        assert np.abs(D.entries @ S.entries - w * S.entries @ D.entries).max() < 1e-13
+        assert np.abs(D @ S - w * S @ D).max() < 1e-13
+        # the one-site realizations of W(1, 0) and W(0, 1) are D and S
+        chain = ChainSpec(d, 1)
+        assert np.abs(realize(WeylMonomial.single(d, 0, 1, 0), chain).entries - D).max() < 1e-15
+        assert np.array_equal(realize(WeylMonomial.single(d, 0, 0, 1), chain).entries, S)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_order_d(self, d):
         D, S = clock_shift(d)
-        assert np.abs(np.linalg.matrix_power(D.entries, d) - np.eye(d)).max() < 1e-14
-        assert np.abs(np.linalg.matrix_power(S.entries, d) - np.eye(d)).max() < 1e-14
+        assert np.abs(np.linalg.matrix_power(D, d) - np.eye(d)).max() < 1e-14
+        assert np.abs(np.linalg.matrix_power(S, d) - np.eye(d)).max() < 1e-14
 
     def test_qubit_case(self):
         D, S = clock_shift(2)
-        assert np.abs(D.entries - np.diag([1, -1])).max() < 1e-15
-        assert np.abs(S.entries - np.array([[0, 1], [1, 0]])).max() < 1e-15
-        anti = D.entries @ S.entries + S.entries @ D.entries
+        assert np.abs(D - np.diag([1, -1])).max() < 1e-15
+        assert np.abs(S - np.array([[0, 1], [1, 0]])).max() < 1e-15
+        anti = D @ S + S @ D
         assert np.abs(anti).max() < 1e-15
 
 
@@ -148,8 +156,8 @@ class TestRealize:
         chain = ChainSpec(d, 2)
         D, S = clock_shift(d)
         w = np.exp(-1j * np.pi * 2 * 1 / d)
-        site0 = w * np.linalg.matrix_power(D.entries, 2) @ S.entries
-        ref = np.kron(site0, S.entries)
+        site0 = w * np.linalg.matrix_power(D, 2) @ S
+        ref = np.kron(site0, S)
         got = realize(WeylMonomial.from_labels(d, {0: (2, 1), 1: (0, 1)}), chain).entries
         assert np.abs(got - ref).max() < 1e-13
 
@@ -158,7 +166,7 @@ class TestRealize:
         # seeded multi-site monomials of every shift charge against Kronecker
         # products of the single-site clock and shift matrices
         rng = np.random.default_rng(40 + d)
-        D, S = (op.entries for op in clock_shift(d))
+        D, S = clock_shift(d)
         chain = ChainSpec(d, L)
         for q in range(d):
             for _ in range(4):
@@ -325,19 +333,14 @@ class TestOpNorm:
 
 
 class TestGaugeProject:
-    def test_symbolic_examples(self):
-        d = 3
-        inv = WeylMonomial.single(d, 0, 1, 0).as_element()
-        assert gauge_project(inv).isclose(inv, 1e-15)
-        charged = WeylMonomial.single(d, 1, 0, 1).as_element()
-        assert gauge_project(charged).isclose(AlgebraElement.zero(d), 1e-15)
-
     def test_dense_matches_symbolic(self):
+        # the dense projection realizes the element's charge-0 monomials
         rng = np.random.default_rng(25)
         chain = ChainSpec(3, 4)
         a = random_element(rng, 3, 4, terms=6)
         lhs = gauge_project(realize(a, chain)).entries
-        rhs = realize(gauge_project_symbolic(a), chain).entries
+        charge0 = AlgebraElement(3, {key: c for key, c in a.terms.items() if WeylMonomial(3, key, 0).charge() == 0})
+        rhs = realize(charge0, chain).entries
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_dense_idempotent(self):
@@ -423,7 +426,7 @@ class TestBlocking:
         a = random_element(rng, 2, 3)
         blocked, rep = block_sites(a, 1, chain)
         assert rep.dense_deviation < 1e-14
-        assert blocked.isclose(a, 1e-12)
+        assert isclose(blocked, a, 1e-12)
 
     def test_d2_k2_l4_identity(self):
         rng = np.random.default_rng(29)
@@ -455,6 +458,11 @@ class TestBlocking:
     def test_indivisible_length_rejected(self):
         with pytest.raises(ValueError):
             block_sites(AlgebraElement.identity(2), 3, ChainSpec(2, 4))
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_block_size_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match=f"block size k must be >= 1, got k = {k}"):
+            block_sites(AlgebraElement.identity(2), k, ChainSpec(2, 4))
 
     def test_d3_k2_identity(self):
         rng = np.random.default_rng(30)

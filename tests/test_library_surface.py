@@ -1,0 +1,95 @@
+"""The library holds only what a command, an acceptance criterion or the benchmark reads.
+
+Every public top-level function or class of ``src/grading_lab``, and every
+public method of such a class, must be read somewhere other than its own
+definition: in the package itself, in ``perfbench/*.py`` (the tracer's
+``TARGETS`` strings included) or in ``tests/test_acceptance.py``.  A read
+is an AST name, attribute, imported name or short string constant, each
+dotted part of a string counted on its own; docstrings are not reads.  A
+name that only unit tests or docstrings mention fails the check: it is
+deleted, or its test computes the value itself.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "grading_lab"
+READERS = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+
+# ROADMAP item 1 names refined_gauge_unitary as the oracle that the block
+# containment check is to be compared with; until then only tests read it
+EXEMPT = {"refined_gauge_unitary"}
+
+SHORT = 80  # longest string constant read as a reference
+
+
+def _docstrings(tree: ast.AST) -> set[int]:
+    """ids of the docstring constants of the module, its classes and its functions."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
+                out.add(id(first.value))
+    return out
+
+
+def _references(path: Path) -> list[tuple[str, int]]:
+    """(name, line) of every name, attribute, imported name and short string part in a file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docs = _docstrings(tree)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            out += [(part, node.lineno) for part in node.name.split(".")]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
+            if len(node.value) <= SHORT:
+                out += [(part, node.lineno) for part in node.value.split(".") if part.isidentifier()]
+    return out
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def _definitions() -> list[tuple[Path, str, int, int]]:
+    """(module file, qualified name, first line, last line) of every public top-level def, class and method."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
+                out.append((path, node.name, node.lineno, node.end_lineno))
+                if isinstance(node, ast.ClassDef):
+                    out += [
+                        (path, f"{node.name}.{item.name}", item.lineno, item.end_lineno)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef) and _public(item.name)
+                    ]
+    return out
+
+
+def test_every_public_name_has_a_reader():
+    refs = {path: _references(path) for path in READERS}
+    unread = []
+    for path, qualname, first, last in _definitions():
+        name = qualname.rsplit(".", 1)[-1]
+        if name in EXEMPT:
+            continue
+        read = any(
+            ref == name and not (where == path and first <= line <= last)
+            for where, found in refs.items()
+            for ref, line in found
+        )
+        if not read:
+            unread.append(f"{path.stem}.{qualname}")
+    assert not unread, f"read only by unit tests or docstrings: {', '.join(unread)}"
+
+
+def test_exemptions_are_defined():
+    defined = {qualname.rsplit(".", 1)[-1] for _, qualname, _, _ in _definitions()}
+    assert EXEMPT <= defined

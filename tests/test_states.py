@@ -9,11 +9,11 @@ from grading_lab.dressing import dressed_matrix_unit
 from grading_lab.dynamics import QuadraticModel, generator, one_particle_flow, span_basis
 from grading_lab.oneparticle import Hopping
 from grading_lab.states import clustering_report, trace_state, two_point
-from grading_lab.weyl import AlgebraElement, GradingParams, WeylMonomial, gauge_rotate
+from grading_lab.weyl import AlgebraElement, GradingParams, WeylMonomial
 
 from test_dense import forbid_full_matrix
 from test_dynamics import _charged_input, program_evolution
-from test_weyl import random_element
+from test_weyl import gauge_rotated, random_element
 
 D2 = GradingParams(2, 1, 1)
 
@@ -24,7 +24,7 @@ class TestTraceState:
 
     def test_nonzero_label_traceless(self):
         for k, l in ((1, 0), (0, 1), (2, 2)):
-            assert trace_state(WeylMonomial.single(3, 0, k, l)) == 0j
+            assert trace_state(WeylMonomial.single(3, 0, k, l).as_element()) == 0j
 
     def test_diagonal_dressed_unit(self):
         chain = ChainSpec(3, 4)
@@ -45,7 +45,7 @@ class TestTraceState:
         rng = np.random.default_rng(41)
         a = random_element(rng, 3, 3, terms=5)
         for j in range(3):
-            got = trace_state(gauge_rotate(a, 2 * np.pi * j / 3))
+            got = trace_state(gauge_rotated(a, j))
             assert got == pytest.approx(trace_state(a), abs=1e-12)
 
     def test_dense_agreement_random(self):
@@ -143,13 +143,13 @@ class TestClustering:
         assert rep.initial < 1e-13
 
     def test_d2_free_envelope_drops(self):
-        # frozen window [0, 15]: the dressed density correlation envelope
+        # frozen grid [0, 15]: the dressed density correlation envelope
         # falls below 0.2 of its initial value before the revival
         model = QuadraticModel(ChainSpec(2, 8), D2, Hopping({1: -1j / 16, -1: 1j / 16}))
         a = dressed_matrix_unit(3, 1, 1, D2, model.chain)
-        rep = clustering_report(a, a, model, np.linspace(0.0, 15.0, 16), window=(0.0, 15.0))
+        rep = clustering_report(a, a, model, np.linspace(0.0, 15.0, 16))
         assert rep.initial > 0.1
-        assert rep.min_envelope_ratio() < 0.2
+        assert rep.envelope.min() / rep.initial < 0.2
 
     def test_stays_on_blocks(self, monkeypatch):
         # decay_d3's gauge-invariant pair (dressed hopping bilinears on sites

@@ -11,8 +11,6 @@ from grading_lab.weyl import (
     GradingParams,
     WeylMonomial,
     commutation_phase,
-    gauge_project_symbolic,
-    gauge_rotate,
     lattice_shift,
     matrix_unit,
     mono_adjoint,
@@ -37,6 +35,18 @@ def random_element(rng, d, L, terms=3):
         c = complex(rng.standard_normal(), rng.standard_normal())
         out = out + AlgebraElement.from_monomials([(c, random_monomial(rng, d, L))])
     return out
+
+
+def isclose(a, b, tol=1e-12):
+    """Every coefficient of a - b is at most tol in modulus."""
+    return max((abs(c) for c in (a - b).terms.values()), default=0.0) <= tol
+
+
+def gauge_rotated(a, j):
+    """a with each monomial of shift charge q times exp(2i*pi*j*q/d), the phase read from ``roots``."""
+    d = a.d
+    return AlgebraElement(d, {key: c * roots(d)[2 * j * WeylMonomial(d, key, 0).charge() % (2 * d)]
+                              for key, c in a.terms.items()})
 
 
 class TestRoots:
@@ -68,7 +78,7 @@ class TestMonomials:
 
     def test_clock_cube_is_identity(self):
         c = mono_mul(WeylMonomial.single(3, 0, 2, 0), WeylMonomial.single(3, 0, 1, 0))
-        assert c.is_identity() and c.phase == 0
+        assert c == WeylMonomial.identity(3)
 
     def test_identity_neutral(self):
         rng = np.random.default_rng(0)
@@ -87,13 +97,11 @@ class TestMonomials:
             for _ in range(30):
                 m = random_monomial(rng, d, 4)
                 assert mono_adjoint(mono_adjoint(m)) == m
-                prod = mono_mul(m, mono_adjoint(m))
-                assert prod.is_identity() and prod.phase == 0
+                assert mono_mul(m, mono_adjoint(m)) == WeylMonomial.identity(d)
 
     def test_adjoint_of_single_generator(self):
         m = WeylMonomial.single(3, 0, 1, 2)
-        prod = mono_mul(m, mono_adjoint(m))
-        assert prod.is_identity() and prod.phase == 0
+        assert mono_mul(m, mono_adjoint(m)) == WeylMonomial.identity(3)
 
     def test_associativity_random_triples(self):
         rng = np.random.default_rng(2)
@@ -158,7 +166,7 @@ class TestElements:
     def test_commutator_with_self_vanishes(self):
         rng = np.random.default_rng(8)
         a = random_element(rng, 3, 3)
-        assert a.commutator(a).isclose(AlgebraElement.zero(3), 1e-12)
+        assert isclose(a.commutator(a), AlgebraElement.zero(3), 1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_commutator_matches_two_products(self, d):
@@ -166,7 +174,7 @@ class TestElements:
         rng = np.random.default_rng(20 + d)
         for _ in range(20):
             a, b = random_element(rng, d, 5, terms=4), random_element(rng, d, 5, terms=4)
-            assert a.commutator(b).isclose(a * b - b * a, 1e-13)
+            assert isclose(a.commutator(b), a * b - b * a, 1e-13)
 
     def test_mul_distributes_vs_dense(self):
         rng = np.random.default_rng(9)
@@ -185,12 +193,12 @@ class TestElements:
             a, b = random_element(rng, 3, 3), random_element(rng, 3, 3)
             lhs = (a * b).adjoint()
             rhs = b.adjoint() * a.adjoint()
-            assert lhs.isclose(rhs, 1e-12)
+            assert isclose(lhs, rhs, 1e-12)
 
     def test_scalar_axioms(self):
         rng = np.random.default_rng(11)
         a = random_element(rng, 2, 3)
-        assert (2.0 * a - a - a).isclose(AlgebraElement.zero(2), 1e-13)
+        assert isclose(2.0 * a - a - a, AlgebraElement.zero(2), 1e-13)
 
     def test_zero_coefficients_dropped(self):
         a = AlgebraElement(3, {(): 0j})
@@ -212,13 +220,13 @@ class TestMatrixUnits:
         tot = AlgebraElement.zero(3)
         for r in range(3):
             tot = tot + matrix_unit(3, r, r, 1)
-        assert tot.isclose(AlgebraElement.identity(3), 1e-13)
+        assert isclose(tot, AlgebraElement.identity(3), 1e-13)
 
     def test_unit_products(self):
         prod = matrix_unit(3, 0, 1, 0) * matrix_unit(3, 1, 2, 0)
-        assert prod.isclose(matrix_unit(3, 0, 2, 0), 1e-13)
+        assert isclose(prod, matrix_unit(3, 0, 2, 0), 1e-13)
         zero = matrix_unit(3, 0, 1, 0) * matrix_unit(3, 2, 0, 0)
-        assert zero.isclose(AlgebraElement.zero(3), 1e-13)
+        assert isclose(zero, AlgebraElement.zero(3), 1e-13)
 
     def test_d2_frozen_coefficients(self):
         # |0><1| = (1/2) W(0,1) + (i/2) W(1,1), frozen from the dense oracle
@@ -234,15 +242,15 @@ class TestMatrixUnits:
 
 
 class TestGaugeRotate:
-    def test_alpha_zero_is_identity(self):
-        rng = np.random.default_rng(12)
-        a = random_element(rng, 3, 3)
-        assert gauge_rotate(a, 0.0).isclose(a, 1e-15)
-
+    # conjugation by the j-th power of the gauge unitary multiplies a monomial
+    # of shift charge q by exp(2i*pi*j*q/d)
     def test_charge_one_phase(self):
-        a = WeylMonomial.single(3, 0, 0, 1).as_element()
-        got = gauge_rotate(a, 2 * np.pi / 3)
-        assert got.isclose(a.scale(np.exp(2j * np.pi / 3)), 1e-14)
+        from grading_lab.dense import gauge_unitary
+
+        chain = ChainSpec(3, 1)
+        a = realize(WeylMonomial.single(3, 0, 0, 1), chain).entries
+        g = gauge_unitary(chain).entries
+        assert np.abs(g @ a @ g.conj().T - roots(3)[2] * a).max() < 1e-14
 
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_matches_dense_conjugation(self, j):
@@ -253,37 +261,33 @@ class TestGaugeRotate:
         a = random_element(rng, 3, 3)
         g = gauge_unitary(chain).entries
         gj = np.linalg.matrix_power(g, j)
-        lhs = realize(gauge_rotate(a, 2 * np.pi * j / 3), chain).entries
+        lhs = realize(gauge_rotated(a, j), chain).entries
         rhs = gj @ realize(a, chain).entries @ gj.conj().T
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
 class TestGradingParams:
     def test_difference_always_canonical(self):
+        # both string exponents are reduced mod d, so every difference of them is too
         for d in (2, 3, 4, 5):
-            for jp in range(d):
-                for jm in range(d):
-                    assert GradingParams(d, jp, jm).grading_charge in range(d)
+            for jp in range(-d, 2 * d):
+                for jm in range(-d, 2 * d):
+                    params = GradingParams(d, jp, jm)
+                    assert (params.j_plus, params.j_minus) == (jp % d, jm % d)
 
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
             GradingParams(1, 0, 0)
 
 
-class TestGaugeProjectSymbolic:
-    def test_keeps_charge_zero(self):
+class TestGaugeCharge:
+    def test_charge_zero_is_gauge_invariant(self):
         d = 3
         inv = WeylMonomial.single(d, 0, 1, 0).as_element()
-        assert gauge_project_symbolic(inv).isclose(inv, 1e-15)
+        assert inv.is_gauge_invariant() and inv.charges() == {0}
         charged = WeylMonomial.single(d, 0, 0, 1).as_element()
-        assert gauge_project_symbolic(charged).isclose(AlgebraElement.zero(d), 1e-15)
+        assert not charged.is_gauge_invariant() and charged.charges() == {1}
         balanced = AlgebraElement.from_monomials(
             [(1.0, WeylMonomial.from_labels(d, {0: (0, 1), 2: (0, d - 1)}))]
         )
-        assert gauge_project_symbolic(balanced).isclose(balanced, 1e-15)
-
-    def test_projection_idempotent(self):
-        rng = np.random.default_rng(14)
-        a = random_element(rng, 3, 3, terms=6)
-        p = gauge_project_symbolic(a)
-        assert gauge_project_symbolic(p).isclose(p, 1e-15)
+        assert balanced.is_gauge_invariant() and balanced.charges() == {0}
