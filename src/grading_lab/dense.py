@@ -11,14 +11,17 @@ through that table and the coefficients.  The gauge unitary and k-site
 blocking are built from ``realize``, blocking with ``weyl.matrix_unit``.
 
 A monomial of shift charge q maps charge sector c (digit sum mod d) into
-sector c + q, so a dense operator is held as its nonzero charge-sector
-blocks, each its own array, and its arithmetic (product, difference, entry
-maximum, hermiticity defect and Hilbert-Schmidt inner product) is a set of
-``DenseOperator`` methods that work block by block.  The same type carries
-blocks in any per-sector basis, such as the eigenbasis of ``dynamics``.  The full site-basis matrix is
-assembled only on request (``DenseOperator.entries``), which only the
-cross-chain identity of ``block_sites`` needs: its two chains have different
-sector structures, so the site basis is their one common basis.
+sector c + q, so a dense operator is held as its nonzero blocks, each its
+own array, and its arithmetic (product, difference, entry maximum,
+hermiticity defect and Hilbert-Schmidt inner product) is a set of
+``DenseOperator`` methods that work block by block.  In the site basis a
+block is a charge-sector block; the same type carries blocks in any
+finer per-sector basis, such as the symmetry-adapted eigenbasis of
+``dynamics``, whose blocks split each sector into equal parts.  The full
+site-basis matrix is assembled only on request (``DenseOperator.entries``),
+which only the cross-chain identity of ``block_sites`` needs: its two
+chains have different sector structures, so the site basis is their one
+common basis.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .weyl import AlgebraElement, WeylMonomial, matrix_unit, roots
 
 DEFAULT_DIM_CAP = 4096
 
-Blocks = dict[tuple[int, int], np.ndarray]  # charge-sector blocks (r, c); an absent block is zero
+Blocks = dict[tuple[int, int], np.ndarray]  # blocks (r, c) of one partition of the basis; an absent block is zero
 
 
 @dataclass(frozen=True)
@@ -107,13 +110,16 @@ class DimensionCapError(ValueError):
 
 @dataclass
 class DenseOperator:
-    """An operator on the chain, held as its nonzero charge-sector blocks.
+    """An operator on the chain, held as its nonzero blocks.
 
-    ``blocks[(r, c)]`` is the m x m block (m = d^(L-1)) that maps charge
-    sector c into sector r, rows and columns in the order of
-    ``chain.sectors()`` (or, for an operator rotated by
-    ``QuadraticModel.eigenbasis_blocks``, of the sector's eigenvectors); an
-    absent block is zero.
+    The d^L basis states, listed sector by sector (the rows of
+    ``chain.sectors()``, or each sector's eigenbasis for an operator built by
+    ``QuadraticModel.eigenbasis_blocks``), are cut into parts of n states;
+    ``blocks[(r, c)]`` is the n x n block that maps part c into part r, and
+    an absent block is zero.  In the site basis n = m = d^(L-1), so part c
+    is charge sector c; in the eigenbasis of a model whose symmetry group
+    has G elements n = m / G, and part c * G + k is the joint eigenspace k
+    of sector c.  Every block of one operator has the same n.
     """
 
     chain: ChainSpec
@@ -121,11 +127,17 @@ class DenseOperator:
 
     @property
     def entries(self) -> np.ndarray:
-        """The full d^L x d^L matrix in the site basis, assembled on each call."""
-        sectors = self.chain.sectors()
+        """The full d^L x d^L matrix, assembled on each call.
+
+        Part r of n states sits at the positions ``chain.sectors().ravel()[r * n : (r + 1) * n]``:
+        the site basis for charge-sector blocks, and for finer blocks a
+        permutation of their basis, with the same singular values.
+        """
+        flat = self.chain.sectors().ravel()
         out = np.zeros((self.chain.dim, self.chain.dim), dtype=complex)
         for (r, c), blk in self.blocks.items():
-            out[np.ix_(sectors[r], sectors[c])] = blk
+            n = len(blk)
+            out[np.ix_(flat[r * n : (r + 1) * n], flat[c * n : (c + 1) * n])] = blk
         return out
 
     def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
@@ -214,14 +226,11 @@ def monomial_action(mono: WeylMonomial, chain: ChainSpec) -> tuple[np.ndarray, n
     return chain.positions()[target], np.array(roots(d))[q % (2 * d)]
 
 
-def realize(a: AlgebraElement | WeylMonomial, chain: ChainSpec) -> DenseOperator:
-    """Tensor-product embedding of an element on the chain, written as charge blocks.
+def dense_element(a: AlgebraElement | WeylMonomial, chain: ChainSpec) -> AlgebraElement:
+    """The element a (a monomial as its one-term element), checked for dense work on the chain.
 
-    A monomial of shift charge q maps the state at position j of sector c to
-    one state of sector c + q (``monomial_action``), so it adds one entry per
-    column to each of its d blocks (c + q, c).  Every block is its own array,
-    so an operator frees each block it drops; blocks that end up exactly zero
-    are left out.
+    ValueError when its d is not the chain's or its support leaves the
+    chain; ``DimensionCapError`` above the chain's cap.
     """
     if isinstance(a, WeylMonomial):
         a = a.as_element()
@@ -231,7 +240,19 @@ def realize(a: AlgebraElement | WeylMonomial, chain: ChainSpec) -> DenseOperator
     supp = a.support()
     if supp and (min(supp) < 0 or max(supp) >= chain.L):
         raise ValueError(f"support {supp} outside chain 0..{chain.L - 1}")
+    return a
 
+
+def realize(a: AlgebraElement | WeylMonomial, chain: ChainSpec) -> DenseOperator:
+    """Tensor-product embedding of an element on the chain, written as charge blocks.
+
+    A monomial of shift charge q maps the state at position j of sector c to
+    one state of sector c + q (``monomial_action``), so it adds one entry per
+    column to each of its d blocks (c + q, c).  Every block is its own array,
+    so an operator frees each block it drops; blocks that end up exactly zero
+    are left out.
+    """
+    a = dense_element(a, chain)
     d = chain.d
     m = chain.dim // d
     cols = np.arange(m)
@@ -248,20 +269,35 @@ def realize(a: AlgebraElement | WeylMonomial, chain: ChainSpec) -> DenseOperator
 def op_norm(m: DenseOperator) -> float:
     """Largest singular value, exact at every dimension.
 
-    Computed as the square root of the largest eigenvalue of M^dag M from a
-    dense hermitian eigensolver; 0.0 when no block is held.  When no two
-    blocks share a row sector or a column sector (as for any operator of
-    definite charge), the blocks act on orthogonal subspaces and the norm
-    is the largest block norm; otherwise it is the norm of the
-    sector-ordered block matrix over the sectors the blocks touch, a row
-    and column permutation of the site-basis matrix with the empty sectors
-    left out.
+    Rows and columns of blocks that share no row part and no column part
+    act on orthogonal subspaces, so the norm is the largest over the
+    connected components of the graph that joins row part r to column part
+    c for every block (r, c): each component is assembled as its block
+    matrix over the parts it touches, in ascending order, absent blocks
+    zero, and normed as the square root of the largest eigenvalue of
+    M^dag M from a dense hermitian eigensolver.  0.0 when no block is held.
     """
-    rows, cols = sorted({r for r, _ in m.blocks}), sorted({c for _, c in m.blocks})
-    if len(rows) == len(m.blocks) == len(cols):
-        return max((_top_singular_value(blk) for blk in m.blocks.values()), default=0.0)
-    zero = np.zeros((m.chain.dim // m.chain.d,) * 2, dtype=complex)
-    return _top_singular_value(np.block([[m.blocks.get((r, c), zero) for c in cols] for r in rows]))
+    root: dict[tuple[str, int], tuple[str, int]] = {}
+
+    def find(node):
+        while root.setdefault(node, node) != node:
+            node = root[node]
+        return node
+
+    for r, c in m.blocks:
+        root[find(("row", r))] = find(("col", c))
+    components: dict[tuple[str, int], list[tuple[int, int]]] = {}
+    for r, c in m.blocks:
+        components.setdefault(find(("col", c)), []).append((r, c))
+    norms = []
+    for keys in components.values():
+        if len(keys) == 1:
+            norms.append(_top_singular_value(m.blocks[keys[0]]))
+            continue
+        rows, cols = sorted({r for r, _ in keys}), sorted({c for _, c in keys})
+        zero = np.zeros_like(m.blocks[keys[0]])
+        norms.append(_top_singular_value(np.block([[m.blocks.get((r, c), zero) for c in cols] for r in rows])))
+    return max(norms, default=0.0)
 
 
 def _top_singular_value(a: np.ndarray) -> float:
@@ -315,7 +351,6 @@ def refined_gauge_unitary(chain: ChainSpec, k: int) -> DenseOperator:
 class BlockingReport:
     """Outcome of regrouping k sites per block, with verification data."""
 
-    k: int
     blocked_chain: ChainSpec
     dense_deviation: float
     refined_gauge_order: int
@@ -389,7 +424,6 @@ def block_sites(a: AlgebraElement, k: int, chain: ChainSpec) -> tuple[AlgebraEle
         worst = max(worst, (gauge_project(refined) - refined).max_abs())
 
     report = BlockingReport(
-        k=k,
         blocked_chain=blocked_chain,
         dense_deviation=deviation,
         refined_gauge_order=k * d,

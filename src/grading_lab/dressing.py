@@ -176,10 +176,8 @@ def shift_covariance_defect(x: int, params: GradingParams, chain: ChainSpec) -> 
 
 @dataclass
 class BilinearConnection:
-    """Charge-balanced dressed bilinear and the claimed undressed expansion."""
+    """How far the claimed undressed expansion is from the charge-balanced dressed bilinear."""
 
-    lhs: AlgebraElement
-    rhs: AlgebraElement
     deviation: float
     correction: WeylMonomial | None
 
@@ -214,4 +212,4 @@ def bilinear_connection(x: int, y: int, params: GradingParams, chain: ChainSpec)
     correction = None
     if dev > 1e-12:
         correction = mono_mul(lhs_mono, mono_adjoint(rhs_mono))
-    return BilinearConnection(lhs=lhs, rhs=rhs, deviation=dev, correction=correction)
+    return BilinearConnection(deviation=dev, correction=correction)

@@ -7,21 +7,26 @@ The Hamiltonian is the charge-balanced hopping form
 with every pair kept inside the open chain.  It is gauge invariant and
 self-adjoint by construction.  It therefore commutes with the gauge
 unitary and splits into d charge sectors of d^(L-1) states each.  Every
-evolution uses one cached per-sector eigendecomposition per model, read
-from the diagonal charge blocks of the dense H, which it does not keep.
-The charge-0 products U_a^dag U_b of two charge-1 B_xj (below) that
-commute with H commute with it as well; a group G of them
+evolution uses one cached eigendecomposition per model, read from the
+diagonal charge blocks of the dense H, which it does not keep.  The
+charge-0 products U_a^dag U_b of two charge-1 B_xj (below) that commute
+with H commute with it as well; a group G of them
 (``QuadraticModel.block_symmetries``) splits every charge sector into its
-joint eigenspaces, one eigh of d^(L-1) / |G| states each, and an H with
-no such pair has G = 1, one eigh per sector.  An H whose realized blocks
-break g^dag H_cc g = H_cc for some g in G entrywise, in any sector,
-raises ValueError before any eigh.  There is one evolution: the charge
-blocks of an operator are rotated once into that eigenbasis, where
-exp(iHt) is the phase table ``QuadraticModel.propagator(t)`` and tau_t
-multiplies block entry [m, n] by exp(i (E_m - E_n) t).  Every step takes
-and returns a ``DenseOperator``, whose blocks are in the site basis or,
-between ``eigenbasis_blocks`` and ``site_blocks``, in the eigenbasis, so
-no evolution or check assembles the full d^L x d^L matrix.
+joint eigenspaces, one eigh of d^(L-1) / |G| states each, and an H with no
+such pair has G = 1, one eigh per sector.  The eigenbasis stays split: an
+``Eigensystem`` holds G's orbits, its character table and one eigenvector
+block per joint eigenspace, never an m x m array unless G = 1.  An H whose
+realized blocks break g^dag H_cc g = H_cc for some g in G entrywise, in any
+sector, raises ValueError before any eigh.  There is one evolution: an
+element is written once into that eigenbasis
+(``QuadraticModel.eigenbasis_blocks``), one block per pair of joint
+eigenspaces it links, since each of its monomials carries one character of
+G; there exp(iHt) is the phase table ``QuadraticModel.propagator(t)`` and
+tau_t multiplies block entry [m, n] by exp(i (E_m - E_n) t).  Every step
+takes and returns a ``DenseOperator``, whose blocks are charge blocks in the
+site basis or, from ``eigenbasis_blocks`` on, blocks of joint eigenspaces;
+``site_blocks`` maps the latter back, and no evolution or check assembles
+the full d^L x d^L matrix.
 
 The one-particle flow is read from the symbolic H.  For a (d, N) array
 f[j, x], zero past the chain, the smeared field W(f) = sum_{x,j} f[j, x] B_xj
@@ -43,7 +48,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .dense import ChainSpec, DenseOperator, gauge_unitary, monomial_action, op_norm, realize
+from .dense import ChainSpec, DenseOperator, dense_element, gauge_unitary, monomial_action, op_norm, realize
 from .dressing import dressed_weyl, dressed_weyl_rs
 from .oneparticle import Hopping
 from .weyl import (
@@ -73,7 +78,7 @@ class QuadraticModel:
         self.params = params
         self.hopping = hopping
         self._hamiltonian: AlgebraElement | None = None
-        self._eig: tuple[np.ndarray, np.ndarray] | None = None
+        self._eig: Eigensystem | None = None
 
     @property
     def hamiltonian(self) -> AlgebraElement:
@@ -136,19 +141,18 @@ class QuadraticModel:
         return tuple(kept)
 
     @property
-    def eigensystem(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """Per-sector eigenvalues (d, m) and eigenvectors, one m x m array per sector, m = d^(L-1).
+    def eigensystem(self) -> Eigensystem:
+        """The eigenbasis of every sector, held on the joint eigenspaces of G (``Eigensystem``).
 
-        Block c is H restricted to the basis states ``chain.sectors()[c]``.
-        The group G of ``block_symmetries`` has charge 0, so it maps every
-        sector onto itself, and ``_symmetry_eigh`` splits each sector into
-        its joint eigenspaces, one eigh of m / |G| states each, and sorts
-        each sector's values with a stable argsort.  Raises ValueError,
-        before any eigh, when H is not hermitian, mixes charge sectors, or
-        fails to commute with G entrywise in some sector.  H is realized for
-        this call only and each diagonal block is freed once it has been
-        gathered, so a diagonalised model holds the eigenvectors and no copy
-        of H.
+        Block c of H is H restricted to the basis states
+        ``chain.sectors()[c]``.  The group G of ``block_symmetries`` has charge
+        0, so it maps every sector onto itself, and ``_symmetry_eigh`` splits
+        each sector into its joint eigenspaces, one eigh of m / |G| states
+        each.  Raises ValueError, before any eigh, when H is not hermitian,
+        mixes charge sectors, or fails to commute with G entrywise in some
+        sector.  H is realized for this call only and each diagonal block is
+        freed once it has been gathered, so a diagonalised model holds the
+        factored eigenbasis and no copy of H.
         """
         if self._eig is None:
             h = self.dense_hamiltonian
@@ -163,25 +167,114 @@ class QuadraticModel:
         return self._eig
 
     def propagator(self, t: float) -> np.ndarray:
-        """exp(iHt) in the per-sector eigenbasis: the (d, m) phases exp(iEt)."""
-        return np.exp(1j * t * self.eigensystem[0])
+        """exp(iHt) in the eigenbasis: the (d, m) phases exp(iEt), in the (character, level) order of ``Eigensystem.values``."""
+        return np.exp(1j * t * self.eigensystem.values)
 
-    def eigenbasis_blocks(self, a: DenseOperator) -> DenseOperator:
-        """The operator a with its charge blocks rotated into the per-sector eigenbasis.
+    def eigenbasis_blocks(self, a: AlgebraElement | WeylMonomial) -> DenseOperator:
+        """The element a in the eigenbasis: one n x n block (n = m / G) per pair of joint eigenspaces it links.
 
-        Block (r, c) is V_r^dag A_rc V_c for each block that a holds.  In this
-        basis exp(iHt) . exp(-iHt) multiplies entry [m, n] of block (r, c) by
-        the phase exp(i (E_r[m] - E_c[n]) t).  Products, differences and
-        ``op_norm`` of operators in this basis are those of the site-basis
-        operators, rotated block by block.
+        A monomial X of shift charge q has one character psi under G
+        (g X g^dag = chars[g, psi] X, psi read from ``commutation_phase``
+        with the generators), so it maps eigenspace k of sector c into
+        eigenspace k + psi of sector c + q (characters add digit by digit
+        mod d).  On the orbit bases of ``Eigensystem`` it is a generalised
+        permutation: X|rep_o> = x_o |states[c + q, h, o']> gives
+        X|o, k> = x_o conj(phase[c + q, h, o']) chars[h, k + psi] |o', k + psi>,
+        read from one ``monomial_action`` gather at the representatives.
+        The monomials of a that share (q, psi) are summed on the orbit bases
+        and each block is rotated once, R_(k+psi)^dag X R_k, so no m x m array
+        is formed unless G = 1.  Block (c + q) * G + k + psi, c * G + k is
+        that of ``DenseOperator``: G = 1 gives the charge blocks (c + q, c).
+        Blocks that come out exactly zero are left out, and a is checked as
+        ``realize`` checks it.  In this basis exp(iHt) . exp(-iHt) multiplies
+        entry [m, n] of a block by exp(i (E[m] - E[n]) t), and products,
+        differences and ``op_norm`` are those of the site-basis operators.
         """
-        _, vecs = self.eigensystem
-        return DenseOperator(a.chain, {(r, c): vecs[r].conj().T @ blk @ vecs[c] for (r, c), blk in a.blocks.items()})
+        a = dense_element(a, self.chain)
+        eig = self.eigensystem
+        d, r = self.chain.d, len(eig.symmetries)
+        group, size = eig.states.shape[1:]
+        powers = np.array(list(itertools.product(range(d), repeat=r)), dtype=np.int64).reshape(group, r)
+        where = np.empty((d, group * size), dtype=np.int64)  # flat (g, o) index of every position of a sector
+        where[np.arange(d)[:, None], eig.states.reshape(d, -1)] = np.arange(group * size)
+        reps = eig.states[:, 0]  # g = 0 is the identity
+        sums: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # (q, psi) -> (k + psi per k, X on the orbit bases)
+        for coeff, mono in a.monomials():
+            q, psi = mono.charge(), np.array([commutation_phase(s, mono) for s in eig.symmetries], dtype=np.int64)
+            key = (q, *psi.tolist())
+            if key not in sums:
+                sums[key] = (powers + psi) % d @ d ** np.arange(r)[::-1], np.zeros((d, group, size, size), dtype=complex)
+            shift, acc = sums[key]
+            rows, phases = monomial_action(mono, self.chain)
+            target = (np.arange(d)[:, None] + q) % d
+            h, o = np.divmod(where[target, np.take_along_axis(rows, reps, axis=1)], size)
+            x = coeff * np.take_along_axis(phases, reps, axis=1) * eig.phase[target, h, o].conj()
+            for c in range(d):
+                # X on the orbit bases of sector c, for every character k at once: column o to row o[c, o]
+                acc[c][:, o[c], np.arange(size)] += x[c] * eig.chars[h[c]][:, shift].T
+        blocks = {}
+        for (q, *_), (shift, acc) in sums.items():
+            for c in range(d):
+                rotated = eig.vectors[(c + q) % d][shift].conj().transpose(0, 2, 1) @ (acc[c] @ eig.vectors[c])
+                for k in range(group):
+                    if rotated[k].any():
+                        blocks[(c + q) % d * group + int(shift[k]), c * group + k] = rotated[k]
+        return DenseOperator(self.chain, blocks)
 
     def site_blocks(self, a: DenseOperator) -> DenseOperator:
-        """Inverse of ``eigenbasis_blocks``, block by block: (r, c) maps back to V_r X_rc V_c^dag."""
-        _, vecs = self.eigensystem
-        return DenseOperator(a.chain, {(r, c): vecs[r] @ blk @ vecs[c].conj().T for (r, c), blk in a.blocks.items()})
+        """An operator held in the eigenbasis mapped back to site-basis charge blocks.
+
+        Block (c' * G + k', c * G + k) adds V_c'k' X V_ck^dag to charge block
+        (c', c), with V_ck the m x n columns of ``Eigensystem.columns``.
+        """
+        eig = self.eigensystem
+        group = len(eig.chars)
+        out: dict[tuple[int, int], np.ndarray] = {}
+        for (r, c), blk in a.blocks.items():
+            (sr, kr), (sc, kc) = divmod(r, group), divmod(c, group)
+            out[sr, sc] = eig.columns(sr, kr) @ blk @ eig.columns(sc, kc).conj().T + out.get((sr, sc), 0.0)
+        return DenseOperator(a.chain, out)
+
+
+@dataclass(frozen=True)
+class Eigensystem:
+    """The eigenbasis of H, sector by sector, on the joint eigenspaces of its block symmetry group G.
+
+    G has the d^r elements g_n = prod S_i^(n_i) of the generators
+    ``symmetries`` (none for G = 1), indexed by the power vectors n in
+    lexicographic order, that is counting in base d; a character k is
+    indexed the same way, and chars[n, k] = exp(2i pi n.k / d) is what g_n
+    reads on the joint eigenspace k.  In sector c, the orbit of
+    representative o (its least state) is
+    g|rep_o> = phase[c, g, o] |states[c, g, o]>, positions in the sector,
+    with g = 0 the identity; on eigenspace k the vectors
+    |o, k> = G^(-1/2) sum_g conj(chars[g, k]) g|rep_o> are orthonormal.
+    Column j of vectors[c, k] is eigenvector j of H there in that basis,
+    with eigenvalue values[c, k * n + j], n = m / G: (character, level)
+    order, ascending within each character.  No array holds m x m entries
+    unless G = 1.
+    """
+
+    symmetries: tuple[WeylMonomial, ...]
+    chars: np.ndarray  # (G, G)
+    states: np.ndarray  # (d, G, n)
+    phase: np.ndarray  # (d, G, n)
+    values: np.ndarray  # (d, m)
+    vectors: np.ndarray  # (d, G, n, n)
+
+    def columns(self, c: int, k: int) -> np.ndarray:
+        """The m x n site-basis columns of sector c's eigenvectors on joint eigenspace k.
+
+        Eigenvector j has entry conj(chars[g, k]) phase[c, g, o] vectors[c, k][o, j] / sqrt(G)
+        at position states[c, g, o] of the sector.  The G column blocks of a
+        sector, side by side, are a unitary V_c with
+        V_c^dag H_cc V_c = diag(values[c]).
+        """
+        group, size = self.states.shape[1:]
+        weight = self.chars[:, k].conj()[:, None] * self.phase[c] / np.sqrt(group)
+        out = np.empty((group * size, size), dtype=complex)
+        out[self.states[c].ravel()] = (weight[:, :, None] * self.vectors[c, k]).reshape(-1, size)
+        return out
 
 
 def _symmetry_defect(blk: np.ndarray, gathered: np.ndarray, states: np.ndarray, phase: np.ndarray, product: np.ndarray) -> float:
@@ -208,8 +301,8 @@ def _symmetry_defect(blk: np.ndarray, gathered: np.ndarray, states: np.ndarray, 
     return worst
 
 
-def _symmetry_eigh(diagonal: list[np.ndarray], symmetries: tuple[WeylMonomial, ...], chain: ChainSpec) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Eigenvalues (d, m), ascending per sector, and eigenvectors of the diagonal blocks H_cc, one eigh per joint eigenspace of the group the symmetries generate.
+def _symmetry_eigh(diagonal: list[np.ndarray], symmetries: tuple[WeylMonomial, ...], chain: ChainSpec) -> Eigensystem:
+    """The ``Eigensystem`` of the diagonal blocks H_cc, one eigh per joint eigenspace of the group the symmetries generate.
 
     The r generators S_i (S_i^d = 1, commuting with each other and with H)
     give G = d^r elements g_n = prod S_i^(n_i), each realized on every
@@ -224,11 +317,9 @@ def _symmetry_eigh(diagonal: list[np.ndarray], symmetries: tuple[WeylMonomial, .
     one gather of m^2 / G entries and a G x G character contraction.  Every
     sector is gathered and checked against its gather (``_symmetry_defect``)
     before the first eigh, and its block is dropped from ``diagonal`` once
-    checked; ValueError when some entry is off by more than 1e-12.  The
-    values of a sector's blocks are merged by a stable argsort, and
-    eigenvector j of block k is scattered into the column of its value in
-    V_c, with entry conj(chi_k(g)) phase[g, o] R_k[o, j] / sqrt(G) at
-    state[g, o].  G = 1 is one block per sector, H_cc.
+    checked; ValueError when some entry is off by more than 1e-12.  Each
+    block's eigenpairs are kept as eigh returns them, in character order.
+    G = 1 is one block per sector, H_cc.
     """
     d, m = chain.d, len(diagonal[0])
     powers = np.array(list(itertools.product(range(d), repeat=len(symmetries))), dtype=np.int64)
@@ -241,63 +332,56 @@ def _symmetry_eigh(diagonal: list[np.ndarray], symmetries: tuple[WeylMonomial, .
     # product[g, h] is the index of g h: powers add mod d, and the rows of powers count in base d
     product = (powers[:, None, :] + powers) % d @ d ** np.arange(len(symmetries))[::-1]
     chars = np.array(roots(d))[2 * (powers @ powers.T) % (2 * d)]
-    orbits = []
+    size = m // group
+    states = np.empty((d, group, size), dtype=np.int64)
+    phase = np.empty((d, group, size), dtype=complex)
+    gathers = []
     for c in range(d):
         reps = np.flatnonzero(rows[:, c].min(axis=0) == np.arange(m))
-        states, phase = rows[:, c, reps], phases[:, c, reps]
-        gathered = diagonal[c][reps[None, :, None], states[:, None, :]]
-        gathered *= phase[:, None, :]
-        if _symmetry_defect(diagonal[c], gathered, states, phase, product) > 1e-12:
+        states[c], phase[c] = rows[:, c, reps], phases[:, c, reps]
+        gathered = diagonal[c][reps[None, :, None], states[c][:, None, :]]
+        gathered *= phase[c][:, None, :]
+        if _symmetry_defect(diagonal[c], gathered, states[c], phase[c], product) > 1e-12:
             raise ValueError("dense Hamiltonian does not commute with its block symmetry")
         diagonal[c] = None
-        orbits.append((states, phase, gathered))
+        gathers.append(gathered)
     del rows, phases
-    values, vectors = [], []
+    values = np.empty((d, m))
+    vectors = np.empty((d, group, size, size), dtype=complex)
     for c in range(d):
-        states, phase, gathered = orbits[c]
-        orbits[c] = None
-        size = states.shape[1]
+        gathered = gathers[c]
+        gathers[c] = None
         blocks = (chars.conj() @ gathered.reshape(group, -1)).reshape(group, size, size)
         del gathered
-        pairs = [np.linalg.eigh(blk) for blk in blocks]
-        del blocks
-        w = np.concatenate([pair[0] for pair in pairs])
-        order = np.argsort(w, kind="stable")
-        column = np.empty(m, dtype=np.int64)
-        column[order] = np.arange(m)
-        v = np.empty((m, m), dtype=complex)
-        for k, (_, r) in enumerate(pairs):
-            weight = chars[k].conj()[:, None] * phase / np.sqrt(group)
-            v[np.ix_(states.ravel(), column[k * size : (k + 1) * size])] = (weight[:, :, None] * r).reshape(m, size)
-        values.append(w[order])
-        vectors.append(v)
-    return np.array(values), tuple(vectors)
+        for k, blk in enumerate(blocks):
+            values[c, k * size : (k + 1) * size], vectors[c, k] = np.linalg.eigh(blk)
+    return Eigensystem(symmetries=symmetries, chars=chars, states=states, phase=phase, values=values, vectors=vectors)
 
 
 def phase_blocks(a: DenseOperator, u: np.ndarray) -> DenseOperator:
     """Evolve an operator held in the eigenbasis by u = ``propagator(t)``.
 
-    Entry [m, n] of block (r, c) gains u[r][m] conj(u[c][n]).  Each phased
-    block is one new array, u[r][m] times the input entry and then times
-    conj(u[c][n]) in place; the input blocks are left unchanged.
+    Read as parts of n states, the size of a's blocks (u.reshape(-1, n)[r]
+    is part r), entry [m, n] of block (r, c) gains u[r][m] conj(u[c][n]).
+    Each phased block is one new array, u[r][m] times the input entry and
+    then times conj(u[c][n]) in place; the input blocks are left unchanged.
     """
     out = {}
     for (r, c), blk in a.blocks.items():
-        phased = u[r][:, None] * blk
-        phased *= u[c].conj()
+        parts = u.reshape(-1, len(blk))
+        phased = parts[r][:, None] * blk
+        phased *= parts[c].conj()
         out[r, c] = phased
     return DenseOperator(a.chain, out)
 
 
-def heisenberg_evolve(a: AlgebraElement | DenseOperator, model: QuadraticModel, t: float) -> DenseOperator:
+def heisenberg_evolve(a: AlgebraElement | WeylMonomial, model: QuadraticModel, t: float) -> DenseOperator:
     """Conjugate by exp(iHt): the Heisenberg picture at time t, in the site basis.
 
-    The charge blocks are rotated into the eigenbasis, phased and rotated
-    back block by block, so an operator of definite charge costs d blocks
-    and no full matrix is formed.
+    The element is written into the eigenbasis, phased and mapped back block
+    by block, so no full matrix is formed.
     """
-    dense = a if isinstance(a, DenseOperator) else realize(a, model.chain)
-    return model.site_blocks(phase_blocks(model.eigenbasis_blocks(dense), model.propagator(t)))
+    return model.site_blocks(phase_blocks(model.eigenbasis_blocks(a), model.propagator(t)))
 
 
 @functools.cache
@@ -397,14 +481,14 @@ def commutator_decay(
 ) -> DecayResult:
     """Series of (t, ||[tau_t(a), b]||) over a sorted time grid.
 
-    The norm is unitarily invariant, and the eigenbasis rotation is block
-    diagonal, so both operators are rotated once into the per-sector
-    eigenbasis (``QuadraticModel.eigenbasis_blocks``), where tau_t is an
+    The norm is unitarily invariant, so both elements are written once into
+    the eigenbasis (``QuadraticModel.eigenbasis_blocks``), where tau_t is an
     element-wise phase and the commutator is formed block by block and
-    normed there by ``op_norm``.
+    normed there by ``op_norm``, one connected component of its blocks at a
+    time.
     """
-    at = model.eigenbasis_blocks(realize(a, model.chain))
-    bt = model.eigenbasis_blocks(realize(b, model.chain))
+    at = model.eigenbasis_blocks(a)
+    bt = model.eigenbasis_blocks(b)
     times = np.array(sorted(float(t) for t in t_grid))
     norms = np.array([op_norm(phase_blocks(at, model.propagator(t)).commutator(bt)) for t in times])
     return DecayResult(
@@ -442,7 +526,7 @@ def _compare_claim(
     return AuditRow(claim_id=claim_id, params=params, status=status, deviation=best, payload=payload)
 
 
-def claimed_commutator_audit(model: QuadraticModel, x: int, z: int) -> list[AuditRow]:
+def claimed_commutator_audit(params: GradingParams, chain: ChainSpec, x: int, z: int) -> list[AuditRow]:
     """Audit the catalogued commutator reduction claims on one chain.
 
     The audited claims, for B = dressed(0,-1) dressed(x,1):
@@ -457,55 +541,56 @@ def claimed_commutator_audit(model: QuadraticModel, x: int, z: int) -> list[Audi
                            coeff * (dressed_rs(z+x, 2j+, 1) + dressed_rs(z-x, 2j+, 1))
                            with coeff either cos(2*pi*j+) or cos(2*pi*j+/d)
     The oracle decomposition of each left side rides along as the payload.
+    The claims read the grading and the chain only; the derivative claim
+    builds its own separation-x model.
     """
-    ch, pr = model.chain, model.params
-    d = pr.d
-    if not 0 < x < ch.L:
+    d = params.d
+    if not 0 < x < chain.L:
         raise ValueError("need 0 < x < L")
     rows: list[AuditRow] = []
     big_b = AlgebraElement.from_monomials(
-        [(1.0, mono_mul(mono_adjoint(dressed_weyl(0, 1, pr, ch)), dressed_weyl(x, 1, pr, ch)))], d
+        [(1.0, mono_mul(mono_adjoint(dressed_weyl(0, 1, params, chain)), dressed_weyl(x, 1, params, chain)))], d
     )
-    ptag = f"d={d};j+={pr.j_plus};j-={pr.j_minus};x={x};z={z}"
+    ptag = f"d={d};j+={params.j_plus};j-={params.j_minus};x={x};z={z}"
 
-    lhs = big_b.commutator(dressed_weyl(z, 1, pr, ch).as_element())
+    lhs = big_b.commutator(dressed_weyl(z, 1, params, chain).as_element())
     if 0 < z < x:
-        string = WeylMonomial.single(d, z, pr.j_plus + pr.j_minus, 0).as_element()
-        rhs = string.commutator(dressed_weyl(z, 1, pr, ch).as_element()).scale(
-            phase_value(2 * (pr.j_plus + pr.j_minus), d)
+        string = WeylMonomial.single(d, z, params.j_plus + params.j_minus, 0).as_element()
+        rhs = string.commutator(dressed_weyl(z, 1, params, chain).as_element()).scale(
+            phase_value(2 * (params.j_plus + params.j_minus), d)
         )
-        rows.append(_compare_claim("midpoint_reduction", ptag, lhs, [rhs], ch))
+        rows.append(_compare_claim("midpoint_reduction", ptag, lhs, [rhs], chain))
     else:
-        rows.append(_compare_claim("midpoint_vanishing", ptag, lhs, [AlgebraElement.zero(d)], ch, tol=1e-12))
+        rows.append(_compare_claim("midpoint_vanishing", ptag, lhs, [AlgebraElement.zero(d)], chain, tol=1e-12))
 
-    coeff = phase_value(2 * pr.j_plus, d).real
-    lhs = big_b.commutator(dressed_weyl(0, 1, pr, ch).as_element())
+    coeff = phase_value(2 * params.j_plus, d).real
+    lhs = big_b.commutator(dressed_weyl(0, 1, params, chain).as_element())
     rhs = AlgebraElement.from_monomials(
-        [(coeff, mono_mul(WeylMonomial.single(d, x, pr.j_minus, 0), dressed_weyl(x, 1, pr, ch)))], d
+        [(coeff, mono_mul(WeylMonomial.single(d, x, params.j_minus, 0), dressed_weyl(x, 1, params, chain)))], d
     )
-    rows.append(_compare_claim("endpoint_reduction_left", ptag, lhs, [rhs], ch))
+    rows.append(_compare_claim("endpoint_reduction_left", ptag, lhs, [rhs], chain))
 
-    lhs = (big_b + big_b.adjoint()).commutator(dressed_weyl(x, 1, pr, ch).as_element())
+    lhs = (big_b + big_b.adjoint()).commutator(dressed_weyl(x, 1, params, chain).as_element())
     rhs = AlgebraElement.from_monomials(
-        [(coeff, mono_mul(WeylMonomial.single(d, x, -pr.j_minus, 0), dressed_weyl(0, 1, pr, ch)))], d
+        [(coeff, mono_mul(WeylMonomial.single(d, x, -params.j_minus, 0), dressed_weyl(0, 1, params, chain)))], d
     )
-    rows.append(_compare_claim("endpoint_reduction_right", ptag, lhs, [rhs], ch))
+    rows.append(_compare_claim("endpoint_reduction_right", ptag, lhs, [rhs], chain))
 
-    if 0 <= z - x and z + x < ch.L:
-        sep_model = QuadraticModel(ch, pr, Hopping({x: 1.0, -x: 1.0}))
-        lhs = sep_model.hamiltonian.commutator(dressed_weyl(z, 1, pr, ch).as_element()).scale(1j)
+    if 0 <= z - x and z + x < chain.L:
+        sep_model = QuadraticModel(chain, params, Hopping({x: 1.0, -x: 1.0}))
+        lhs = sep_model.hamiltonian.commutator(dressed_weyl(z, 1, params, chain).as_element()).scale(1j)
         targets = AlgebraElement.from_monomials(
             [
-                (1.0, dressed_weyl_rs(z + x, 2 * pr.j_plus, 1, pr, ch)),
-                (1.0, dressed_weyl_rs(z - x, 2 * pr.j_plus, 1, pr, ch)),
+                (1.0, dressed_weyl_rs(z + x, 2 * params.j_plus, 1, params, chain)),
+                (1.0, dressed_weyl_rs(z - x, 2 * params.j_plus, 1, params, chain)),
             ],
             d,
         )
         cands = [
-            targets.scale(phase_value(2 * d * pr.j_plus, d).real),
+            targets.scale(phase_value(2 * d * params.j_plus, d).real),
             targets.scale(coeff),
         ]
-        rows.append(_compare_claim("derivative_closure", ptag, lhs, cands, ch))
+        rows.append(_compare_claim("derivative_closure", ptag, lhs, cands, chain))
     return rows
 
 

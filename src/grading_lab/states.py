@@ -4,7 +4,7 @@ The tracial state of a Weyl monomial is its scalar phase when every site
 label is trivial and zero otherwise (clock and shift powers are traceless
 unless both exponents vanish mod d); the extension to elements is linear
 and needs no dense matrices.  Dynamical two-point functions evaluate the
-normalized matrix trace in the per-sector eigenbasis of the Hamiltonian,
+normalized matrix trace in the eigenbasis of the Hamiltonian, block by block,
 where the Heisenberg evolution is an element-wise phase, over the whole
 time grid at once.
 """
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import realize
 from .dynamics import QuadraticModel
 from .weyl import AlgebraElement
 
@@ -44,25 +43,26 @@ def two_point(
 ) -> CorrelationSeries:
     """Evaluate omega(A tau_t(B)) - omega(A) omega(B) with the trace state.
 
-    With blocks X~_rc = V_r^dag X_rc V_c in the per-sector eigenbasis,
+    With blocks X~_rc of the eigenbasis (``QuadraticModel.eigenbasis_blocks``),
     trace(A tau_t(B)) = sum over blocks (r, c) and entries (m, n) of
     A~_cr[n, m] B~_rc[m, n] exp(i (E_r[m] - E_c[n]) t): one product of the
-    (time, level) phase table with each nonzero block pair covers the grid.
-    omega(A) and omega(B) are the exact symbolic ``trace_state`` values.
-    Raises ValueError on an empty grid.
+    (time, level) phase table, read in parts of the blocks' size, with each
+    nonzero block pair covers the grid.  omega(A) and omega(B) are the
+    exact symbolic ``trace_state`` values.  Raises ValueError on an empty
+    grid.
     """
     times = np.array(sorted(float(t) for t in t_grid))
     if not times.size:
         raise ValueError("empty time grid")
-    ch = model.chain
-    at = model.eigenbasis_blocks(realize(a, ch))
-    bt = model.eigenbasis_blocks(realize(b, ch))
+    at = model.eigenbasis_blocks(a)
+    bt = model.eigenbasis_blocks(b)
     phase = np.stack([model.propagator(t) for t in times])  # (time, sector, level)
     acc = np.zeros(times.size, dtype=complex)
     for (r, c), bb in bt.blocks.items():
         if (c, r) in at.blocks:
-            acc += np.sum((phase[:, r] @ (at.blocks[c, r].T * bb)) * phase[:, c].conj(), axis=1)
-    return CorrelationSeries(times=times, values=acc / ch.dim - trace_state(a) * trace_state(b))
+            parts = phase.reshape(times.size, -1, len(bb))
+            acc += np.sum((parts[:, r] @ (at.blocks[c, r].T * bb)) * parts[:, c].conj(), axis=1)
+    return CorrelationSeries(times=times, values=acc / model.chain.dim - trace_state(a) * trace_state(b))
 
 
 @dataclass

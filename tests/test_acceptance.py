@@ -128,9 +128,11 @@ def test_05_d2_free_fermion_oracle():
     times = (0.5, 1.0, 1.5, 2.0)
     # the open chain's one-particle flow exp(tM) f0, M read from the symbolic H
     flows = one_particle_flow(generator(model), f0, params, times)
-    a0 = realize(smear(f0, params, chain), chain)
-    # the field evolved as `evolve` does it: rotated once, then phased and rotated back per t
-    rotated = model.eigenbasis_blocks(a0)
+    field = smear(f0, params, chain)
+    a0 = realize(field, chain)
+    # the field evolved as `evolve` does it, written into the eigenbasis once and phased per t,
+    # then mapped back to the site basis
+    rotated = model.eigenbasis_blocks(field)
     worst = 0.0
     signal = 0.0
     for t, ft in zip(times, flows):
@@ -206,8 +208,9 @@ def test_08_gauge_invariance_of_dynamics():
     t = 1.7
     model = QuadraticModel(ChainSpec(2, 6), GradingParams(2, 1, 1), Hopping({1: -0.0625j, -1: 0.0625j}))
     rng = np.random.default_rng(1008)
-    m = realize(random_element(rng, 2, 6, terms=4), model.chain)
-    evolved = model.site_blocks(phase_blocks(model.eigenbasis_blocks(m), model.propagator(t)))
+    element = random_element(rng, 2, 6, terms=4)
+    m = realize(element, model.chain)
+    evolved = model.site_blocks(phase_blocks(model.eigenbasis_blocks(element), model.propagator(t)))
     lhs = gauge_project(evolved).entries
     u = scipy.linalg.expm(1j * t * model.dense_hamiltonian.entries)
     g = gauge_unitary(model.chain).entries

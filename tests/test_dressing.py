@@ -271,19 +271,23 @@ class TestShiftDefect:
         assert supp <= set(range(0, x + 1)) | set(range(chain.L, chain.L + x))
 
 
+def dressed_bilinear(x, y, params, chain):
+    """dressed(x, 1) dressed(y, 1)^dag, the left side ``bilinear_connection`` compares its claim with."""
+    return mono_mul(dressed_weyl(x, 1, params, chain), mono_adjoint(dressed_weyl(y, 1, params, chain)))
+
+
 class TestBilinearConnection:
     def test_gauge_invariant_and_local(self):
         params = GradingParams(3, 1, 1)
         chain = ChainSpec(3, 5)
-        bc = bilinear_connection(1, 3, params, chain)
-        assert bc.lhs.is_gauge_invariant()
-        assert set(bc.lhs.support()) <= {1, 2, 3}
+        lhs = dressed_bilinear(1, 3, params, chain).as_element()
+        assert lhs.is_gauge_invariant()
+        assert set(lhs.support()) <= {1, 2, 3}
 
     def test_d2_matches_majorana_pair(self):
         # adjacent dressed bilinear against the explicit Majorana product
         params = GradingParams(2, 1, 1)
         chain = ChainSpec(2, 4)
-        bc = bilinear_connection(1, 2, params, chain)
         X = np.array([[0, 1], [1, 0]], dtype=complex)
         Z = np.diag([1.0, -1.0]).astype(complex)
         eye = np.eye(2, dtype=complex)
@@ -294,23 +298,24 @@ class TestBilinearConnection:
             return out
         g1 = site([eye, X, Z, Z])
         g2 = site([eye, eye, X, Z])
-        assert np.abs(realize(bc.lhs, chain).entries - g1 @ g2).max() < 1e-13
+        assert np.abs(realize(dressed_bilinear(1, 2, params, chain), chain).entries - g1 @ g2).max() < 1e-13
 
     def test_claim_deviation_reported(self):
+        # the correction c = lhs rhs^-1 is a clock string (both sides move the
+        # same states), and the reported deviation is that of lhs and c^-1 lhs
         params = GradingParams(3, 1, 1)
         chain = ChainSpec(3, 5)
         bc = bilinear_connection(0, 2, params, chain)
         if bc.deviation > 1e-12:
             assert bc.correction is not None
-            ratio = mono_mul(
-                next(bc.lhs.monomials())[1], mono_adjoint(next(bc.rhs.monomials())[1])
-            )
-            assert bc.correction.sites == ratio.sites
+            assert all(l == 0 for _, (_, l) in bc.correction.sites)
+            lhs = dressed_bilinear(0, 2, params, chain)
+            rhs = mono_mul(mono_adjoint(bc.correction), lhs)
+            assert abs((realize(lhs, chain) - realize(rhs, chain)).max_abs() - bc.deviation) < 1e-12
 
     def test_commutes_with_gauge_unitary(self):
         params = GradingParams(3, 1, 1)
         chain = ChainSpec(3, 5)
-        bc = bilinear_connection(1, 3, params, chain)
         g = gauge_unitary(chain).entries
-        m = realize(bc.lhs, chain).entries
+        m = realize(dressed_bilinear(1, 3, params, chain), chain).entries
         assert np.abs(m @ g - g @ m).max() < 1e-12

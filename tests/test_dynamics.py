@@ -49,9 +49,14 @@ def amplitudes(d, N, values):
 
 
 def program_evolution(model, a, times):
-    """tau_t(a) at each t on the path ``evolve`` runs: one rotation into the eigenbasis, then per t the phases and the rotation back."""
+    """tau_t(a) of an element at each t on the library path: written once into the eigenbasis, then per t phased and mapped back."""
     rotated = model.eigenbasis_blocks(a)
     return [model.site_blocks(phase_blocks(rotated, model.propagator(t))) for t in times]
+
+
+def assembled_eigenvectors(eig, c):
+    """Sector c's m x m eigenvector matrix V_c, its column blocks of ``Eigensystem.columns`` side by side in character order."""
+    return np.hstack([eig.columns(c, k) for k in range(len(eig.chars))])
 
 
 def expm_evolution(model, a, t):
@@ -154,41 +159,39 @@ class TestHeisenbergEvolve:
     # compared, one side is the expm conjugation
     def test_t0_is_realization(self):
         model = d2_model(6)
-        a = realize(dressed_weyl(2, 1, D2, model.chain).as_element(), model.chain)
+        a = dressed_weyl(2, 1, D2, model.chain).as_element()
         (got,) = program_evolution(model, a, [0.0])
-        assert np.abs(got.entries - a.entries).max() < 1e-12
+        assert np.abs(got.entries - realize(a, model.chain).entries).max() < 1e-12
 
     def test_norm_preserved(self):
         model = d2_model(6)
-        a = realize(dressed_matrix_unit(2, 0, 1, D2, model.chain), model.chain)
+        a = dressed_matrix_unit(2, 0, 1, D2, model.chain)
         (at,) = program_evolution(model, a, [3.7])
-        assert abs(op_norm(at) - op_norm(a)) < 1e-10
+        assert abs(op_norm(at) - op_norm(realize(a, model.chain))) < 1e-10
 
     def test_group_law(self):
+        # tau_2.1 after tau_1.3, both as eigenbasis phases, is the expm evolution to 3.4
         model = d2_model(6)
-        a = realize(dressed_weyl(2, 1, D2, model.chain).as_element(), model.chain)
-        (at,) = program_evolution(model, a, [1.3])
-        (one,) = program_evolution(model, at, [2.1])
-        two = expm_evolution(model, a, 3.4)
+        a = dressed_weyl(2, 1, D2, model.chain).as_element()
+        at = phase_blocks(model.eigenbasis_blocks(a), model.propagator(1.3))
+        one = model.site_blocks(phase_blocks(at, model.propagator(2.1)))
+        two = expm_evolution(model, realize(a, model.chain), 3.4)
         assert np.abs(one.entries - two).max() < 1e-10
 
     def test_commutes_with_gauge_projection(self):
         model = d2_model(6)
         rng = np.random.default_rng(31)
-        m = realize(
-            AlgebraElement.from_monomials(
-                [
-                    (complex(rng.standard_normal(), rng.standard_normal()),
-                     WeylMonomial.from_labels(2, {1: (0, 1), 3: (1, 1)})),
-                    (complex(rng.standard_normal(), rng.standard_normal()),
-                     WeylMonomial.from_labels(2, {2: (1, 0)})),
-                ]
-            ),
-            model.chain,
+        m = AlgebraElement.from_monomials(
+            [
+                (complex(rng.standard_normal(), rng.standard_normal()),
+                 WeylMonomial.from_labels(2, {1: (0, 1), 3: (1, 1)})),
+                (complex(rng.standard_normal(), rng.standard_normal()),
+                 WeylMonomial.from_labels(2, {2: (1, 0)})),
+            ]
         )
         (mt,) = program_evolution(model, m, [1.9])
         lhs = gauge_project(mt).entries
-        rhs = expm_evolution(model, gauge_project(m), 1.9)
+        rhs = expm_evolution(model, gauge_project(realize(m, model.chain)), 1.9)
         assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_free_flow_dictionary(self):
@@ -196,10 +199,11 @@ class TestHeisenbergEvolve:
         # the open chain's one-particle flow exp(tM) f0 (see TestGenerator)
         model = d2_model(8)
         f0 = amplitudes(2, 8, {(3, 0): 1.0, (4, 0): 0.5 - 0.25j})
-        a0 = realize(smear(f0, D2, model.chain), model.chain)
+        field = smear(f0, D2, model.chain)
+        a0 = realize(field, model.chain)
         times = (0.5, 1.5)
         flows = dynamics.one_particle_flow(generator(model), f0, D2, times)
-        for ft, evolved in zip(flows, program_evolution(model, a0, times)):
+        for ft, evolved in zip(flows, program_evolution(model, field, times)):
             lhs = evolved.entries
             rhs = realize(smear(ft, D2, model.chain), model.chain).entries
             dev = np.abs(lhs - rhs).max()
@@ -211,9 +215,9 @@ class TestHeisenbergEvolve:
         # the charge-1 flavor generators commute with the d=2 Hamiltonian
         model = d2_model(6)
         f1 = amplitudes(2, 6, {(2, 1): 1.0})
-        a = realize(smear(f1, D2, model.chain), model.chain)
+        a = smear(f1, D2, model.chain)
         (got,) = program_evolution(model, a, [2.0])
-        assert np.abs(got.entries - a.entries).max() < 1e-12
+        assert np.abs(got.entries - realize(a, model.chain).entries).max() < 1e-12
 
 
 def _charged_input(d, charges, seed):
@@ -251,14 +255,15 @@ def counted_eigh(monkeypatch):
 
 
 def assert_exact_eigensystem(model, blocks):
-    """Every sector's eigenpairs solve its realized block (absent: zero) to 1e-12, with orthonormal vectors and the eigvalsh spectrum."""
-    values, vectors = model.eigensystem
-    zero = np.zeros((values.shape[1],) * 2, dtype=complex)
+    """Every sector's factored eigenvectors, assembled, are unitary and diagonalise its realized block (absent: zero) to 1e-12, with the eigvalsh spectrum."""
+    eig = model.eigensystem
+    zero = np.zeros((eig.values.shape[1],) * 2, dtype=complex)
     for c in range(model.chain.d):
-        h, v, w = blocks.get((c, c), zero), vectors[c], values[c]
+        h, v, w = blocks.get((c, c), zero), assembled_eigenvectors(eig, c), eig.values[c]
         assert np.abs(h @ v - v * w).max() <= 1e-12
         assert np.abs(v.conj().T @ v - np.eye(len(w))).max() <= 1e-12
-        assert np.abs(w - np.linalg.eigvalsh(h)).max() <= 1e-12
+        assert np.abs(v.conj().T @ h @ v - np.diag(w)).max() <= 1e-12
+        assert np.abs(np.sort(w) - np.linalg.eigvalsh(h)).max() <= 1e-12
 
 
 def assert_broken_symmetry_rejected(monkeypatch, sector):
@@ -344,9 +349,11 @@ class TestSectorBlocks:
         # sectors share one spectrum, which the independent solves reproduce
         model = QuadraticModel(ChainSpec(d, L), GradingParams(d, 1, 1), hopping)
         blocks = model.dense_hamiltonian.blocks
-        values, vectors = model.eigensystem
-        assert values.shape == (d, d ** (L - 1)) and len(vectors) == d
-        assert np.abs(values - values[0]).max() <= 1e-12
+        eig = model.eigensystem
+        group = len(eig.chars)
+        size = d ** (L - 1) // group
+        assert eig.values.shape == (d, d ** (L - 1)) and eig.vectors.shape == (d, group, size, size)
+        assert np.abs(np.sort(eig.values, axis=1) - np.sort(eig.values[0])).max() <= 1e-12
         assert_exact_eigensystem(model, blocks)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -436,10 +443,11 @@ class TestSectorBlocks:
         # eigenpairs are those of one eigh of the whole sector, byte for byte
         model = QuadraticModel(ChainSpec(d, L), GradingParams(d, 1, 1), hopping)
         blocks = model.dense_hamiltonian.blocks
-        got_w, got_v = dynamics._symmetry_eigh([blocks[c, c].copy() for c in range(d)], (), model.chain)
+        got = dynamics._symmetry_eigh([blocks[c, c].copy() for c in range(d)], (), model.chain)
         for c in range(d):
             w, v = np.linalg.eigh(blocks[c, c])
-            assert got_w[c].tobytes() == w.tobytes() and got_v[c].tobytes() == v.tobytes()
+            assert got.values[c].tobytes() == w.tobytes() and got.vectors[c, 0].tobytes() == v.tobytes()
+            assert got.columns(c, 0).tobytes() == v.tobytes()
 
     def test_eigensystem_working_set(self):
         # the realized H, one hermiticity temporary at a time, the orbit
@@ -451,6 +459,29 @@ class TestSectorBlocks:
             _, peak = traced_peak(lambda: model.eigensystem)
             assert peak <= (d + 3) * block
 
+    def test_eigenbasis_blocks_checks_the_element(self):
+        # an element is checked as realize checks it, before any gather: a
+        # site past the chain (or below it, which numpy would wrap) is rejected
+        model = d2_model(6)
+        for site in (6, -1):
+            with pytest.raises(ValueError, match="outside chain"):
+                model.eigenbasis_blocks(WeylMonomial(2, ((site, (0, 1)),), 0))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            model.eigenbasis_blocks(WeylMonomial.single(3, 1, 0, 1))
+
+    def test_diagonalised_model_holds_no_m_by_m_array(self):
+        # on the evolve_d2 chain (G = 32, m = 512) the eigenbasis stays
+        # factored: the orbits, the character table, the (d, m) values and
+        # one 16 x 16 eigenvector block per joint eigenspace, d * m^2 / G
+        # entries in all, and no copy of H
+        model = d2_model(10)
+        eig = model.eigensystem
+        m = model.chain.dim // 2
+        held = [v for v in [*vars(model).values(), *vars(eig).values()] if isinstance(v, (np.ndarray, DenseOperator))]
+        assert all(isinstance(v, np.ndarray) for v in held) and len(held) == 5
+        assert eig.vectors.shape == (2, 32, 16, 16)
+        assert all(v.size <= 2 * m * m // 32 for v in held)
+
     @pytest.mark.parametrize("d, L, hopping", [
         (2, 4, IM_NN),
         (3, 3, Hopping({1: 0.5 - 0.25j, -1: 0.5 + 0.25j})),
@@ -459,7 +490,7 @@ class TestSectorBlocks:
         # propagator(t) holds the eigenbasis phases; rebuilt in the site basis
         # per sector it is the matching diagonal block of expm(iHt)
         model = QuadraticModel(ChainSpec(d, L), GradingParams(d, 1, 1), hopping)
-        _, vecs = model.eigensystem
+        vecs = [assembled_eigenvectors(model.eigensystem, c) for c in range(d)]
         sectors = model.chain.sectors()
         for t in (0.0, 1.3, 4.1):
             want = scipy.linalg.expm(1j * t * model.dense_hamiltonian.entries)
@@ -478,8 +509,9 @@ class TestSectorBlocks:
         # the entrywise maximum over the nonzero site-basis blocks is the
         # maximum over the assembled matrix: absent blocks are exactly zero
         model = QuadraticModel(ChainSpec(d, L), GradingParams(d, 1, 1), hopping)
-        rotated = model.eigenbasis_blocks(realize(_charged_input(d, charges, seed=5 * d + len(charges)), model.chain))
-        assert len(rotated.blocks) == (d if len(charges) == 1 else d * d)
+        rotated = model.eigenbasis_blocks(_charged_input(d, charges, seed=5 * d + len(charges)))
+        group = len(model.eigensystem.chars)
+        assert len({(r // group, c // group) for r, c in rotated.blocks}) == (d if len(charges) == 1 else d * d)
         for t in (0.0, 1.3):
             site = model.site_blocks(phase_blocks(rotated, model.propagator(t)))
             assert site.max_abs() == float(np.abs(site.entries).max())
@@ -546,9 +578,10 @@ class TestNoCommutingRaiser:
     def test_heisenberg_evolve_matches_expm(self, make):
         model = make()
         d = model.chain.d
-        a = realize(_charged_input(d, tuple(range(d)), seed=17 * d), model.chain)
+        a = _charged_input(d, tuple(range(d)), seed=17 * d)
         for t in (0.0, 1.3, 4.1):
-            assert np.abs(heisenberg_evolve(a, model, t).entries - expm_evolution(model, a, t)).max() <= 1e-12
+            want = expm_evolution(model, realize(a, model.chain), t)
+            assert np.abs(heisenberg_evolve(a, model, t).entries - want).max() <= 1e-12
 
     @NO_RAISER_MODELS
     def test_commutator_decay_matches_expm(self, make):
@@ -634,18 +667,59 @@ class TestCommutatorDecayOracle:
             worst = max(worst, want)
             assert abs(norm - want) < 1e-12
         assert worst > 1e-3
-        # op_norm takes a definite-charge commutator as the largest of d
-        # sector-block norms; a mixed one shares sectors and takes the
-        # assembled matrix
-        m = d ** (L - 1)
-        full = len(a_charges) > 1
-        assert shapes == ([(d * m, d * m)] * len(times) if full else [(m, m)] * (d * len(times)))
+        # op_norm takes the largest norm over the connected components of
+        # the commutator's blocks: on these chains (G = 4 at d = 2, L = 4 and
+        # G = 3 at d = 3, L = 3) a definite-charge commutator splits into
+        # d * G / 2 resp. d components, a mixed one into fewer and larger
+        sizes = {(2, False): [4] * 4, (2, True): [8] * 2, (3, False): [9] * 3, (3, True): [27]}[d, len(a_charges) > 1]
+        assert shapes == [(n, n) for n in sizes] * len(times)
+
+    @pytest.mark.parametrize("d, L, hopping", [
+        (2, 8, IM_NN),
+        (3, 5, Hopping({1: 0.5 - 0.25j, -1: 0.5 + 0.25j})),
+    ])
+    def test_pair_with_several_characters(self, monkeypatch, d, L, hopping):
+        # the decay presets' gauge-invariant pair on a smaller chain, each
+        # with a clock term added: a's monomials carry several characters of
+        # G, so the commutator's blocks link several joint eigenspaces and
+        # fall into several components, and the largest component norm is
+        # the norm of the full matrix evolved by expm; b's clock at site 0
+        # gives the d = 3 components different norms
+        model = QuadraticModel(ChainSpec(d, L), GradingParams(d, 1, 1), hopping)
+        pr, ch = model.params, model.chain
+        a = dressed_matrix_unit(1, 0, 1, pr, ch) * dressed_matrix_unit(2, 1, 0, pr, ch)
+        a = a + WeylMonomial.single(d, L - 1, 1, 0).as_element().scale(0.5)
+        b = dressed_matrix_unit(3, 0, 1, pr, ch) * dressed_matrix_unit(4, 1, 0, pr, ch)
+        b = b + WeylMonomial.single(d, 0, 1, 0).as_element().scale(0.7)
+        symmetries = model.block_symmetries()
+        characters = {tuple(commutation_phase(s, mono) for s in symmetries) for _, mono in a.monomials()}
+        assert len(symmetries) > 0 and len(characters) > 1
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording_eigvalsh(m):
+            shapes.append(np.shape(m))
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        times = [0.0, 0.9, 2.6]
+        res = commutator_decay(a, b, model, times)
+        monkeypatch.undo()
+        assert len(shapes) > len(times) and max(shapes)[0] < ch.dim
+        ad, bd, h = realize(a, ch).entries, realize(b, ch).entries, model.dense_hamiltonian.entries
+        worst = 0.0
+        for t, norm in zip(times, res.norms):
+            u = scipy.linalg.expm(1j * t * h)
+            at = u @ ad @ u.conj().T
+            want = np.linalg.norm(at @ bd - bd @ at, 2)
+            worst = max(worst, want)
+            assert abs(norm - want) <= 1e-12
+        assert worst > 1e-3
 
 
 class TestClaimedCommutatorAudit:
     def test_rows_and_statuses(self):
-        model = QuadraticModel(ChainSpec(3, 5), D3, Hopping({1: 0.5, -1: 0.5}))
-        rows = claimed_commutator_audit(model, x=3, z=1)
+        rows = claimed_commutator_audit(D3, ChainSpec(3, 5), x=3, z=1)
         ids = [r.claim_id for r in rows]
         assert "midpoint_reduction" in ids
         assert "endpoint_reduction_left" in ids
@@ -655,14 +729,12 @@ class TestClaimedCommutatorAudit:
             assert r.payload
 
     def test_derivative_closure_row(self):
-        model = QuadraticModel(ChainSpec(3, 5), D3, Hopping({1: 0.5, -1: 0.5}))
-        rows = claimed_commutator_audit(model, x=1, z=2)
+        rows = claimed_commutator_audit(D3, ChainSpec(3, 5), x=1, z=2)
         ids = [r.claim_id for r in rows]
         assert "derivative_closure" in ids
 
     def test_outside_interval_vanishes(self):
-        model = QuadraticModel(ChainSpec(3, 5), D3, Hopping({1: 0.5, -1: 0.5}))
-        rows = claimed_commutator_audit(model, x=2, z=3)
+        rows = claimed_commutator_audit(D3, ChainSpec(3, 5), x=2, z=3)
         van = [r for r in rows if r.claim_id == "midpoint_vanishing"]
         assert van and van[0].status == "MATCH"
 

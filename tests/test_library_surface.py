@@ -1,11 +1,13 @@
 """The library holds only what a command, an acceptance criterion or the benchmark reads.
 
 Every public top-level function or class of ``src/grading_lab``, and every
-public method of such a class, must be read somewhere other than its own
-definition: in the package itself, in ``perfbench/*.py`` (the tracer's
+public method and dataclass field of such a class, must be read somewhere
+other than its own definition: in the package itself, in ``perfbench/*.py`` (the tracer's
 ``TARGETS`` strings included) or in ``tests/test_acceptance.py``.  A read
 is an AST name, attribute, imported name or short string constant, each
 dotted part of a string counted on its own; docstrings are not reads.  A
+dataclass field is read only by an attribute or a string, never by a bare
+name, since a local variable of the same name reads nothing of the class.  A
 name that only unit tests or docstrings mention fails the check: it is
 deleted, or its test computes the value itself.
 """
@@ -18,8 +20,11 @@ PACKAGE = ROOT / "src" / "grading_lab"
 READERS = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
 
 # ROADMAP item 1 names refined_gauge_unitary as the oracle that the block
-# containment check is to be compared with; until then only tests read it
-EXEMPT = {"refined_gauge_unitary"}
+# containment check is to be compared with; until then only tests read it.
+# ClusteringReport.envelope and .initial are bound to the benchmark's
+# correlate_d3 workload, which returns the report, until that item decides
+# whether the workload stays
+EXEMPT = {"refined_gauge_unitary", "envelope", "initial"}
 
 SHORT = 80  # longest string constant read as a reference
 
@@ -35,21 +40,21 @@ def _docstrings(tree: ast.AST) -> set[int]:
     return out
 
 
-def _references(path: Path) -> list[tuple[str, int]]:
-    """(name, line) of every name, attribute, imported name and short string part in a file."""
+def _references(path: Path) -> list[tuple[str, int, bool]]:
+    """(name, line, bare) of every name, attribute, imported name and short string part in a file; bare marks a name."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     docs = _docstrings(tree)
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.append((node.id, node.lineno))
+            out.append((node.id, node.lineno, True))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, node.lineno))
+            out.append((node.attr, node.lineno, False))
         elif isinstance(node, ast.alias):
-            out += [(part, node.lineno) for part in node.name.split(".")]
+            out += [(part, node.lineno, False) for part in node.name.split(".")]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
             if len(node.value) <= SHORT:
-                out += [(part, node.lineno) for part in node.value.split(".") if part.isidentifier()]
+                out += [(part, node.lineno, False) for part in node.value.split(".") if part.isidentifier()]
     return out
 
 
@@ -57,18 +62,32 @@ def _public(name: str) -> bool:
     return not name.startswith("_")
 
 
-def _definitions() -> list[tuple[Path, str, int, int]]:
-    """(module file, qualified name, first line, last line) of every public top-level def, class and method."""
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        (isinstance(dec, ast.Name) and dec.id == "dataclass")
+        or (isinstance(dec, ast.Call) and isinstance(dec.func, ast.Name) and dec.func.id == "dataclass")
+        for dec in node.decorator_list
+    )
+
+
+def _definitions() -> list[tuple[Path, str, int, int, bool]]:
+    """(module file, qualified name, first line, last line, is a field) of every public top-level def, class, method and dataclass field."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
-                out.append((path, node.name, node.lineno, node.end_lineno))
+                out.append((path, node.name, node.lineno, node.end_lineno, False))
                 if isinstance(node, ast.ClassDef):
                     out += [
-                        (path, f"{node.name}.{item.name}", item.lineno, item.end_lineno)
+                        (path, f"{node.name}.{item.name}", item.lineno, item.end_lineno, False)
                         for item in node.body
                         if isinstance(item, ast.FunctionDef) and _public(item.name)
+                    ]
+                if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                    out += [
+                        (path, f"{node.name}.{item.target.id}", item.lineno, item.end_lineno, True)
+                        for item in node.body
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and _public(item.target.id)
                     ]
     return out
 
@@ -76,14 +95,14 @@ def _definitions() -> list[tuple[Path, str, int, int]]:
 def test_every_public_name_has_a_reader():
     refs = {path: _references(path) for path in READERS}
     unread = []
-    for path, qualname, first, last in _definitions():
+    for path, qualname, first, last, field in _definitions():
         name = qualname.rsplit(".", 1)[-1]
         if name in EXEMPT:
             continue
         read = any(
-            ref == name and not (where == path and first <= line <= last)
+            ref == name and not (where == path and first <= line <= last) and not (field and bare)
             for where, found in refs.items()
-            for ref, line in found
+            for ref, line, bare in found
         )
         if not read:
             unread.append(f"{path.stem}.{qualname}")
@@ -91,5 +110,5 @@ def test_every_public_name_has_a_reader():
 
 
 def test_exemptions_are_defined():
-    defined = {qualname.rsplit(".", 1)[-1] for _, qualname, _, _ in _definitions()}
+    defined = {qualname.rsplit(".", 1)[-1] for _, qualname, _, _, _ in _definitions()}
     assert EXEMPT <= defined

@@ -70,7 +70,7 @@ class TestTwoPoint:
         a = dressed_matrix_unit(1, 0, 1, D2, chain)
         b = dressed_matrix_unit(3, 1, 0, D2, chain)
         ad = realize(a, chain).entries
-        for evolved in program_evolution(model, realize(b, chain), (0.0, 1.3)):
+        for evolved in program_evolution(model, b, (0.0, 1.3)):
             bt = evolved.entries
             lhs = np.trace(ad @ bt) / chain.dim
             rhs = np.trace(bt @ ad) / chain.dim

@@ -17,7 +17,7 @@ import pytest
 
 from grading_lab import dense, dynamics
 from grading_lab.dense import ChainSpec, realize
-from grading_lab.dressing import dressed_weyl
+from grading_lab.dressing import dressed_matrix_unit, dressed_weyl
 from grading_lab.oneparticle import Hopping
 from grading_lab.weyl import GradingParams
 
@@ -37,12 +37,13 @@ TRACER_MODULE = _load_tracer()
 def _sample_calls():
     """One small call per traced product: the function and its arguments as the tracer sees them."""
     model = dynamics.QuadraticModel(ChainSpec(2, 4), GradingParams(2, 1, 1), Hopping({1: -1j / 16, -1: 1j / 16}))
-    a = realize(dressed_weyl(1, 1, model.params, model.chain), model.chain)
+    field = dressed_weyl(1, 1, model.params, model.chain)
+    a = realize(field, model.chain)
     return {
         "dense.realize": (dense.realize, (model.hamiltonian, model.chain)),
         "dense.op_norm": (dense.op_norm, (a.commutator(model.dense_hamiltonian),)),
         "dynamics.QuadraticModel.propagator": (dynamics.QuadraticModel.propagator, (model, 0.7)),
-        "dynamics.heisenberg_evolve": (dynamics.heisenberg_evolve, (a, model, 0.7)),
+        "dynamics.heisenberg_evolve": (dynamics.heisenberg_evolve, (field, model, 0.7)),
         "dense.DenseOperator.commutator": (dense.DenseOperator.commutator, (a, model.dense_hamiltonian)),
     }
 
@@ -78,3 +79,21 @@ def test_every_hook_has_a_sample_call():
     tracer = TRACER_MODULE.Tracer()
     hooked = {name for name, _, _ in TRACER_MODULE.TARGETS if tracer._hook(name) is not None}
     assert hooked <= set(_sample_calls())
+
+
+def test_op_norm_hook_reads_eigenbasis_blocks():
+    # the exact-norm hook assembles an eigenbasis operator through ``entries``
+    # (its basis permuted, its singular values kept), so op_norm of
+    # [tau_t(A), B] on the blocks of several joint eigenspaces, as
+    # commutator_decay forms it, still reads exact_frac 1.0
+    model = dynamics.QuadraticModel(ChainSpec(2, 6), GradingParams(2, 1, 1), Hopping({1: -1j / 16, -1: 1j / 16}))
+    pr, ch = model.params, model.chain
+    a = dressed_matrix_unit(1, 0, 1, pr, ch) * dressed_matrix_unit(2, 1, 0, pr, ch)
+    b = dressed_matrix_unit(3, 0, 1, pr, ch) * dressed_matrix_unit(4, 1, 0, pr, ch)
+    m = dynamics.phase_blocks(model.eigenbasis_blocks(a), model.propagator(0.9)).commutator(model.eigenbasis_blocks(b))
+    group = len(model.eigensystem.chars)
+    assert group > 1 and len({c % group for _, c in m.blocks}) > 1
+    tracer = TRACER_MODULE.Tracer()
+    tracer._wrap("dense.op_norm", dense.op_norm)(m)
+    assert tracer.calls["dense.op_norm"] == 1
+    assert tracer.pass_metrics()["dense.op_norm.exact_frac"] == 1.0
