@@ -43,6 +43,7 @@ from .dynamics import (
     QuadraticModel,
     claimed_commutator_audit,
     commutator_decay,
+    eigenbasis_fields,
     gauge_invariance_defect,
     generator,
     one_particle_flow,
@@ -260,15 +261,15 @@ def cmd_evolve(cfg: ExperimentConfig, out: str, cap: int) -> int:
     m = generator(model)
     flows = None if m is None else one_particle_flow(m, f0, params, grid)
     res, _ = span_residual(model, f0)
-    # the reconstruction's working set is freed before H is diagonalised
     rec = reconstruct_spin_evolution(model)
     flow_devs = [float("nan")] * len(grid)
     if flows is not None:
-        # tau_t(F) against W(exp(tM) f0), both written into the eigenbasis: the field once, the prediction per t
+        # tau_t(F) against W(exp(tM) f0), both in the eigenbasis: the field is written there once, and so is
+        # each B_k that the flow reaches, which every t's prediction combines
         a0 = model.eigenbasis_blocks(field)
         flow_devs = [
-            phase_blocks(a0, model.propagator(t)).sub(model.eigenbasis_blocks(smear(f, params, chain))).max_abs()
-            for t, f in zip(grid, flows)
+            phase_blocks(a0, model.propagator(t)).sub(predicted).max_abs()
+            for t, predicted in zip(grid, eigenbasis_fields(model, flows))
         ]
     rows = [[t, flow_dev, res, rec] for t, flow_dev in zip(grid, flow_devs)]
     write_csv(out, ["t", "flow_deviation", "span_residual", "reconstruction_deviation"], rows)

@@ -34,6 +34,7 @@ import numpy as np
 from .weyl import AlgebraElement, WeylMonomial, matrix_unit, roots
 
 DEFAULT_DIM_CAP = 4096
+HERMITICITY_TILE = 32  # rows of a block compared at a time by DenseOperator.hermiticity_defect
 
 Blocks = dict[tuple[int, int], np.ndarray]  # blocks (r, c) of one partition of the basis; an absent block is zero
 
@@ -187,7 +188,9 @@ class DenseOperator:
 
         Block (r, c) of the difference is X_rc - X_cr^dag, an absent partner
         read as zero.  Block (c, r) is its negated adjoint, so each pair is
-        taken once, in the one array that X_cr^dag is copied into.
+        taken once, ``HERMITICITY_TILE`` rows of X_rc at a time against the
+        matching columns of X_cr: a tile's conjugate copy stays in cache,
+        where a whole block's strided copy does not.
         """
         worst = 0.0
         for (r, c), blk in self.blocks.items():
@@ -195,8 +198,9 @@ class DenseOperator:
             if partner is None:
                 worst = max(worst, float(np.abs(blk).max()))
             elif r <= c:
-                diff = partner.conj().T
-                worst = max(worst, float(np.abs(np.subtract(blk, diff, out=diff)).max()))
+                for i in range(0, len(blk), HERMITICITY_TILE):
+                    tile = blk[i : i + HERMITICITY_TILE] - partner[:, i : i + HERMITICITY_TILE].conj().T
+                    worst = max(worst, float(np.abs(tile).max()))
         return worst
 
     def vdot(self, other: "DenseOperator") -> complex:

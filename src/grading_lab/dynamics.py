@@ -36,13 +36,16 @@ f[:, :L].ravel(); when every i[H, B_k] stays in that span, its coefficient
 vectors (``span_split``) are the columns of the generator M and
 tau_t(W(f)) = W(exp(tM) f) on the open chain.  At
 d = 2 this is the Lieb-Schultz-Mattis reduction; at d >= 3 the span is not
-invariant and there is no generator.
+invariant and there is no generator.  W(f) is linear in f, so
+``eigenbasis_fields`` writes the fields of many f into the eigenbasis from
+each B_k rotated once.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -415,6 +418,28 @@ def smear(f: np.ndarray, params: GradingParams, chain: ChainSpec) -> AlgebraElem
     return AlgebraElement.from_monomials(pairs, params.d)
 
 
+def eigenbasis_fields(model: QuadraticModel, fs: list[np.ndarray]) -> Iterator[DenseOperator]:
+    """W(f) in the eigenbasis for each (d, N) array f of fs, in order: ``eigenbasis_blocks(smear(f))`` to round-off.
+
+    W(f) = sum_k f_k B_k is linear in f, so each B_k of ``span_basis`` on
+    which some f is nonzero is written into the eigenbasis once, before the
+    first field is yielded, and its blocks are stacked by key; each W(f) is
+    then one contraction of its coefficients with every stack.  Only the
+    sums' order differs from ``eigenbasis_blocks(smear(f))``, which adds the
+    B_k on the orbit bases before rotating.  Each f is checked as ``smear``
+    checks it.
+    """
+    basis, _ = span_basis(model.params, model.chain)
+    coeffs = np.array([_chain_vector(f, model.params.d, len(basis)) for f in fs]).reshape(len(fs), len(basis))
+    reached = np.flatnonzero(coeffs.any(axis=0))
+    stacks: dict[tuple[int, int], np.ndarray] = {}  # key -> (n, n, len(reached)), zero where B_k holds no such block
+    for i, k in enumerate(reached):
+        for key, blk in model.eigenbasis_blocks(basis[k]).blocks.items():
+            stacks.setdefault(key, np.zeros((*blk.shape, len(reached)), dtype=complex))[..., i] = blk
+    for c in coeffs[:, reached]:
+        yield DenseOperator(model.chain, {key: stack @ c for key, stack in stacks.items()})
+
+
 def span_split(a: AlgebraElement, params: GradingParams, chain: ChainSpec) -> tuple[np.ndarray, float]:
     """Coefficients of a on the B_k of ``span_basis``, a length-d*L vector, and the weight of a outside their span.
 
@@ -615,20 +640,32 @@ def reconstruct_spin_evolution(model: QuadraticModel) -> float:
     tau_t is conjugation by the one unitary exp(iHt), so the Hilbert-Schmidt
     norm of tau_t(W) - omega tau_t(a) tau_t(b) is that of W - omega a b at
     every t and in every orthonormal basis: the one value returned holds for
-    every t, and it is taken in the site basis, with no diagonalisation.  It
-    compares two independent computations, the realized W against the
-    block-wise product of the realized factors, and bounds the operator norm
-    and hence every entry.  The factors are freed once their product exists,
-    and only then is W realized.
+    every t, and it is taken in the site basis, with no diagonalisation.
+
+    W, a and b are generalised permutations, one entry per column, each read
+    from its ``monomial_action`` (checked for the chain as ``realize`` checks
+    it).  The product is composed by index arithmetic: b sends column j of
+    sector c to row rows_b[c, j] of sector c + q_b, and a sends that on to
+    rows_a[c + q_b, rows_b[c, j]] with the entry phases_a[...] phases_b[c, j].
+    Column by column, W holds p and omega a b holds q: where the two land on
+    the same row of the same sector the column adds |p - q|^2 to the squared
+    norm, and elsewhere |p|^2 + |q|^2.  So it still compares two independent
+    computations, the clock's action against the product of the factors'
+    actions, and bounds the operator norm and hence every entry; its working
+    set is a few (d, m) arrays, with no m x m array formed.
     """
     ch, pr = model.chain, model.params
     site = ch.L // 2
-    fa = realize(dressed_weyl(site, 1, pr, ch), ch)
-    fb = realize(dressed_weyl_rs(site, 1, -1, pr, ch), ch)
-    product = fa @ fb
-    del fa, fb
-    difference = realize(WeylMonomial.single(ch.d, site, 1, 0), ch).sub(product, phase_value(2, ch.d))
-    return float(np.sqrt(difference.vdot(difference).real))
+    monos = WeylMonomial.single(ch.d, site, 1, 0), dressed_weyl(site, 1, pr, ch), dressed_weyl_rs(site, 1, -1, pr, ch)
+    for mono in monos:
+        dense_element(mono, ch)
+    (rows_w, p), (rows_a, phases_a), (rows_b, phases_b) = (monomial_action(mono, ch) for mono in monos)
+    shift_w, shift_a, shift_b = (mono.charge() for mono in monos)
+    middle = (np.arange(ch.d)[:, None] + shift_b) % ch.d  # the sector that b maps each sector into
+    q = phase_value(2, ch.d) * (phases_a[middle, rows_b] * phases_b)
+    same = (rows_a[middle, rows_b] == rows_w) & ((shift_a + shift_b - shift_w) % ch.d == 0)
+    squares = np.where(same, np.abs(p - q) ** 2, np.abs(p) ** 2 + np.abs(q) ** 2)
+    return float(np.sqrt(squares.sum()))
 
 
 def gauge_invariance_defect(model: QuadraticModel) -> float:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from grading_lab.dense import (
+    HERMITICITY_TILE,
     ChainSpec,
     DenseOperator,
     DimensionCapError,
@@ -259,6 +260,23 @@ class TestHermiticityDefect:
         # X + X^dag is exactly hermitian: each entry is a + conj(b) against conj(b) + a
         assert x.sub(x.adjoint(), -1.0).hermiticity_defect() == 0.0
         assert DenseOperator(chain, {}).hermiticity_defect() == 0.0
+
+    def test_tiles_match_the_assembled_difference(self):
+        # blocks of two tiles and a part: the tiles read every entry once, so
+        # the defect is that of the assembled matrix, bit for bit; block (0, 2)
+        # has no partner and counts in full, and the largest defect sits in
+        # the last, partial tile of block (0, 1)
+        rng = np.random.default_rng(34)
+        n = 2 * HERMITICITY_TILE + 5
+        chain = ChainSpec(3, 5)  # 243 states hold three parts of n
+        x = DenseOperator(chain, signed_zero_blocks(rng, [(0, 0), (1, 1), (0, 1), (1, 0), (0, 2)], m=n))
+        x.blocks[0, 1][-1, 3] += 100.0
+        full = x.entries
+        want = np.abs(full - full.conj().T).max()
+        assert x.hermiticity_defect() == want > 90.0
+        x.blocks[0, 1][-1, 3] -= 100.0
+        full = x.entries
+        assert x.hermiticity_defect() == np.abs(full - full.conj().T).max() > 0.0
 
 
 class TestOpNorm:
