@@ -7,17 +7,18 @@ The Hamiltonian is the charge-balanced hopping form
 with every pair kept inside the open chain.  It is gauge invariant and
 self-adjoint by construction.  It therefore commutes with the gauge
 unitary and splits into d charge sectors of d^(L-1) states each.  Every
-evolution uses one cached eigendecomposition per model, read from the
-diagonal charge blocks of the dense H, which it does not keep.  The
+evolution uses one cached eigendecomposition per model, written straight
+from H's monomials; the dense H is never realized for it.  The
 charge-0 products U_a^dag U_b of two charge-1 B_xj (below) that commute
 with H commute with it as well; a group G of them
 (``QuadraticModel.block_symmetries``) splits every charge sector into its
 joint eigenspaces, one eigh of d^(L-1) / |G| states each, and an H with no
 such pair has G = 1, one eigh per sector.  The eigenbasis stays split: an
 ``Eigensystem`` holds G's orbits, its character table and one eigenvector
-block per joint eigenspace, never an m x m array unless G = 1.  An H whose
-realized blocks break g^dag H_cc g = H_cc for some g in G entrywise, in any
-sector, raises ValueError before any eigh.  There is one evolution: an
+block per joint eigenspace, never an m x m array unless G = 1.  An H with
+a monomial that fails to commute with a generator of G, its monomial
+action composed with the generator's both ways, raises ValueError before
+any eigh.  There is one evolution: an
 element is written once into that eigenbasis
 (``QuadraticModel.eigenbasis_blocks``), one block per pair of joint
 eigenspaces it links, since each of its monomials carries one character of
@@ -69,7 +70,8 @@ from .weyl import (
 class QuadraticModel:
     """Chain + grading + hopping with a cached symbolic Hamiltonian and per-sector eigensystem.
 
-    The dense H is realized afresh on each request and never kept.
+    The eigensystem is written from H's monomials; the dense H is realized
+    only on request (``dense_hamiltonian``), afresh each time, and never kept.
     """
 
     def __init__(self, chain: ChainSpec, params: GradingParams, hopping: Hopping):
@@ -149,24 +151,36 @@ class QuadraticModel:
 
         Block c of H is H restricted to the basis states
         ``chain.sectors()[c]``.  The group G of ``block_symmetries`` has charge
-        0, so it maps every sector onto itself, and ``_symmetry_eigh`` splits
-        each sector into its joint eigenspaces, one eigh of m / |G| states
-        each.  Raises ValueError, before any eigh, when H is not hermitian,
-        mixes charge sectors, or fails to commute with G entrywise in some
-        sector.  H is realized for this call only and each diagonal block is
-        freed once it has been gathered, so a diagonalised model holds the
-        factored eigenbasis and no copy of H.
+        0, so it maps every sector onto itself and splits it into its joint
+        eigenspaces.  H is not realized: each block <o, k|H|o', k> of
+        m / |G| states is summed from H's monomials on the orbit bases
+        (``_orbit_sums``, as ``eigenbasis_blocks`` sums an element, here with
+        q = 0, psi = 0 and no rotation) and takes one eigh.  Raises
+        ValueError, before any eigh, when a monomial of H has nonzero shift
+        charge (H mixes charge sectors), when a monomial's action and a
+        generator's, composed both ways, do not commute
+        (``_commuting_actions``), or when the adapted blocks'
+        ``DenseOperator.hermiticity_defect`` exceeds 1e-12.  A diagonalised
+        model holds the factored eigenbasis and no copy of H.
         """
         if self._eig is None:
-            h = self.dense_hamiltonian
-            if h.hermiticity_defect() > 1e-12:
-                raise ValueError("dense Hamiltonian is not hermitian")
-            if DenseOperator(h.chain, {(r, c): blk for (r, c), blk in h.blocks.items() if r != c}).max_abs() > 1e-12:
-                raise ValueError("dense Hamiltonian mixes charge sectors")
-            d, m = self.chain.d, self.chain.dim // self.chain.d
-            diagonal = [h.blocks.pop((c, c), None) for c in range(d)]
-            diagonal = [np.zeros((m, m), dtype=complex) if blk is None else blk for blk in diagonal]
-            self._eig = _symmetry_eigh(diagonal, self.block_symmetries(), self.chain)
+            h = dense_element(self.hamiltonian, self.chain)
+            if any(mono.charge() for _, mono in h.monomials()):
+                raise ValueError("Hamiltonian mixes charge sectors")
+            orbits = _orbits(self.block_symmetries(), self.chain)
+            sums = _orbit_sums(_commuting_actions(h, orbits.symmetries, self.chain), orbits)
+            d, group, size = orbits.states.shape
+            key = (0,) * (1 + len(orbits.symmetries))
+            blocks = sums[key][1] if key in sums else np.zeros((d, group, size, size), dtype=complex)
+            adapted = DenseOperator(self.chain, {(c * group + k,) * 2: blocks[c, k] for c in range(d) for k in range(group)})
+            if adapted.hermiticity_defect() > 1e-12:
+                raise ValueError("Hamiltonian is not hermitian")
+            values = np.empty((d, group * size))
+            for c in range(d):
+                for k in range(group):
+                    # each block is overwritten by its eigenvectors
+                    values[c, k * size : (k + 1) * size], blocks[c, k] = np.linalg.eigh(blocks[c, k])
+            self._eig = Eigensystem(**vars(orbits), values=values, vectors=blocks)
         return self._eig
 
     def propagator(self, t: float) -> np.ndarray:
@@ -176,16 +190,10 @@ class QuadraticModel:
     def eigenbasis_blocks(self, a: AlgebraElement | WeylMonomial) -> DenseOperator:
         """The element a in the eigenbasis: one n x n block (n = m / G) per pair of joint eigenspaces it links.
 
-        A monomial X of shift charge q has one character psi under G
-        (g X g^dag = chars[g, psi] X, psi read from ``commutation_phase``
-        with the generators), so it maps eigenspace k of sector c into
-        eigenspace k + psi of sector c + q (characters add digit by digit
-        mod d).  On the orbit bases of ``Eigensystem`` it is a generalised
-        permutation: X|rep_o> = x_o |states[c + q, h, o']> gives
-        X|o, k> = x_o conj(phase[c + q, h, o']) chars[h, k + psi] |o', k + psi>,
-        read from one ``monomial_action`` gather at the representatives.
-        The monomials of a that share (q, psi) are summed on the orbit bases
-        and each block is rotated once, R_(k+psi)^dag X R_k, so no m x m array
+        The monomials of a are summed on the orbit bases of ``Eigensystem``
+        by their (shift charge q, character psi) (``_orbit_sums``), and each
+        sum, which maps eigenspace k of sector c into eigenspace k + psi of
+        sector c + q, is rotated once, R_(k+psi)^dag X R_k, so no m x m array
         is formed unless G = 1.  Block (c + q) * G + k + psi, c * G + k is
         that of ``DenseOperator``: G = 1 gives the charge blocks (c + q, c).
         Blocks that come out exactly zero are left out, and a is checked as
@@ -195,26 +203,8 @@ class QuadraticModel:
         """
         a = dense_element(a, self.chain)
         eig = self.eigensystem
-        d, r = self.chain.d, len(eig.symmetries)
-        group, size = eig.states.shape[1:]
-        powers = np.array(list(itertools.product(range(d), repeat=r)), dtype=np.int64).reshape(group, r)
-        where = np.empty((d, group * size), dtype=np.int64)  # flat (g, o) index of every position of a sector
-        where[np.arange(d)[:, None], eig.states.reshape(d, -1)] = np.arange(group * size)
-        reps = eig.states[:, 0]  # g = 0 is the identity
-        sums: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # (q, psi) -> (k + psi per k, X on the orbit bases)
-        for coeff, mono in a.monomials():
-            q, psi = mono.charge(), np.array([commutation_phase(s, mono) for s in eig.symmetries], dtype=np.int64)
-            key = (q, *psi.tolist())
-            if key not in sums:
-                sums[key] = (powers + psi) % d @ d ** np.arange(r)[::-1], np.zeros((d, group, size, size), dtype=complex)
-            shift, acc = sums[key]
-            rows, phases = monomial_action(mono, self.chain)
-            target = (np.arange(d)[:, None] + q) % d
-            h, o = np.divmod(where[target, np.take_along_axis(rows, reps, axis=1)], size)
-            x = coeff * np.take_along_axis(phases, reps, axis=1) * eig.phase[target, h, o].conj()
-            for c in range(d):
-                # X on the orbit bases of sector c, for every character k at once: column o to row o[c, o]
-                acc[c][:, o[c], np.arange(size)] += x[c] * eig.chars[h[c]][:, shift].T
+        d, group = self.chain.d, len(eig.chars)
+        sums = _orbit_sums(((coeff, mono, *monomial_action(mono, self.chain)) for coeff, mono in a.monomials()), eig)
         blocks = {}
         for (q, *_), (shift, acc) in sums.items():
             for c in range(d):
@@ -240,28 +230,39 @@ class QuadraticModel:
 
 
 @dataclass(frozen=True)
-class Eigensystem:
-    """The eigenbasis of H, sector by sector, on the joint eigenspaces of its block symmetry group G.
+class Orbits:
+    """The orbits of H's block symmetry group G on every sector, and G's character table.
 
     G has the d^r elements g_n = prod S_i^(n_i) of the generators
-    ``symmetries`` (none for G = 1), indexed by the power vectors n in
-    lexicographic order, that is counting in base d; a character k is
-    indexed the same way, and chars[n, k] = exp(2i pi n.k / d) is what g_n
-    reads on the joint eigenspace k.  In sector c, the orbit of
+    ``symmetries`` (none for G = 1), indexed by the power vectors
+    powers[g] = n in lexicographic order, that is counting in base d; a
+    character k is indexed the same way, and chars[n, k] = exp(2i pi n.k / d)
+    is what g_n reads on the joint eigenspace k.  In sector c, the orbit of
     representative o (its least state) is
     g|rep_o> = phase[c, g, o] |states[c, g, o]>, positions in the sector,
-    with g = 0 the identity; on eigenspace k the vectors
+    with g = 0 the identity, and where[c, states[c, g, o]] = g * n + o is
+    its inverse, n = m / G; on eigenspace k the vectors
     |o, k> = G^(-1/2) sum_g conj(chars[g, k]) g|rep_o> are orthonormal.
-    Column j of vectors[c, k] is eigenvector j of H there in that basis,
-    with eigenvalue values[c, k * n + j], n = m / G: (character, level)
-    order, ascending within each character.  No array holds m x m entries
-    unless G = 1.
     """
 
     symmetries: tuple[WeylMonomial, ...]
+    powers: np.ndarray  # (G, r)
     chars: np.ndarray  # (G, G)
     states: np.ndarray  # (d, G, n)
     phase: np.ndarray  # (d, G, n)
+    where: np.ndarray  # (d, m)
+
+
+@dataclass(frozen=True)
+class Eigensystem(Orbits):
+    """The eigenbasis of H, sector by sector, on the joint eigenspaces of its block symmetry group G.
+
+    Column j of vectors[c, k] is eigenvector j of H on the orbit basis
+    |o, k> of sector c (``Orbits``), with eigenvalue values[c, k * n + j],
+    n = m / G: (character, level) order, ascending within each character.
+    No array holds m x m entries unless G = 1.
+    """
+
     values: np.ndarray  # (d, m)
     vectors: np.ndarray  # (d, G, n, n)
 
@@ -280,51 +281,16 @@ class Eigensystem:
         return out
 
 
-def _symmetry_defect(blk: np.ndarray, gathered: np.ndarray, states: np.ndarray, phase: np.ndarray, product: np.ndarray) -> float:
-    """Largest entry modulus of g^dag H g' - H g^-1 g' over one sector's block, read against its orbit gather.
+def _orbits(symmetries: tuple[WeylMonomial, ...], chain: ChainSpec) -> Orbits:
+    """The ``Orbits`` of the group the symmetries generate on every sector of the chain.
 
-    Entry [(g, o), (g', o')] of g^dag H g' is
-    conj(phase[g, o]) phase[g', o'] H[state[g, o], state[g', o']], and that
-    of H h with h = g^-1 g' is gathered[h, o, o'] (``_symmetry_eigh``); the
-    two agree for every g, g' exactly when H commutes with the group.
-    product[g, h] is the index of g h.  Row slab g holds the m / G rows
-    state[g, :] with its columns in the order g' = g h, h = 0..G-1, so it is
-    compared with gathered as it stands: one (m / G) x m temporary at a
-    time.  The slab of the identity, g = 0, is the gather itself and is
-    skipped, so G = 1 checks nothing.
+    The r generators S_i (S_i^d = 1, commuting with each other) give
+    G = d^r elements g_n = prod S_i^(n_i), each realized on every sector by
+    ``monomial_action``, so every phase is read from ``weyl.roots``.  G has
+    charge 0 and acts freely, so each sector's states fall into m / G orbits
+    of G states, each represented by its least state.
     """
-    worst = 0.0
-    for g in range(1, len(states)):
-        row = states[g]
-        slab = blk[row[:, None], states[product[g]].ravel()].reshape(len(row), len(states), -1)
-        slab *= phase[g].conj()[:, None, None]
-        slab *= phase[product[g]]
-        slab -= gathered.transpose(1, 0, 2)
-        worst = max(worst, float(np.abs(slab).max()))
-    return worst
-
-
-def _symmetry_eigh(diagonal: list[np.ndarray], symmetries: tuple[WeylMonomial, ...], chain: ChainSpec) -> Eigensystem:
-    """The ``Eigensystem`` of the diagonal blocks H_cc, one eigh per joint eigenspace of the group the symmetries generate.
-
-    The r generators S_i (S_i^d = 1, commuting with each other and with H)
-    give G = d^r elements g_n = prod S_i^(n_i), each realized on every
-    sector by ``monomial_action``, so every phase is read from
-    ``weyl.roots``.  G has charge 0 and acts freely, and in sector c the
-    orbit of each representative rep_o (the least state of its orbit) is
-    g|rep_o> = phase[g, o] |state[g, o]>.  On the joint eigenspace where g
-    reads chi_k(g) = exp(2i pi k.n / d) the vectors
-    |o, k> = G^(-1/2) sum_g conj(chi_k(g)) g|rep_o> are orthonormal, and
-    since H commutes with G,
-    <o, k|H|o', k> = sum_g conj(chi_k(g)) phase[g, o'] H[rep_o, state[g, o']],
-    one gather of m^2 / G entries and a G x G character contraction.  Every
-    sector is gathered and checked against its gather (``_symmetry_defect``)
-    before the first eigh, and its block is dropped from ``diagonal`` once
-    checked; ValueError when some entry is off by more than 1e-12.  Each
-    block's eigenpairs are kept as eigh returns them, in character order.
-    G = 1 is one block per sector, H_cc.
-    """
-    d, m = chain.d, len(diagonal[0])
+    d, m = chain.d, chain.dim // chain.d
     powers = np.array(list(itertools.product(range(d), repeat=len(symmetries))), dtype=np.int64)
     group = len(powers)
     rows = np.empty((group, d, m), dtype=np.int64)
@@ -332,33 +298,74 @@ def _symmetry_eigh(diagonal: list[np.ndarray], symmetries: tuple[WeylMonomial, .
     for g, n in enumerate(powers.tolist()):
         element = functools.reduce(mono_mul, map(WeylMonomial.pow, symmetries, n), WeylMonomial.identity(d))
         rows[g], phases[g] = monomial_action(element, chain)
-    # product[g, h] is the index of g h: powers add mod d, and the rows of powers count in base d
-    product = (powers[:, None, :] + powers) % d @ d ** np.arange(len(symmetries))[::-1]
-    chars = np.array(roots(d))[2 * (powers @ powers.T) % (2 * d)]
     size = m // group
     states = np.empty((d, group, size), dtype=np.int64)
     phase = np.empty((d, group, size), dtype=complex)
-    gathers = []
     for c in range(d):
         reps = np.flatnonzero(rows[:, c].min(axis=0) == np.arange(m))
         states[c], phase[c] = rows[:, c, reps], phases[:, c, reps]
-        gathered = diagonal[c][reps[None, :, None], states[c][:, None, :]]
-        gathered *= phase[c][:, None, :]
-        if _symmetry_defect(diagonal[c], gathered, states[c], phase[c], product) > 1e-12:
-            raise ValueError("dense Hamiltonian does not commute with its block symmetry")
-        diagonal[c] = None
-        gathers.append(gathered)
-    del rows, phases
-    values = np.empty((d, m))
-    vectors = np.empty((d, group, size, size), dtype=complex)
-    for c in range(d):
-        gathered = gathers[c]
-        gathers[c] = None
-        blocks = (chars.conj() @ gathered.reshape(group, -1)).reshape(group, size, size)
-        del gathered
-        for k, blk in enumerate(blocks):
-            values[c, k * size : (k + 1) * size], vectors[c, k] = np.linalg.eigh(blk)
-    return Eigensystem(symmetries=symmetries, chars=chars, states=states, phase=phase, values=values, vectors=vectors)
+    where = np.empty((d, m), dtype=np.int64)
+    where[np.arange(d)[:, None], states.reshape(d, -1)] = np.arange(m)
+    chars = np.array(roots(d))[2 * (powers @ powers.T) % (2 * d)]
+    return Orbits(symmetries=symmetries, powers=powers, chars=chars, states=states, phase=phase, where=where)
+
+
+Action = tuple[complex, WeylMonomial, np.ndarray, np.ndarray]  # (coefficient, X, rows, phases), the last two X's monomial_action
+
+
+def _commuting_actions(a: AlgebraElement, generators: tuple[WeylMonomial, ...], chain: ChainSpec) -> Iterator[Action]:
+    """The ``monomial_action`` of each charge-0 monomial X of a, checked against the action of each charge-0 generator S before it is yielded.
+
+    X S and S X are composed from the two actions by index arithmetic: S X
+    sends position j of sector c to rows_s[c, rows_x[c, j]] with the entry
+    phases_s[c, rows_x[c, j]] phases_x[c, j], and X S likewise.  ValueError
+    unless the rows agree exactly and the entries to 1e-12.  The check reads
+    the actions, not the ``commutation_phase`` that chose the generators,
+    so it compares two independent computations.
+    """
+    sector = np.arange(chain.d)[:, None]
+    actions = [monomial_action(s, chain) for s in generators]
+    for coeff, mono in a.monomials():
+        rows, phases = monomial_action(mono, chain)
+        for s_rows, s_phases in actions:
+            xs_rows, xs = rows[sector, s_rows], phases[sector, s_rows] * s_phases
+            sx_rows, sx = s_rows[sector, rows], s_phases[sector, rows] * phases
+            if (xs_rows != sx_rows).any() or np.abs(xs - sx).max() > 1e-12:
+                raise ValueError("Hamiltonian does not commute with its block symmetry")
+        yield coeff, mono, rows, phases
+
+
+def _orbit_sums(actions: Iterator[Action], orbits: Orbits) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
+    """The monomials of ``actions`` on the orbit bases, summed by (shift charge q, character psi).
+
+    A monomial X of shift charge q has one character psi under G
+    (g X g^dag = chars[g, psi] X, psi read from ``commutation_phase`` with
+    the generators), so it maps eigenspace k of sector c into eigenspace
+    k + psi of sector c + q (characters add digit by digit mod d).  On the
+    orbit bases it is a generalised permutation: X|rep_o> = x_o
+    |states[c + q, h, o']> gives X|o, k> = x_o conj(phase[c + q, h, o'])
+    chars[h, k + psi] |o', k + psi>, read from its action at the
+    representatives.  Returns (q, *psi) -> (the index of k + psi for every
+    k, the (d, G, n, n) sums), acc[c, k] the sum from eigenspace k of sector
+    c.
+    """
+    d, group, size = orbits.states.shape
+    place = d ** np.arange(len(orbits.symmetries))[::-1]
+    reps = orbits.states[:, 0]  # g = 0 is the identity
+    sums: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+    for coeff, mono, rows, phases in actions:
+        q, psi = mono.charge(), np.array([commutation_phase(s, mono) for s in orbits.symmetries], dtype=np.int64)
+        key = (q, *psi.tolist())
+        if key not in sums:
+            sums[key] = (orbits.powers + psi) % d @ place, np.zeros((d, group, size, size), dtype=complex)
+        shift, acc = sums[key]
+        target = (np.arange(d)[:, None] + q) % d
+        h, o = np.divmod(orbits.where[target, np.take_along_axis(rows, reps, axis=1)], size)
+        x = coeff * np.take_along_axis(phases, reps, axis=1) * orbits.phase[target, h, o].conj()
+        for c in range(d):
+            # X on the orbit bases of sector c, for every character k at once: column o to row o[c, o]
+            acc[c][:, o[c], np.arange(size)] += x[c] * orbits.chars[h[c]][:, shift].T
+    return sums
 
 
 def phase_blocks(a: DenseOperator, u: np.ndarray) -> DenseOperator:

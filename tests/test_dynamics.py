@@ -275,23 +275,45 @@ def assert_exact_eigensystem(model, blocks):
         assert np.abs(np.sort(w) - np.linalg.eigvalsh(h)).max() <= 1e-12
 
 
-def assert_broken_symmetry_rejected(monkeypatch, sector):
-    """A hermitian 1e-9 on the first diagonal entry of one sector's block of d2_model(6), whose first block symmetry moves that state, raises before any eigh."""
-    model = d2_model(6)
+def perturbed_action(monkeypatch, key, change):
+    """Make ``dynamics.monomial_action`` return change(rows, phases) for the monomial with this key; other monomials are untouched."""
+    action = dynamics.monomial_action
+
+    def patched(mono, chain):
+        rows, phases = action(mono, chain)
+        return change(rows, phases) if mono.key() == key else (rows, phases)
+
+    monkeypatch.setattr(dynamics, "monomial_action", patched)
+
+
+def assert_broken_symmetry_rejected(monkeypatch, model, sector, change):
+    """change(phases) on the entries of H's first monomial in one sector, where the first block symmetry moves state 0, raises before any eigh."""
     (first, *_) = model.block_symmetries()
     assert monomial_action(first, model.chain)[0][sector, 0] != 0
-    realize_h = dynamics.realize
+    key = next(iter(model.hamiltonian.terms))
 
-    def realize_shifted(a, chain):
-        h = realize_h(a, chain)
-        h.blocks[sector, sector][0, 0] += 1e-9
-        return h
+    def broken(rows, phases):
+        phases = phases.copy()
+        phases[sector] = change(phases[sector])
+        return rows, phases
 
-    monkeypatch.setattr(dynamics, "realize", realize_shifted)
+    perturbed_action(monkeypatch, key, broken)
     calls = counted_eigh(monkeypatch)
     with pytest.raises(ValueError, match="block symmetry"):
         model.eigensystem
     assert calls == []
+
+
+def entry_shifted(phases):
+    """1e-9 added to the entry at position 0 of one sector's phases."""
+    phases[0] += 1e-9
+    return phases
+
+
+def entry_turned(phases):
+    """The entry at position 0 of one sector's phases turned by exp(1e-9 i), its modulus kept."""
+    phases[0] *= np.exp(1e-9j)
+    return phases
 
 
 class TestSectorBlocks:
@@ -311,42 +333,46 @@ class TestSectorBlocks:
             assert np.abs(got - want).max() < 1e-12
 
     def test_off_sector_entry_rejected(self, monkeypatch):
+        # a hermitian 1e-9 times the shift at site 3, which moves |0000>
+        # (charge 0) to |0001> (charge 1), added to H: the charge check reads
+        # the monomials' shift charges exactly, before any eigh
         model = QuadraticModel(ChainSpec(2, 4), D2, IM_NN)
-        # basis states 0 (|0000>, charge 0) and 1 (|0001>, charge 1) are the
-        # first states of their sectors; a hermitian pair keeps the
-        # hermiticity check quiet
-        pair = np.zeros((8, 8), dtype=complex)
-        pair[0, 0] = 1e-9
-        realize_h = dynamics.realize
-
-        def realize_leaky(a, chain):
-            h = realize_h(a, chain)
-            h.blocks[0, 1] = pair
-            h.blocks[1, 0] = pair.copy()
-            return h
-
-        monkeypatch.setattr(dynamics, "realize", realize_leaky)
+        leak = AlgebraElement.from_monomials([(1e-9, WeylMonomial.single(2, 3, 0, 1))], 2)
+        model._hamiltonian = model.hamiltonian + leak
+        calls = counted_eigh(monkeypatch)
         with pytest.raises(ValueError, match="mixes charge sectors"):
             model.eigensystem
+        assert calls == []
 
-    @pytest.mark.parametrize("key", [(1, 1), (0, 1)], ids=["diagonal", "absent_partner"])
-    def test_non_hermitian_block_rejected(self, monkeypatch, key):
-        # an entry that breaks H_rc = H_cr^dag, in a diagonal block or in an
-        # off-diagonal block whose partner (1, 0) is absent (H holds diagonal
-        # blocks only), fails the hermiticity check, which runs before the
-        # charge-sector check
-        model = QuadraticModel(ChainSpec(2, 4), D2, IM_NN)
-        realize_h = dynamics.realize
-
-        def realize_skewed(a, chain):
-            h = realize_h(a, chain)
-            blk = h.blocks.setdefault(key, np.zeros((8, 8), dtype=complex))
-            blk[0, 1] += 1e-9
-            return h
-
-        monkeypatch.setattr(dynamics, "realize", realize_skewed)
+    @pytest.mark.parametrize("make", [
+        # at d = 2 each monomial of H is its own adjoint, so its coefficient
+        # is pinned: one off by a relative 1e-9 i puts the defect on the
+        # diagonal of every adapted block
+        lambda: QuadraticModel(ChainSpec(2, 4), D2, IM_NN),
+        # at d = 3 a monomial and its adjoint are distinct terms: the first
+        # monomial's partner is dropped from H
+        lambda: QuadraticModel(ChainSpec(3, 3), D3, Hopping({1: 0.5 - 0.25j, -1: 0.5 + 0.25j})),
+    ], ids=["diagonal", "absent_partner"])
+    def test_non_hermitian_block_rejected(self, monkeypatch, make):
+        # either break leaves the charge and symmetry checks quiet (every
+        # monomial kept has charge 0 and commutes with G, which reads H's
+        # keys only and is unchanged), and fails the hermiticity check of
+        # the adapted blocks, before any eigh
+        model = make()
+        symmetries = model.block_symmetries()
+        (_, first), *_ = model.hamiltonian.monomials()
+        terms, partner = dict(model.hamiltonian.terms), mono_adjoint(first).key()
+        assert (partner == first.key()) == (model.chain.d == 2)
+        if partner == first.key():
+            terms[partner] *= 1 + 1e-9j
+        else:
+            del terms[partner]
+        model._hamiltonian = AlgebraElement(model.chain.d, terms)
+        assert model.block_symmetries() == symmetries and len(symmetries) > 0
+        calls = counted_eigh(monkeypatch)
         with pytest.raises(ValueError, match="not hermitian"):
             model.eigensystem
+        assert calls == []
 
     @pytest.mark.parametrize("d, L, hopping", [
         (2, 4, IM_NN),
@@ -433,40 +459,74 @@ class TestSectorBlocks:
             model.block_symmetries()
 
     def test_broken_block_symmetry_rejected(self, monkeypatch):
-        # a hermitian 1e-9 on the diagonal entry of state 0 in block (0, 0)
-        # passes the hermiticity and sector checks, but S_1 moves state 0, so
-        # S_1 H_00 S_1^dag no longer equals H_00: no eigh runs
-        assert_broken_symmetry_rejected(monkeypatch, 0)
+        # 1e-9 on the entry of H's first monomial at state 0 of sector 0:
+        # every monomial still has charge 0, but S_1 moves state 0, so that
+        # monomial's action composed with S_1's differs both ways: no eigh runs
+        assert_broken_symmetry_rejected(monkeypatch, d2_model(6), 0, entry_shifted)
 
     def test_broken_symmetry_in_sector_1_rejected(self, monkeypatch):
-        # the same break in block (1, 1) only, sector 0 untouched: every
-        # sector is checked before the first eigh, so no eigh runs
-        assert_broken_symmetry_rejected(monkeypatch, 1)
+        # the same break in sector 1 only, sector 0 untouched: every sector
+        # is checked before the first eigh, so no eigh runs
+        assert_broken_symmetry_rejected(monkeypatch, d2_model(6), 1, entry_shifted)
+
+    @pytest.mark.parametrize("make", [
+        lambda: d2_model(6),
+        lambda: QuadraticModel(ChainSpec(3, 5), D3, Hopping({1: 0.5 - 0.25j, -1: 0.5 + 0.25j})),
+    ], ids=["d2", "d3"])
+    def test_phase_error_in_an_action_rejected(self, monkeypatch, make):
+        # a 1e-9 phase error, exp(1e-9 i), on one entry of H's first
+        # monomial's action: every label is unchanged, so commutation_phase,
+        # which chose G, reads 0 with each generator, and only composing the
+        # two dense actions sees the error
+        model = make()
+        (_, first), *_ = model.hamiltonian.monomials()
+        assert not any(commutation_phase(s, first) for s in model.block_symmetries())
+        assert_broken_symmetry_rejected(monkeypatch, model, 0, entry_turned)
+
+    def test_eigensystem_realizes_nothing(self, monkeypatch):
+        # H is written into the adapted blocks from its monomials: no call
+        # of realize, and no dense H
+        model = d2_model(8)
+        calls = []
+        build = dynamics.realize
+
+        def counting(a, chain):
+            calls.append(a)
+            return build(a, chain)
+
+        monkeypatch.setattr(dynamics, "realize", counting)
+        model.eigensystem
+        assert calls == []
+        assert_exact_eigensystem(model, model.dense_hamiltonian.blocks)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("d, L, hopping", [
         (2, 8, IM_NN),
         (3, 5, Hopping({1: 0.5 - 0.25j, -1: 0.5 + 0.25j})),
     ])
     def test_trivial_group_is_one_eigh(self, d, L, hopping):
-        # with no symmetry the split is one block per sector, and its
-        # eigenpairs are those of one eigh of the whole sector, byte for byte
-        model = QuadraticModel(ChainSpec(d, L), GradingParams(d, 1, 1), hopping)
+        # a clock field on every site leaves no symmetry (G = 1): the split is
+        # one block per sector, and its eigenpairs are those of one eigh of
+        # the realized sector block, byte for byte
+        model = clock_field_model(d, L, hopping)
+        assert model.block_symmetries() == ()
         blocks = model.dense_hamiltonian.blocks
-        got = dynamics._symmetry_eigh([blocks[c, c].copy() for c in range(d)], (), model.chain)
+        got = model.eigensystem
         for c in range(d):
             w, v = np.linalg.eigh(blocks[c, c])
             assert got.values[c].tobytes() == w.tobytes() and got.vectors[c, 0].tobytes() == v.tobytes()
             assert got.columns(c, 0).tobytes() == v.tobytes()
 
     def test_eigensystem_working_set(self):
-        # the realized H, one hermiticity tile at a time, the orbit
-        # gathers and the eigenvectors, each diagonal block freed once
-        # gathered: at most d + 3 blocks of m x m complex entries
-        for model in (d2_model(8), QuadraticModel(ChainSpec(3, 6), D3, Hopping({1: 0.5 - 0.25j, -1: 0.5 + 0.25j}))):
+        # the orbit tables and the adapted blocks of H, d m^2 / G entries,
+        # each block overwritten by its eigenvectors: 0.47-0.57 blocks of
+        # m x m complex entries measured at d = 2, L = 8 (G = 16) and
+        # 1.23-1.28 at d = 3, L = 6 (G = 3), plus 15 %
+        for model, bound in ((d2_model(8), 0.66), (QuadraticModel(ChainSpec(3, 6), D3, Hopping({1: 0.5 - 0.25j, -1: 0.5 + 0.25j})), 1.47)):
             d = model.chain.d
             block = 16 * (model.chain.dim // d) ** 2
             _, peak = traced_peak(lambda: model.eigensystem)
-            assert peak <= (d + 3) * block
+            assert peak <= bound * block
 
     def test_eigenbasis_blocks_checks_the_element(self):
         # an element is checked as realize checks it, before any gather: a
@@ -480,16 +540,18 @@ class TestSectorBlocks:
 
     def test_diagonalised_model_holds_no_m_by_m_array(self):
         # on the evolve_d2 chain (G = 32, m = 512) the eigenbasis stays
-        # factored: the orbits, the character table, the (d, m) values and
-        # one 16 x 16 eigenvector block per joint eigenspace, d * m^2 / G
-        # entries in all, and no copy of H
+        # factored: the orbits with their (d, m) position index, the power
+        # vectors, the character table, the (d, m) values and one 16 x 16
+        # eigenvector block per joint eigenspace, d * m^2 / G entries in all,
+        # and no copy of H
         model = d2_model(10)
         eig = model.eigensystem
         m = model.chain.dim // 2
-        held = [v for v in [*vars(model).values(), *vars(eig).values()] if isinstance(v, (np.ndarray, DenseOperator))]
-        assert all(isinstance(v, np.ndarray) for v in held) and len(held) == 5
+        held = {name: v for name, v in [*vars(model).items(), *vars(eig).items()] if isinstance(v, (np.ndarray, DenseOperator))}
+        assert set(held) == {"powers", "chars", "states", "phase", "where", "values", "vectors"}
+        assert all(isinstance(v, np.ndarray) for v in held.values())
         assert eig.vectors.shape == (2, 32, 16, 16)
-        assert all(v.size <= 2 * m * m // 32 for v in held)
+        assert all(v.size <= 2 * m * m // 32 for v in held.values())
 
     @pytest.mark.parametrize("d, L, hopping", [
         (2, 4, IM_NN),
@@ -539,9 +601,9 @@ class TestSectorBlocks:
         assert block_bits(got) == block_bits(want)
 
 
-def clock_field_model(d, L):
+def clock_field_model(d, L, hopping=Hopping({1: 0.3 - 0.2j, -1: 0.3 + 0.2j})):
     """A hopping plus the clock field W_x(1, 0) + h.c. on every site, which fails to commute with every B_xj (W_x(j, 1) at site x)."""
-    model = QuadraticModel(ChainSpec(d, L), GradingParams(d, 1, 1), Hopping({1: 0.3 - 0.2j, -1: 0.3 + 0.2j}))
+    model = QuadraticModel(ChainSpec(d, L), GradingParams(d, 1, 1), hopping)
     field = AlgebraElement.from_monomials([(0.1 * (x + 1), WeylMonomial.single(d, x, 1, 0)) for x in range(L)], d)
     model._hamiltonian = model.hamiltonian + field + field.adjoint()
     return model
