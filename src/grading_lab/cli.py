@@ -49,7 +49,6 @@ from .dynamics import (
     one_particle_flow,
     phase_blocks,
     reconstruct_spin_evolution,
-    smear,
     span_residual,
 )
 from .oneparticle import Hopping
@@ -256,7 +255,6 @@ def cmd_evolve(cfg: ExperimentConfig, out: str, cap: int) -> int:
         model = QuadraticModel(chain, params, Hopping(cfg.hopping))
         f0 = np.zeros((d, L), dtype=complex)
         f0[0, L // 2 - 1 : L // 2 + 1] = 1.0, 0.5
-        field = smear(f0, params, chain)
     # the prediction W(exp(tM) f0) exists unless H moves the field out of its span (d >= 3)
     m = generator(model)
     flows = None if m is None else one_particle_flow(m, f0, params, grid)
@@ -264,13 +262,11 @@ def cmd_evolve(cfg: ExperimentConfig, out: str, cap: int) -> int:
     rec = reconstruct_spin_evolution(model)
     flow_devs = [float("nan")] * len(grid)
     if flows is not None:
-        # tau_t(F) against W(exp(tM) f0), both in the eigenbasis: the field is written there once, and so is
-        # each B_k that the flow reaches, which every t's prediction combines
-        a0 = model.eigenbasis_blocks(field)
-        flow_devs = [
-            phase_blocks(a0, model.propagator(t)).sub(predicted).max_abs()
-            for t, predicted in zip(grid, eigenbasis_fields(model, flows))
-        ]
+        # tau_t(W(f0)) against W(exp(tM) f0), both in the eigenbasis: each B_k that f0 or the flow reaches
+        # is written there once, and the field and every t's prediction combine them, one field at a time
+        fields = eigenbasis_fields(model, [f0, *flows])
+        a0 = next(fields)
+        flow_devs = [(phase_blocks(a0, model.propagator(t)) - predicted).max_abs() for t, predicted in zip(grid, fields)]
     rows = [[t, flow_dev, res, rec] for t, flow_dev in zip(grid, flow_devs)]
     write_csv(out, ["t", "flow_deviation", "span_residual", "reconstruction_deviation"], rows)
     return EXIT_OK

@@ -5,9 +5,10 @@ state |t_0, ..., t_{L-1}> has index sum_x t_x * d^(L-1-x).  The clock
 generator W(1, 0) realizes as diag(w^t) with w = exp(2i*pi/d) and the shift
 generator W(0, 1) maps |t> -> |t+1 mod d>.  Every monomial is therefore a
 generalized permutation matrix and is realized by exact index/phase
-arithmetic, written once in ``monomial_action``; each entry's phase is one
-exponent mod 2d, looked up in ``weyl.roots``, so floating point enters only
-through that table and the coefficients.  The gauge unitary and k-site
+arithmetic, written once in ``monomial_action``, and the product of two
+such actions once in ``compose``; each entry's phase is one exponent mod
+2d, looked up in ``weyl.roots``, so floating point enters only through
+that table and the coefficients.  The gauge unitary and k-site
 blocking are built from ``realize``, blocking with ``weyl.matrix_unit``.
 
 A monomial of shift charge q maps charge sector c (digit sum mod d) into
@@ -142,33 +143,25 @@ class DenseOperator:
         return out
 
     def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        """Blocks of the product X Y: (X Y)_rc = sum over k of X_rk Y_kc."""
+        """Blocks of the product X Y: (X Y)_rc = sum over k of X_rk Y_kc.
+
+        Y's blocks are indexed by row part once, so each X_rk meets only the
+        Y_kc it multiplies; the terms of each (r, c) are added in the order
+        of X's blocks, then of Y's.
+        """
+        by_row: dict[int, list[tuple[int, np.ndarray]]] = {}
+        for (k, c), yb in other.blocks.items():
+            by_row.setdefault(k, []).append((c, yb))
         out: Blocks = {}
         for (r, k), xb in self.blocks.items():
-            for (k2, c), yb in other.blocks.items():
-                if k == k2:
-                    out[r, c] = out[r, c] + xb @ yb if (r, c) in out else xb @ yb
-        return DenseOperator(self.chain, out)
-
-    def sub(self, other: "DenseOperator", scale: complex = 1.0) -> "DenseOperator":
-        """X - scale * Y, one new array per block and both operands left unchanged.
-
-        Each block is ``x - scale * y`` with an absent block read as 0.0,
-        evaluated in that order: the scaled y block is the result array and
-        the subtraction finishes in it.
-        """
-        out: Blocks = {}
-        for key in self.blocks.keys() | other.blocks.keys():
-            if key in other.blocks:
-                blk = scale * other.blocks[key]
-                out[key] = np.subtract(self.blocks.get(key, 0.0), blk, out=blk)
-            else:
-                # not a plain copy of x: subtracting scale * 0.0 can flip the sign of a zero entry
-                out[key] = self.blocks[key] - scale * 0.0
+            for c, yb in by_row.get(k, ()):
+                out[r, c] = out[r, c] + xb @ yb if (r, c) in out else xb @ yb
         return DenseOperator(self.chain, out)
 
     def __sub__(self, other: "DenseOperator") -> "DenseOperator":
-        return self.sub(other)
+        """X - Y, one new array per block, an absent block read as 0.0; both operands are left unchanged."""
+        keys = self.blocks.keys() | other.blocks.keys()
+        return DenseOperator(self.chain, {key: self.blocks.get(key, 0.0) - other.blocks.get(key, 0.0) for key in keys})
 
     def scale(self, c: complex) -> "DenseOperator":
         return DenseOperator(self.chain, {key: c * blk for key, blk in self.blocks.items()})
@@ -228,6 +221,19 @@ def monomial_action(mono: WeylMonomial, chain: ChainSpec) -> tuple[np.ndarray, n
         target += (tl - t) * d ** (chain.L - 1 - x)
         q += 2 * k * (t + l) - k * l
     return chain.positions()[target], np.array(roots(d))[q % (2 * d)]
+
+
+def compose(outer: tuple[np.ndarray, np.ndarray], inner: tuple[np.ndarray, np.ndarray], q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``monomial_action`` of the product outer . inner, from the two actions and the inner one's shift charge q.
+
+    Inner sends position j of sector c to row rows_i[c, j] of sector c + q,
+    and outer sends that on to rows_o[c + q, rows_i[c, j]], with the entry
+    phases_o[c + q, rows_i[c, j]] * phases_i[c, j].
+    """
+    (rows_o, phases_o), (rows_i, phases_i) = outer, inner
+    d = len(rows_i)
+    middle = (np.arange(d)[:, None] + q) % d  # the sector that inner maps each sector into
+    return rows_o[middle, rows_i], phases_o[middle, rows_i] * phases_i
 
 
 def dense_element(a: AlgebraElement | WeylMonomial, chain: ChainSpec) -> AlgebraElement:
@@ -295,9 +301,6 @@ def op_norm(m: DenseOperator) -> float:
         components.setdefault(find(("col", c)), []).append((r, c))
     norms = []
     for keys in components.values():
-        if len(keys) == 1:
-            norms.append(_top_singular_value(m.blocks[keys[0]]))
-            continue
         rows, cols = sorted({r for r, _ in keys}), sorted({c for _, c in keys})
         zero = np.zeros_like(m.blocks[keys[0]])
         norms.append(_top_singular_value(np.block([[m.blocks.get((r, c), zero) for c in cols] for r in rows])))

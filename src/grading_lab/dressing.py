@@ -125,7 +125,7 @@ def dressed_commutation_report(
         residual = float(np.sqrt(uv.vdot(uv).real))
     else:
         phase = complex(vu.vdot(uv) / nvu**2)
-        rest = uv.sub(vu, phase)
+        rest = uv - vu.scale(phase)
         residual = float(np.sqrt(rest.vdot(rest).real) / nvu)
     raw = phase_value(d * (j - k - l + n) * (x - y), d)
     scaled = phase_value((j - k - l + n) * (x - y), d)

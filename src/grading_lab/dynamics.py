@@ -12,10 +12,12 @@ from H's monomials; the dense H is never realized for it.  The
 charge-0 products U_a^dag U_b of two charge-1 B_xj (below) that commute
 with H commute with it as well; a group G of them
 (``QuadraticModel.block_symmetries``) splits every charge sector into its
-joint eigenspaces, one eigh of d^(L-1) / |G| states each, and an H with no
-such pair has G = 1, one eigh per sector.  The eigenbasis stays split: an
-``Eigensystem`` holds G's orbits, its character table and one eigenvector
-block per joint eigenspace, never an m x m array unless G = 1.  An H with
+joint eigenspaces, one eigh of d^(L-1) / |G| states each.  An H with no
+monomials commutes with every B_xj and gets G = d^(L-1), one state per
+joint eigenspace; G = 1, one eigh per sector, arises only when no two
+B_xj commute with H.  The eigenbasis stays split: an ``Eigensystem``
+holds G's orbits, its character table and one eigenvector block per
+joint eigenspace, never an m x m array unless G = 1.  An H with
 a monomial that fails to commute with a generator of G, its monomial
 action composed with the generator's both ways, raises ValueError before
 any eigh.  There is one evolution: an
@@ -26,8 +28,9 @@ G; there exp(iHt) is the phase table ``QuadraticModel.propagator(t)`` and
 tau_t multiplies block entry [m, n] by exp(i (E_m - E_n) t).  Every step
 takes and returns a ``DenseOperator``, whose blocks are charge blocks in the
 site basis or, from ``eigenbasis_blocks`` on, blocks of joint eigenspaces;
-``site_blocks`` maps the latter back, and no evolution or check assembles
-the full d^L x d^L matrix.
+only ``heisenberg_evolve`` maps the latter back, through
+``Eigensystem.columns``, and no evolution or check assembles the full
+d^L x d^L matrix.
 
 The one-particle flow is read from the symbolic H.  For a (d, N) array
 f[j, x], zero past the chain, the smeared field W(f) = sum_{x,j} f[j, x] B_xj
@@ -52,7 +55,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .dense import ChainSpec, DenseOperator, dense_element, gauge_unitary, monomial_action, op_norm, realize
+from .dense import ChainSpec, DenseOperator, compose, dense_element, gauge_unitary, monomial_action, op_norm, realize
 from .dressing import dressed_weyl, dressed_weyl_rs
 from .oneparticle import Hopping
 from .weyl import (
@@ -117,16 +120,16 @@ class QuadraticModel:
         every basis state and each orbit holds d^r states.  S^d is the
         identity monomial times +-1; where it is -1 the phase exponent is
         lowered by 1, so S_i^d = 1 and the joint eigenvalues are d-th roots of
-        unity.  An H with no two such B_xj, or with no monomials, keeps none
-        (G = 1), and ``eigensystem`` runs one eigh per sector.  Exact: every
-        step is integer label arithmetic.  Dense chains only
+        unity.  Every B_xj commutes with an H with no monomials, and G
+        reaches the size m of a sector, one state per joint eigenspace; an
+        H with no two such B_xj keeps none (G = 1), and ``eigensystem`` runs
+        one eigh per sector.  Exact: every step is integer label
+        arithmetic.  Dense chains only
         (``ChainSpec.check_dense``), since the shift vectors of G are listed
         and G is at most the size of a charge sector.
         """
         self.chain.check_dense()
         d, L = self.chain.d, self.chain.L
-        if not self.hamiltonian.terms:
-            return ()
         basis, _ = span_basis(self.params, self.chain)
         terms = [WeylMonomial(d, key, 0) for key in self.hamiltonian.terms]
         raisers = [b for b in basis if not any(commutation_phase(b, t) for t in terms)]
@@ -213,20 +216,6 @@ class QuadraticModel:
                     if rotated[k].any():
                         blocks[(c + q) % d * group + int(shift[k]), c * group + k] = rotated[k]
         return DenseOperator(self.chain, blocks)
-
-    def site_blocks(self, a: DenseOperator) -> DenseOperator:
-        """An operator held in the eigenbasis mapped back to site-basis charge blocks.
-
-        Block (c' * G + k', c * G + k) adds V_c'k' X V_ck^dag to charge block
-        (c', c), with V_ck the m x n columns of ``Eigensystem.columns``.
-        """
-        eig = self.eigensystem
-        group = len(eig.chars)
-        out: dict[tuple[int, int], np.ndarray] = {}
-        for (r, c), blk in a.blocks.items():
-            (sr, kr), (sc, kc) = divmod(r, group), divmod(c, group)
-            out[sr, sc] = eig.columns(sr, kr) @ blk @ eig.columns(sc, kc).conj().T + out.get((sr, sc), 0.0)
-        return DenseOperator(a.chain, out)
 
 
 @dataclass(frozen=True)
@@ -316,23 +305,19 @@ Action = tuple[complex, WeylMonomial, np.ndarray, np.ndarray]  # (coefficient, X
 def _commuting_actions(a: AlgebraElement, generators: tuple[WeylMonomial, ...], chain: ChainSpec) -> Iterator[Action]:
     """The ``monomial_action`` of each charge-0 monomial X of a, checked against the action of each charge-0 generator S before it is yielded.
 
-    X S and S X are composed from the two actions by index arithmetic: S X
-    sends position j of sector c to rows_s[c, rows_x[c, j]] with the entry
-    phases_s[c, rows_x[c, j]] phases_x[c, j], and X S likewise.  ValueError
-    unless the rows agree exactly and the entries to 1e-12.  The check reads
-    the actions, not the ``commutation_phase`` that chose the generators,
-    so it compares two independent computations.
+    X S and S X are composed from the two actions by ``dense.compose``;
+    ValueError unless the rows agree exactly and the entries to 1e-12.  The
+    check reads the actions, not the ``commutation_phase`` that chose the
+    generators, so it compares two independent computations.
     """
-    sector = np.arange(chain.d)[:, None]
     actions = [monomial_action(s, chain) for s in generators]
     for coeff, mono in a.monomials():
-        rows, phases = monomial_action(mono, chain)
-        for s_rows, s_phases in actions:
-            xs_rows, xs = rows[sector, s_rows], phases[sector, s_rows] * s_phases
-            sx_rows, sx = s_rows[sector, rows], s_phases[sector, rows] * phases
+        action = monomial_action(mono, chain)
+        for s_action in actions:
+            (xs_rows, xs), (sx_rows, sx) = compose(action, s_action, 0), compose(s_action, action, 0)
             if (xs_rows != sx_rows).any() or np.abs(xs - sx).max() > 1e-12:
                 raise ValueError("Hamiltonian does not commute with its block symmetry")
-        yield coeff, mono, rows, phases
+        yield coeff, mono, *action
 
 
 def _orbit_sums(actions: Iterator[Action], orbits: Orbits) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
@@ -388,10 +373,18 @@ def phase_blocks(a: DenseOperator, u: np.ndarray) -> DenseOperator:
 def heisenberg_evolve(a: AlgebraElement | WeylMonomial, model: QuadraticModel, t: float) -> DenseOperator:
     """Conjugate by exp(iHt): the Heisenberg picture at time t, in the site basis.
 
-    The element is written into the eigenbasis, phased and mapped back block
-    by block, so no full matrix is formed.
+    The element is written into the eigenbasis and phased there; block
+    (c' * G + k', c * G + k) then adds V_c'k' X V_ck^dag to charge block
+    (c', c), with V_ck the m x n columns of ``Eigensystem.columns``, so no
+    full matrix is formed.
     """
-    return model.site_blocks(phase_blocks(model.eigenbasis_blocks(a), model.propagator(t)))
+    eig = model.eigensystem
+    group = len(eig.chars)
+    out: dict[tuple[int, int], np.ndarray] = {}
+    for (r, c), blk in phase_blocks(model.eigenbasis_blocks(a), model.propagator(t)).blocks.items():
+        (sr, kr), (sc, kc) = divmod(r, group), divmod(c, group)
+        out[sr, sc] = eig.columns(sr, kr) @ blk @ eig.columns(sc, kc).conj().T + out.get((sr, sc), 0.0)
+    return DenseOperator(model.chain, out)
 
 
 @functools.cache
@@ -651,26 +644,28 @@ def reconstruct_spin_evolution(model: QuadraticModel) -> float:
 
     W, a and b are generalised permutations, one entry per column, each read
     from its ``monomial_action`` (checked for the chain as ``realize`` checks
-    it).  The product is composed by index arithmetic: b sends column j of
-    sector c to row rows_b[c, j] of sector c + q_b, and a sends that on to
-    rows_a[c + q_b, rows_b[c, j]] with the entry phases_a[...] phases_b[c, j].
-    Column by column, W holds p and omega a b holds q: where the two land on
-    the same row of the same sector the column adds |p - q|^2 to the squared
-    norm, and elsewhere |p|^2 + |q|^2.  So it still compares two independent
-    computations, the clock's action against the product of the factors'
-    actions, and bounds the operator norm and hence every entry; its working
-    set is a few (d, m) arrays, with no m x m array formed.
+    it), and the product a b is composed from two of them by
+    ``dense.compose``.  Column by column, W holds p and omega a b holds q:
+    where the two land on the same row of the same sector the column adds
+    |p - q|^2 to the squared norm, and elsewhere |p|^2 + |q|^2.  So it
+    still compares two independent computations, the clock's action against
+    the product of the factors' actions, and bounds the operator norm and
+    hence every entry; its working set is a few (d, m) arrays, with no m x m
+    array formed.
     """
     ch, pr = model.chain, model.params
     site = ch.L // 2
     monos = WeylMonomial.single(ch.d, site, 1, 0), dressed_weyl(site, 1, pr, ch), dressed_weyl_rs(site, 1, -1, pr, ch)
     for mono in monos:
         dense_element(mono, ch)
-    (rows_w, p), (rows_a, phases_a), (rows_b, phases_b) = (monomial_action(mono, ch) for mono in monos)
+    (rows_w, p), action_a, action_b = (monomial_action(mono, ch) for mono in monos)
     shift_w, shift_a, shift_b = (mono.charge() for mono in monos)
-    middle = (np.arange(ch.d)[:, None] + shift_b) % ch.d  # the sector that b maps each sector into
-    q = phase_value(2, ch.d) * (phases_a[middle, rows_b] * phases_b)
-    same = (rows_a[middle, rows_b] == rows_w) & ((shift_a + shift_b - shift_w) % ch.d == 0)
+    rows, phases = compose(action_a, action_b, shift_b)
+    # each (d, m) array is dropped once read, which keeps the working set at a few of them
+    del action_a, action_b
+    same = (rows == rows_w) & ((shift_a + shift_b - shift_w) % ch.d == 0)
+    del rows
+    q = phase_value(2, ch.d) * phases
     squares = np.where(same, np.abs(p - q) ** 2, np.abs(p) ** 2 + np.abs(q) ** 2)
     return float(np.sqrt(squares.sum()))
 

@@ -487,11 +487,11 @@ class TestEvolveCommand:
 
     @pytest.mark.parametrize("case, rotations", [("d2", 1), ("d3", 0)])
     def test_rotates_each_operator_once(self, tmp_path, monkeypatch, case, rotations):
-        # with a one-particle prediction (at d = 2) the field is written into
-        # the eigenbasis once for the whole 9-point grid, and so is each of
-        # the 6 first-flavour B_k that the flow reaches, which every t's
-        # prediction combines; the reconstruction rotates nothing, so at
-        # d = 3 H is never diagonalised; no step assembles the full matrix
+        # with a one-particle prediction (at d = 2) each of the 6 first-flavour
+        # B_k that the flow reaches is written into the eigenbasis once for
+        # the whole 9-point grid, and the field and every t's prediction
+        # combine them; the reconstruction rotates nothing, so at d = 3 H is
+        # never diagonalised; no step assembles the full matrix
         calls, diagonalised = [], []
         rotate, eigensystem = dynamics.QuadraticModel.eigenbasis_blocks, dynamics.QuadraticModel.eigensystem
 
@@ -509,31 +509,32 @@ class TestEvolveCommand:
         cfg = tmp_path / "e.cfg"
         cfg.write_text(EVOLVE_CONFIGS[case])
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "e.csv")]) == 0
-        assert len(calls) == rotations * (1 + 6)
+        assert len(calls) == rotations * 6
         if case == "d3":
             assert not diagonalised
 
     def test_no_back_rotation(self, tmp_path, monkeypatch):
-        # the flow is compared in the eigenbasis, so nothing is mapped back to
-        # the site basis; the reconstruction composes its dressed product from
-        # the monomial actions, so no block product is formed either
-        counts = {"product": 0, "site_blocks": 0}
-        product, back = DenseOperator.__matmul__, dynamics.QuadraticModel.site_blocks
+        # the flow is compared in the eigenbasis, so no site-basis eigenvector
+        # column is formed to map anything back; the reconstruction composes
+        # its dressed product from the monomial actions, so no block product
+        # is formed either
+        counts = {"product": 0, "columns": 0}
+        product, columns = DenseOperator.__matmul__, dynamics.Eigensystem.columns
 
         def counting_product(x, y):
             counts["product"] += 1
             return product(x, y)
 
-        def counting_back(model, a):
-            counts["site_blocks"] += 1
-            return back(model, a)
+        def counting_columns(eig, c, k):
+            counts["columns"] += 1
+            return columns(eig, c, k)
 
         monkeypatch.setattr(DenseOperator, "__matmul__", counting_product)
-        monkeypatch.setattr(dynamics.QuadraticModel, "site_blocks", counting_back)
+        monkeypatch.setattr(dynamics.Eigensystem, "columns", counting_columns)
         cfg = tmp_path / "e.cfg"
         cfg.write_text(EVOLVE_CONFIGS["d2"])
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "e.csv")]) == 0
-        assert counts == {"product": 0, "site_blocks": 0}
+        assert counts == {"product": 0, "columns": 0}
 
     def test_working_set(self, tmp_path):
         # no step realizes an m x m block (m = 128): the diagonalisation

@@ -58,9 +58,8 @@ def amplitudes(d, N, values):
 
 
 def program_evolution(model, a, times):
-    """tau_t(a) of an element at each t on the library path: written once into the eigenbasis, then per t phased and mapped back."""
-    rotated = model.eigenbasis_blocks(a)
-    return [model.site_blocks(phase_blocks(rotated, model.propagator(t))) for t in times]
+    """tau_t(a) of an element at each t on the library path, ``heisenberg_evolve``: written into the eigenbasis, phased and mapped back."""
+    return [heisenberg_evolve(a, model, t) for t in times]
 
 
 def assembled_eigenvectors(eig, c):
@@ -179,11 +178,14 @@ class TestHeisenbergEvolve:
         assert abs(op_norm(at) - op_norm(realize(a, model.chain))) < 1e-10
 
     def test_group_law(self):
-        # tau_2.1 after tau_1.3, both as eigenbasis phases, is the expm evolution to 3.4
+        # tau_2.1 after tau_1.3, both as eigenbasis phases, is tau_3.4, and
+        # that is the expm evolution to 3.4
         model = d2_model(6)
         a = dressed_weyl(2, 1, D2, model.chain).as_element()
-        at = phase_blocks(model.eigenbasis_blocks(a), model.propagator(1.3))
-        one = model.site_blocks(phase_blocks(at, model.propagator(2.1)))
+        rotated = model.eigenbasis_blocks(a)
+        steps = phase_blocks(phase_blocks(rotated, model.propagator(1.3)), model.propagator(2.1))
+        assert (steps - phase_blocks(rotated, model.propagator(3.4))).max_abs() < 1e-12
+        (one,) = program_evolution(model, a, [3.4])
         two = expm_evolution(model, realize(a, model.chain), 3.4)
         assert np.abs(one.entries - two).max() < 1e-10
 
@@ -410,7 +412,7 @@ class TestSectorBlocks:
                 assert_exact_eigensystem(model, model.dense_hamiltonian.blocks)
 
     @pytest.mark.parametrize("name, group", [
-        ("block_d2.cfg", 1),
+        ("block_d2.cfg", 8),
         ("decay_d2.cfg", 32),
         ("decay_d3.cfg", 3),
         ("evolve_d2.cfg", 32),
@@ -418,9 +420,9 @@ class TestSectorBlocks:
         ("verify_d2.cfg", 16),
     ])
     def test_preset_symmetry_groups(self, monkeypatch, name, group):
-        # the group each shipped preset's model gets (block_d2's H is empty),
-        # and one eigh per joint eigenspace of each sector; verify_d3's chain
-        # is above the cap
+        # the group each shipped preset's model gets (block_d2's H is empty,
+        # so every B_xj commutes with it and G = m), and one eigh per joint
+        # eigenspace of each sector; verify_d3's chain is above the cap
         cfg = load_config(str(PRESETS / name))
         model = QuadraticModel(ChainSpec(cfg.d, cfg.l), GradingParams(cfg.d, cfg.j_plus, cfg.j_minus), Hopping(cfg.hopping))
         assert cfg.d ** len(model.block_symmetries()) == group
@@ -580,11 +582,11 @@ class TestSectorBlocks:
         # the entrywise maximum over the nonzero site-basis blocks is the
         # maximum over the assembled matrix: absent blocks are exactly zero
         model = QuadraticModel(ChainSpec(d, L), GradingParams(d, 1, 1), hopping)
-        rotated = model.eigenbasis_blocks(_charged_input(d, charges, seed=5 * d + len(charges)))
+        a = _charged_input(d, charges, seed=5 * d + len(charges))
+        rotated = model.eigenbasis_blocks(a)
         group = len(model.eigensystem.chars)
         assert len({(r // group, c // group) for r, c in rotated.blocks}) == (d if len(charges) == 1 else d * d)
-        for t in (0.0, 1.3):
-            site = model.site_blocks(phase_blocks(rotated, model.propagator(t)))
+        for site in program_evolution(model, a, (0.0, 1.3)):
             assert site.max_abs() == float(np.abs(site.entries).max())
         empty = DenseOperator(model.chain, {})
         assert empty.max_abs() == float(np.abs(empty.entries).max()) == 0.0
@@ -665,6 +667,68 @@ class TestNoCommutingRaiser:
         for t, norm in zip(times, res.norms):
             at = expm_evolution(model, ad, t)
             assert abs(norm - np.linalg.norm(at @ bd - bd @ at, 2)) <= 1e-12
+
+
+EMPTY_MODELS = pytest.mark.parametrize("make", [
+    # at d = 2 with j+ = j- = 1 a real hopping cancels to H = 0 exactly
+    lambda: QuadraticModel(ChainSpec(2, 6), D2, Hopping({1: 0.0625, -1: 0.0625})),
+    lambda: QuadraticModel(ChainSpec(3, 4), D3, Hopping({})),
+], ids=["d2_real_hopping", "d3_no_hopping"])
+
+
+class TestEmptyHamiltonian:
+    """An H with no monomials commutes with every B_xj: the general search gives G = m, one 1 x 1 eigh per joint eigenspace, checked end to end against expm."""
+
+    @EMPTY_MODELS
+    def test_one_state_per_eigenspace(self, monkeypatch, make):
+        model = make()
+        d, m = model.chain.d, model.chain.dim // model.chain.d
+        assert not model.hamiltonian.terms
+        assert d ** len(model.block_symmetries()) == m
+        calls = counted_eigh(monkeypatch)
+        model.eigensystem
+        assert calls == [(1, 1)] * (d * m)
+        assert_exact_eigensystem(model, model.dense_hamiltonian.blocks)
+
+    @EMPTY_MODELS
+    def test_heisenberg_evolve_is_realization(self, make):
+        model = make()
+        d = model.chain.d
+        a = _charged_input(d, tuple(range(d)), seed=29 * d)
+        want = realize(a, model.chain).entries
+        assert np.abs(expm_evolution(model, realize(a, model.chain), 1.3) - want).max() <= 1e-12
+        assert np.abs(heisenberg_evolve(a, model, 1.3).entries - want).max() <= 1e-12
+
+    @EMPTY_MODELS
+    def test_commutator_decay_is_flat(self, make):
+        model = make()
+        d = model.chain.d
+        # the clock at site 1 fails to commute with a's shift there
+        a, b = _charged_input(d, (1,), seed=31 * d), WeylMonomial.single(d, 1, 1, 0).as_element()
+        ad, bd = realize(a, model.chain), realize(b, model.chain).entries
+        times = [0.0, 1.3, 4.1]
+        res = commutator_decay(a, b, model, times)
+        assert np.ptp(res.norms) <= 1e-12 and res.norms[0] > 0.1
+        for t, norm in zip(times, res.norms):
+            at = expm_evolution(model, ad, t)
+            assert abs(norm - np.linalg.norm(at @ bd - bd @ at, 2)) <= 1e-12
+
+
+class TestBlockProduct:
+    def test_matches_every_pair_bit_for_bit(self):
+        # two eigenbasis operators of a G = 32 model, hundreds of blocks each:
+        # the product is that of a scan over every block pair, each (r, c) summed
+        # in the order of X's blocks, then of Y's
+        model = d2_model(10)
+        assert len(model.eigensystem.chars) == 32
+        x, y = (model.eigenbasis_blocks(_charged_input(2, (0, 1), seed=s)) for s in (41, 43))
+        assert min(len(x.blocks), len(y.blocks)) > 100
+        want = {}
+        for (r, k), xb in x.blocks.items():
+            for (k2, c), yb in y.blocks.items():
+                if k == k2:
+                    want[r, c] = want[r, c] + xb @ yb if (r, c) in want else xb @ yb
+        assert block_bits((x @ y).blocks) == block_bits(want)
 
 
 class TestCommutatorDecay:
@@ -819,7 +883,7 @@ def _dense_span_residual(model, f):
         for j in range(pr.d):
             basis = realize(dressed_weyl_rs(x, j, 1, pr, ch), ch)
             coeffs[j * ch.L + x] = basis.vdot(target) / ch.dim
-            rest = rest.sub(basis, coeffs[j * ch.L + x])
+            rest = rest - basis.scale(coeffs[j * ch.L + x])
     return float(np.sqrt(rest.vdot(rest).real / target.vdot(target).real)), coeffs
 
 
@@ -996,7 +1060,7 @@ class TestEigenbasisFields:
         assert len(got) == len(fs)
         for f, field in zip(fs, got):
             want = model.eigenbasis_blocks(smear(f, D2, model.chain))
-            assert field.sub(want).max_abs() <= 1e-13
+            assert (field - want).max_abs() <= 1e-13
 
 
 REFERENCE_SCRIPT = Path(__file__).resolve().parent.parent / "perfbench" / "make_reference.py"
@@ -1076,12 +1140,13 @@ class TestReconstruction:
     def test_no_realize_product_or_rotation_per_run(self, monkeypatch):
         # the deviation is the same at every t and in every orthonormal basis,
         # so it is taken once in the site basis, composed from the monomial
-        # actions: nothing realized, no block product, no rotation either
-        # way, and the model is not diagonalised
+        # actions: nothing realized, no block product, no rotation into the
+        # eigenbasis, no eigenvector columns to map back, and the model is
+        # not diagonalised
         model = QuadraticModel(ChainSpec(3, 4), D3, Hopping({1: 0.5, -1: 0.5}))
-        counts = {"realize": 0, "product": 0, "eigenbasis_blocks": 0, "site_blocks": 0}
+        counts = {"realize": 0, "product": 0, "eigenbasis_blocks": 0, "columns": 0}
         build, product = dynamics.realize, DenseOperator.__matmul__
-        rotate, back = QuadraticModel.eigenbasis_blocks, QuadraticModel.site_blocks
+        rotate, columns = QuadraticModel.eigenbasis_blocks, dynamics.Eigensystem.columns
 
         def counting_realize(a, chain):
             counts["realize"] += 1
@@ -1095,16 +1160,16 @@ class TestReconstruction:
             counts["eigenbasis_blocks"] += 1
             return rotate(self, a)
 
-        def counting_back(self, a):
-            counts["site_blocks"] += 1
-            return back(self, a)
+        def counting_columns(eig, c, k):
+            counts["columns"] += 1
+            return columns(eig, c, k)
 
         monkeypatch.setattr(dynamics, "realize", counting_realize)
         monkeypatch.setattr(DenseOperator, "__matmul__", counting_product)
         monkeypatch.setattr(QuadraticModel, "eigenbasis_blocks", counting_rotate)
-        monkeypatch.setattr(QuadraticModel, "site_blocks", counting_back)
+        monkeypatch.setattr(dynamics.Eigensystem, "columns", counting_columns)
         assert isinstance(reconstruct_spin_evolution(model), float)
-        assert counts == {"realize": 0, "product": 0, "eigenbasis_blocks": 0, "site_blocks": 0}
+        assert counts == {"realize": 0, "product": 0, "eigenbasis_blocks": 0, "columns": 0}
         assert model._eig is None
 
     @pytest.mark.parametrize(
