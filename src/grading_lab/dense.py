@@ -8,8 +8,12 @@ generalized permutation matrix and is realized by exact index/phase
 arithmetic, written once in ``monomial_action``, and the product of two
 such actions once in ``compose``; each entry's phase is one exponent mod
 2d, looked up in ``weyl.roots``, so floating point enters only through
-that table and the coefficients.  The gauge unitary and k-site
-blocking are built from ``realize``, blocking with ``weyl.matrix_unit``.
+that table and the coefficients.  The adjoint of an action
+(``adjoint_action``) and the largest entry of the difference of two
+(``action_deviation``) are index arithmetic too, so an identity between
+monomials is checked on a few (d, m) arrays, with no block formed.  The
+gauge unitary and k-site blocking are built from ``realize``, blocking
+with ``weyl.matrix_unit``.
 
 A monomial of shift charge q maps charge sector c (digit sum mod d) into
 sector c + q, so a dense operator is held as its nonzero blocks, each its
@@ -38,6 +42,7 @@ DEFAULT_DIM_CAP = 4096
 HERMITICITY_TILE = 32  # rows of a block compared at a time by DenseOperator.hermiticity_defect
 
 Blocks = dict[tuple[int, int], np.ndarray]  # blocks (r, c) of one partition of the basis; an absent block is zero
+Permutation = tuple[np.ndarray, np.ndarray, int]  # (rows, phases, shift charge): a monomial_action and the charge it moves by
 
 
 @dataclass(frozen=True)
@@ -166,9 +171,6 @@ class DenseOperator:
     def scale(self, c: complex) -> "DenseOperator":
         return DenseOperator(self.chain, {key: c * blk for key, blk in self.blocks.items()})
 
-    def adjoint(self) -> "DenseOperator":
-        return DenseOperator(self.chain, {(c, r): blk.conj().T for (r, c), blk in self.blocks.items()})
-
     def commutator(self, other: "DenseOperator") -> "DenseOperator":
         return self @ other - other @ self
 
@@ -234,6 +236,48 @@ def compose(outer: tuple[np.ndarray, np.ndarray], inner: tuple[np.ndarray, np.nd
     d = len(rows_i)
     middle = (np.arange(d)[:, None] + q) % d  # the sector that inner maps each sector into
     return rows_o[middle, rows_i], phases_o[middle, rows_i] * phases_i
+
+
+def adjoint_action(x: Permutation) -> Permutation:
+    """The adjoint of a generalised permutation, from its inverse row map and conjugated phases.
+
+    X sends position j of sector c to row rows[c, j] of sector c + q with
+    the entry phases[c, j]; X^dag sends that row back to j, in sector c, with
+    the conjugate entry.  No monomial is inverted: the result is read from
+    X's arrays alone.
+    """
+    rows, phases, q = x
+    d, m = rows.shape
+    target = (np.arange(d)[:, None] + q) % d
+    inverse, conjugate = np.empty_like(rows), np.empty_like(phases)
+    inverse[target, rows] = np.arange(m)
+    conjugate[target, rows] = phases.conj()
+    return inverse, conjugate, -q % d
+
+
+def action_deviation(x: Permutation, y: Permutation) -> float:
+    """Largest entry modulus of X - Y for two generalised permutations, (realize(x) - realize(y)).max_abs() with no block formed.
+
+    Column j of sector c holds X's one entry p and Y's one entry q.  Where
+    both land on the same row of the same sector the column of X - Y holds
+    p - q, and elsewhere it holds p and -q apart, so its largest modulus is
+    |p - q| or max(|p|, |q|).
+    """
+    (rows_x, p, q_x), (rows_y, q, q_y) = x, y
+    same = (rows_x == rows_y) & ((q_x - q_y) % len(rows_x) == 0)
+    return float(np.where(same, np.abs(p - q), np.maximum(np.abs(p), np.abs(q))).max())
+
+
+def dense_action(mono: WeylMonomial, chain: ChainSpec) -> Permutation:
+    """The generalised permutation that ``realize(mono, chain)`` holds, checked as ``realize`` checks it.
+
+    Its entries are read as ``realize`` reads them: the monomial's phase
+    exp(i*pi*q/d) as the coefficient, times the phase-stripped monomial's
+    ``monomial_action``.
+    """
+    ((coeff, bare),) = dense_element(mono, chain).monomials()
+    rows, phases = monomial_action(bare, chain)
+    return rows, coeff * phases, bare.charge()
 
 
 def dense_element(a: AlgebraElement | WeylMonomial, chain: ChainSpec) -> AlgebraElement:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import ChainSpec, realize
+from .dense import ChainSpec, action_deviation, adjoint_action, compose, dense_action, realize
 from .weyl import (
     AlgebraElement,
     GradingParams,
@@ -163,14 +163,18 @@ def shift_covariance_defect(x: int, params: GradingParams, chain: ChainSpec) -> 
     The rotation rule around site x composed with the inverse rule around
     site 0 has finite support {0..x}: exponent j_minus at 0, j_minus-j_plus
     strictly inside, -j_plus at x.  The dense deviation compares the
-    realized defect against the explicit ratio of the two rotation strings.
+    defect's action against the explicit ratio of the two rotation strings,
+    composed from u_x's action and the adjoint of u_0's, which is read from
+    u_0's action, not from ``mono_adjoint``.
     """
     if not 0 < x < chain.L:
         raise ValueError(f"need 0 < x < L, got x={x}, L={chain.L}")
-    defect = mono_mul(_rotation_string(x, params, chain), mono_adjoint(_rotation_string(0, params, chain)))
-    ux = realize(_rotation_string(x, params, chain), chain)
-    u0 = realize(_rotation_string(0, params, chain), chain)
-    dev = (realize(defect, chain) - ux @ u0.adjoint()).max_abs()
+    ux, u0 = _rotation_string(x, params, chain), _rotation_string(0, params, chain)
+    defect = mono_mul(ux, mono_adjoint(u0))
+    rows_x, phases_x, q_x = dense_action(ux, chain)
+    rows_0, phases_0, q_0 = adjoint_action(dense_action(u0, chain))
+    ratio = (*compose((rows_x, phases_x), (rows_0, phases_0), q_0), q_x + q_0)
+    dev = action_deviation(dense_action(defect, chain), ratio)
     return ShiftDefect(defect=defect, dense_deviation=dev)
 
 
@@ -188,8 +192,9 @@ def bilinear_connection(x: int, y: int, params: GradingParams, chain: ChainSpec)
     lhs = dressed(x, 1) dressed(y, -1) is gauge invariant and supported on
     [x, y].  rhs is the claimed expansion
     W_x(0,1) W_x(1,0)^j+ prod_{x<z<y} W_z(1,0)^(j+ + j-) W_y(1,0)^-j+ W_y(0,-1);
-    its dense deviation from lhs is reported, together with the exact
-    correction monomial lhs * rhs^-1 when both are single monomials.
+    its dense deviation from lhs, the largest entry of the difference of the
+    two monomials' actions, is reported, together with the exact correction
+    monomial lhs * rhs^-1.
     """
     if not 0 <= x < y < chain.L:
         raise ValueError(f"need 0 <= x < y < L, got ({x},{y}), L={chain.L}")
@@ -206,9 +211,7 @@ def bilinear_connection(x: int, y: int, params: GradingParams, chain: ChainSpec)
             mono_mul(WeylMonomial.single(d, y, -params.j_plus, 0), WeylMonomial.single(d, y, 0, -1)),
         ),
     )
-    lhs = AlgebraElement.from_monomials([(1.0, lhs_mono)])
-    rhs = AlgebraElement.from_monomials([(1.0, rhs_mono)])
-    dev = (realize(lhs, chain) - realize(rhs, chain)).max_abs()
+    dev = action_deviation(dense_action(lhs_mono, chain), dense_action(rhs_mono, chain))
     correction = None
     if dev > 1e-12:
         correction = mono_mul(lhs_mono, mono_adjoint(rhs_mono))

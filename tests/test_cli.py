@@ -3,13 +3,16 @@
 import cmath
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import grading_lab.cli as cli
+import grading_lab.dense as dense
 import grading_lab.dynamics as dynamics
+import grading_lab.weyl as weyl
 from grading_lab.cli import main
 from grading_lab.config import ConfigError, ExperimentConfig, load_config, parse_config
 from grading_lab.dense import ChainSpec, DenseOperator, realize
@@ -332,6 +335,74 @@ class TestVerifyOutput:
         keys = [(r["relation_id"], r["params"]) for r in rows]
         assert ("pair_expansion", "d=3;x=0;y=1") in keys
         assert len(keys) == len(set(keys))
+
+
+def inject(monkeypatch, module, name, defect):
+    """Replace ``module.name`` by defect(original) in every grading_lab module that binds it, as the one function would be broken."""
+    original = getattr(module, name)
+    broken = defect(original)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "grading_lab" or mod_name.startswith("grading_lab."):
+            for binding, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, binding, broken)
+
+
+def shifting_phase_times_i(action):
+    """monomial_action with every entry of a shifting monomial multiplied by i."""
+    def broken(mono, chain):
+        rows, phases = action(mono, chain)
+        return rows, 1j * phases if mono.charge() else phases
+    return broken
+
+
+def shifting_rows_rolled(action):
+    """monomial_action with a shifting monomial's target rows rolled by one column: still a permutation."""
+    def broken(mono, chain):
+        rows, phases = action(mono, chain)
+        return np.roll(rows, 1, axis=1) if mono.charge() else rows, phases
+    return broken
+
+
+def plus_one_when_both_shift(mul):
+    """mono_mul with its phase exponent one too high when both factors shift."""
+    def broken(a, b):
+        out = mul(a, b)
+        return WeylMonomial(out.d, out.sites, (out.phase + 1) % (2 * out.d)) if a.charge() and b.charge() else out
+    return broken
+
+
+def adjoint_phase_plus_one(adjoint):
+    """mono_adjoint with its phase exponent one too high."""
+    def broken(a):
+        out = adjoint(a)
+        return WeylMonomial(out.d, out.sites, (out.phase + 1) % (2 * out.d))
+    return broken
+
+
+class TestExactRowsCatchDefects:
+    # one named defect per run, injected without editing the library: each
+    # exact row it reaches reads FAILED and verify exits 1.  shift_defect
+    # composes u_x with the adjoint of u_0's action, formed from the arrays
+    # and not from mono_adjoint, so a wrong mono_adjoint phase reaches it
+    @pytest.mark.parametrize("module, name, defect, failed", [
+        (dense, "monomial_action", shifting_phase_times_i,
+         {"verify_d2": ["group_law_dense"], "verify_d3": ["group_law_dense"]}),
+        (dense, "monomial_action", shifting_rows_rolled,
+         {"verify_d2": ["group_law_dense", "exchange_phase"], "verify_d3": ["group_law_dense", "exchange_phase"]}),
+        (weyl, "mono_mul", plus_one_when_both_shift,
+         {"verify_d2": ["group_law_dense"], "verify_d3": ["group_law_associativity", "group_law_dense"]}),
+        (weyl, "mono_adjoint", adjoint_phase_plus_one,
+         {"verify_d2": ["shift_defect"], "verify_d3": ["shift_defect"]}),
+    ], ids=["action_phase", "action_rows", "mul_phase", "adjoint_phase"])
+    @pytest.mark.parametrize("config", ["verify_d2", "verify_d3"])
+    def test_defect_fails_its_rows(self, tmp_path, monkeypatch, config, module, name, defect, failed):
+        inject(monkeypatch, module, name, defect)
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--config", preset(f"{config}.cfg"), "--out", str(out)]) == cli.EXIT_RELATION_FAILURE
+        _, rows = read_rows(out)
+        assert [r["relation_id"] for r in rows if r["status"] == "FAILED"] == failed[config]
+        assert all(r["tier"] == "exact" for r in rows if r["status"] == "FAILED")
 
 
 class TestDeterminism:

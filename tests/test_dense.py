@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
+import grading_lab.dense as dense
+import grading_lab.dressing as dressing
 from grading_lab.dense import (
     HERMITICITY_TILE,
     ChainSpec,
     DenseOperator,
     DimensionCapError,
+    action_deviation,
+    adjoint_action,
     block_sites,
+    dense_action,
     gauge_project,
     gauge_unitary,
     op_norm,
@@ -16,7 +21,7 @@ from grading_lab.dense import (
     refined_gauge_unitary,
     sector_decompose,
 )
-from grading_lab.weyl import AlgebraElement, WeylMonomial, mono_mul
+from grading_lab.weyl import AlgebraElement, GradingParams, WeylMonomial, mono_adjoint, mono_mul
 
 from test_weyl import isclose, random_element, random_monomial
 
@@ -248,6 +253,68 @@ class TestBlockDifference:
         assert not any(np.shares_memory(blk, src) for blk in got.values() for src in (*x.values(), *y.values()))
 
 
+ACTION_CHAINS = pytest.mark.parametrize("d, L", [(2, 5), (3, 4), (4, 3)])
+
+
+class TestActions:
+    @ACTION_CHAINS
+    def test_deviation_is_the_realized_difference(self, d, L):
+        # y against x: the same rows and charge (a clock string times x), the
+        # same charge on other rows (a shift moved from site 1 to site 0), and
+        # another charge (one more shift); realize holds exactly the entries
+        # dense_action reads, so the two values agree bit for bit
+        rng = np.random.default_rng(70 + d)
+        chain = ChainSpec(d, L)
+        for q in range(d):
+            x = charged_monomial(rng, d, L, q)
+            clocks = WeylMonomial.from_labels(d, {z: (int(rng.integers(1, d)), 0) for z in range(L)}, int(rng.integers(0, 2 * d)))
+            cases = {
+                "same rows": mono_mul(clocks, x),
+                "other rows": mono_mul(WeylMonomial.from_labels(d, {0: (0, 1), 1: (0, -1)}), x),
+                "other charge": mono_mul(WeylMonomial.single(d, 0, 0, 1), x),
+            }
+            ax = dense_action(x, chain)
+            for case, y in cases.items():
+                ay = dense_action(y, chain)
+                assert (ax[0] == ay[0]).all() == (case == "same rows"), case
+                assert ((ax[2] - ay[2]) % d == 0) == (case != "other charge"), case
+                got = action_deviation(ax, ay)
+                assert got == (realize(x, chain) - realize(y, chain)).max_abs() > 0.0, case
+            assert action_deviation(ax, ax) == 0.0
+
+    @ACTION_CHAINS
+    def test_adjoint_is_the_conjugate_transpose(self, d, L):
+        rng = np.random.default_rng(80 + d)
+        chain = ChainSpec(d, L)
+        for q in range(d):
+            x = charged_monomial(rng, d, L, q)
+            rows, phases, charge = adjoint_action(dense_action(x, chain))
+            assert charge == -q % d
+            want = realize(x, chain).entries.conj().T
+            got = realize(mono_adjoint(x), chain).entries
+            assert np.abs(got - want).max() < 1e-15
+            assert action_deviation((rows, phases, charge), dense_action(mono_adjoint(x), chain)) < 1e-15
+            flat = chain.sectors()
+            for c in range(d):
+                assert np.array_equal(want[flat[(c + charge) % d][rows[c]], flat[c]], phases[c])
+
+    def test_dressing_rows_realize_nothing(self, monkeypatch):
+        # at d = 2, L = 12 the two rows read (2, 2048) arrays, with no block formed
+        def unreachable(*args):
+            raise AssertionError("realized a chain")
+
+        monkeypatch.setattr(dense, "realize", unreachable)
+        monkeypatch.setattr(dressing, "realize", unreachable)
+        params, chain = GradingParams(2, 1, 1), ChainSpec(2, 12)
+        sd = dressing.shift_covariance_defect(3, params, chain)
+        assert set(sd.defect.support()) <= set(range(4)) and sd.dense_deviation == 0.0
+        # both sides of the pair expansion live on sites 1..3, so the 12-site
+        # row reads what the 5-site row reads
+        bc, small = (dressing.bilinear_connection(1, 3, params, ch) for ch in (chain, ChainSpec(2, 5)))
+        assert (bc.deviation, bc.correction) == (small.deviation, small.correction)
+        assert bc.deviation == 2.0
+
+
 class TestHermiticityDefect:
     def test_matches_full_difference(self):
         # blocks (0, 2) and (2, 1) have no partner and count in full
@@ -255,9 +322,10 @@ class TestHermiticityDefect:
         chain = ChainSpec(3, 3)
         keys = [(0, 0), (1, 1), (0, 1), (1, 0), (0, 2), (2, 1)]
         x = DenseOperator(chain, signed_zero_blocks(rng, keys, m=9))
-        assert x.hermiticity_defect() == (x - x.adjoint()).max_abs() > 0.0
+        x_dag = DenseOperator(chain, {(c, r): blk.conj().T for (r, c), blk in x.blocks.items()})
+        assert x.hermiticity_defect() == (x - x_dag).max_abs() > 0.0
         # X + X^dag is exactly hermitian: each entry is a + conj(b) against conj(b) + a
-        assert (x - x.adjoint().scale(-1.0)).hermiticity_defect() == 0.0
+        assert (x - x_dag.scale(-1.0)).hermiticity_defect() == 0.0
         assert DenseOperator(chain, {}).hermiticity_defect() == 0.0
 
     def test_tiles_match_the_assembled_difference(self):
