@@ -26,11 +26,10 @@ from .dense import (
     DEFAULT_DIM_CAP,
     ChainSpec,
     DimensionCapError,
-    Permutation,
     action_deviation,
+    action_product,
     block_sites,
-    compose,
-    dense_action,
+    dense_actions,
     op_norm,
     realize,
     sector_decompose,
@@ -125,11 +124,6 @@ def _random_monomials(rng: np.random.Generator, d: int, L: int, n: int):
         yield WeylMonomial.from_labels(d, {x: tuple(lab[x]) for x in range(L) if keep[x]}, q)
 
 
-def _product(a: Permutation, b: Permutation) -> Permutation:
-    """The action of a product from its factors' actions, a's composed after b's, with the summed shift charge."""
-    return (*compose(a[:2], b[:2], b[2]), a[2] + b[2])
-
-
 def _verify_rows(cfg: ExperimentConfig, seed: int, cap: int) -> list[list]:
     d, L = cfg.d, cfg.l
     with _config_values():
@@ -159,8 +153,8 @@ def _verify_rows(cfg: ExperimentConfig, seed: int, cap: int) -> list[list]:
     add("group_law_associativity", "exact", f"d={d};samples=200", ok, 0.0)
     samples = _random_monomials(rng, d, small.L, 2 * 40)
     for a, b in zip(*[iter(samples)] * 2):
-        product = dense_action(mono_mul(a, b), small)
-        worst = max(worst, action_deviation(product, _product(dense_action(a, small), dense_action(b, small))))
+        product = dense_actions(mono_mul(a, b), small)
+        worst = max(worst, action_deviation(product, action_product(dense_actions(a, small), dense_actions(b, small))))
     add("group_law_dense", "exact", f"d={d};L={small.L};samples=40", worst < 1e-12, worst)
 
     # fixed-phase exchange of dressed generators
@@ -172,10 +166,10 @@ def _verify_rows(cfg: ExperimentConfig, seed: int, cap: int) -> list[list]:
                 dressed_weyl(x, 1, params, chain), dressed_weyl(y, 1, params, chain)
             ) == expected
     dd = ChainSpec(d, min(L, 4))
-    a0 = dense_action(dressed_weyl(0, 1, params, dd), dd)
-    b0 = dense_action(dressed_weyl(dd.L - 1, 1, params, dd), dd)
-    turned = (b0[0], phase_value(2 * expected, d) * b0[1], b0[2])
-    dev = action_deviation(_product(a0, b0), _product(turned, a0))
+    a0 = dense_actions(dressed_weyl(0, 1, params, dd), dd)
+    b0 = dense_actions(dressed_weyl(dd.L - 1, 1, params, dd), dd)
+    turned = [(rows, phase_value(2 * expected, d) * values, q) for rows, values, q in b0]
+    dev = action_deviation(action_product(a0, b0), action_product(turned, a0))
     add("exchange_phase", "exact", f"d={d};exponent={expected};pairs=L*(L-1)/2", ok and dev < 1e-12, dev)
 
     # norms of dressed operators and units

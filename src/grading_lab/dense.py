@@ -8,25 +8,29 @@ generalized permutation matrix and is realized by exact index/phase
 arithmetic, written once in ``monomial_action``, and the product of two
 such actions once in ``compose``; each entry's phase is one exponent mod
 2d, looked up in ``weyl.roots``, so floating point enters only through
-that table and the coefficients.  The adjoint of an action
-(``adjoint_action``) and the largest entry of the difference of two
-(``action_deviation``) are index arithmetic too, so an identity between
-monomials is checked on a few (d, m) arrays, with no block formed.  The
-gauge unitary and k-site blocking are built from ``realize``, blocking
-with ``weyl.matrix_unit``.
+that table and the coefficients.  Monomials with the same shift labels
+move every state alike, so an element is a sum of generalised
+permutations, one per shift vector, that share no entry
+(``dense_actions``); ``realize`` writes them into blocks.  Their product
+(``action_product``), Hilbert-Schmidt inner product (``action_vdot``),
+the largest entry of a difference (``action_deviation``), the
+Hilbert-Schmidt norm of a difference (``action_distance``) and an
+adjoint (``adjoint_action``) are index arithmetic too, so an identity
+between elements is checked on a few (d, m) arrays, with no block formed.
+The gauge unitary and k-site blocking are built from ``realize``,
+blocking with ``weyl.matrix_unit``.
 
 A monomial of shift charge q maps charge sector c (digit sum mod d) into
 sector c + q, so a dense operator is held as its nonzero blocks, each its
-own array, and its arithmetic (product, difference, entry maximum,
-hermiticity defect and Hilbert-Schmidt inner product) is a set of
-``DenseOperator`` methods that work block by block.  In the site basis a
-block is a charge-sector block; the same type carries blocks in any
-finer per-sector basis, such as the symmetry-adapted eigenbasis of
-``dynamics``, whose blocks split each sector into equal parts.  The full
-site-basis matrix is assembled only on request (``DenseOperator.entries``),
-which only the cross-chain identity of ``block_sites`` needs: its two
-chains have different sector structures, so the site basis is their one
-common basis.
+own array, and its arithmetic (product, difference, entry maximum and
+hermiticity defect) is a set of ``DenseOperator`` methods that work block
+by block.  In the site basis a block is a charge-sector block; the same
+type carries blocks in any finer per-sector basis, such as the
+symmetry-adapted eigenbasis of ``dynamics``, whose blocks split each
+sector into equal parts.  The full site-basis matrix is assembled only on
+request (``DenseOperator.entries``), which only the cross-chain identity
+of ``block_sites`` needs: its two chains have different sector
+structures, so the site basis is their one common basis.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ DEFAULT_DIM_CAP = 4096
 HERMITICITY_TILE = 32  # rows of a block compared at a time by DenseOperator.hermiticity_defect
 
 Blocks = dict[tuple[int, int], np.ndarray]  # blocks (r, c) of one partition of the basis; an absent block is zero
-Permutation = tuple[np.ndarray, np.ndarray, int]  # (rows, phases, shift charge): a monomial_action and the charge it moves by
+Permutation = tuple[np.ndarray, np.ndarray, int]  # (rows, values, shift charge): where column j of sector c lands in sector c + q, and its entry
+Actions = list[Permutation]  # an element as ``dense_actions`` reads it: one Permutation per shift vector, no two sharing an entry
 
 
 @dataclass(frozen=True)
@@ -168,9 +173,6 @@ class DenseOperator:
         keys = self.blocks.keys() | other.blocks.keys()
         return DenseOperator(self.chain, {key: self.blocks.get(key, 0.0) - other.blocks.get(key, 0.0) for key in keys})
 
-    def scale(self, c: complex) -> "DenseOperator":
-        return DenseOperator(self.chain, {key: c * blk for key, blk in self.blocks.items()})
-
     def commutator(self, other: "DenseOperator") -> "DenseOperator":
         return self @ other - other @ self
 
@@ -197,11 +199,6 @@ class DenseOperator:
                     tile = blk[i : i + HERMITICITY_TILE] - partner[:, i : i + HERMITICITY_TILE].conj().T
                     worst = max(worst, float(np.abs(tile).max()))
         return worst
-
-    def vdot(self, other: "DenseOperator") -> complex:
-        """Hilbert-Schmidt inner product trace(X^dag Y), summed over the blocks both hold."""
-        keys = self.blocks.keys() & other.blocks.keys()
-        return complex(sum(np.vdot(self.blocks[key], other.blocks[key]) for key in keys))
 
 
 def monomial_action(mono: WeylMonomial, chain: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -255,29 +252,105 @@ def adjoint_action(x: Permutation) -> Permutation:
     return inverse, conjugate, -q % d
 
 
-def action_deviation(x: Permutation, y: Permutation) -> float:
-    """Largest entry modulus of X - Y for two generalised permutations, (realize(x) - realize(y)).max_abs() with no block formed.
+def dense_actions(a: AlgebraElement | WeylMonomial, chain: ChainSpec) -> Actions:
+    """``realize(a, chain)`` as generalised permutations, one per shift vector of a's monomials, checked as ``realize`` checks it.
 
-    Column j of sector c holds X's one entry p and Y's one entry q.  Where
-    both land on the same row of the same sector the column of X - Y holds
-    p - q, and elsewhere it holds p and -q apart, so its largest modulus is
-    |p - q| or max(|p|, |q|).
+    Monomials with the same shift labels l move every state alike, so a
+    shift vector's entries sit on the rows of its monomials'
+    ``monomial_action`` and its values are the sum of coefficient x phases
+    over them, added in ``a.monomials()`` order onto zeros.  Distinct shift
+    vectors send a state to distinct states, so no two of the permutations
+    share an entry: ``realize`` writes them into charge blocks, and the
+    ``action_*`` functions read them as they are, a few (d, m) arrays each.
     """
-    (rows_x, p, q_x), (rows_y, q, q_y) = x, y
-    same = (rows_x == rows_y) & ((q_x - q_y) % len(rows_x) == 0)
-    return float(np.where(same, np.abs(p - q), np.maximum(np.abs(p), np.abs(q))).max())
+    a = dense_element(a, chain)
+    out: dict[tuple, Permutation] = {}
+    for coeff, mono in a.monomials():
+        rows, phases = monomial_action(mono, chain)
+        shift = tuple((x, l) for x, (_, l) in mono.sites if l)
+        if shift not in out:
+            out[shift] = (rows, np.zeros(phases.shape, dtype=complex), mono.charge())
+        values = out[shift][1]
+        values += coeff * phases
+    return list(out.values())
 
 
-def dense_action(mono: WeylMonomial, chain: ChainSpec) -> Permutation:
-    """The generalised permutation that ``realize(mono, chain)`` holds, checked as ``realize`` checks it.
+def action_product(xs: Actions, ys: Actions) -> Actions:
+    """X Y for two elements read by ``dense_actions``: every pair composed by ``compose``, those that land alike summed.
 
-    Its entries are read as ``realize`` reads them: the monomial's phase
-    exp(i*pi*q/d) as the coefficient, times the phase-stripped monomial's
-    ``monomial_action``.
+    x after y has the summed shift charge.  Two such products that send
+    every column to the same row of the same sector share the product's
+    shift vector, and their values are added, in the order of xs, then of
+    ys.
     """
-    ((coeff, bare),) = dense_element(mono, chain).monomials()
-    rows, phases = monomial_action(bare, chain)
-    return rows, coeff * phases, bare.charge()
+    out: Actions = []
+    for x in xs:
+        for y in ys:
+            rows, values = compose(x[:2], y[:2], y[2])
+            q = x[2] + y[2]
+            for i, (r, v, p) in enumerate(out):
+                if (p - q) % len(rows) == 0 and np.array_equal(r, rows):
+                    out[i] = (r, v + values, p)
+                    break
+            else:
+                out.append((rows, values, q))
+    return out
+
+
+def _same(x: Permutation, y: Permutation) -> np.ndarray:
+    """(d, m) mask of the columns that x and y send to the same row of the same sector."""
+    return (x[0] == y[0]) & ((x[2] - y[2]) % len(x[0]) == 0)
+
+
+def _difference_at(p: Permutation, xs: Actions, ys: Actions) -> np.ndarray:
+    """The (d, m) entries of X - Y at the places p writes.
+
+    X's entry and Y's entry there are each summed, in list order, over the
+    permutations that write the same place, as ``realize`` sums them; rows
+    and sectors are compared, never labels, so this holds for any input.
+    """
+    x = sum(np.where(_same(p, o), o[1], 0.0) for o in xs)
+    y = sum(np.where(_same(p, o), o[1], 0.0) for o in ys)
+    return x - y
+
+
+def action_vdot(xs: Actions, ys: Actions) -> complex:
+    """Hilbert-Schmidt inner product trace(X^dag Y) of two elements read by ``dense_actions``.
+
+    Each pair (x, y) adds conj(x) y over the columns that both send to the
+    same row of the same sector.
+    """
+    total = 0j
+    for x in xs:
+        for y in ys:
+            same = _same(x, y)
+            total += np.vdot(x[1][same], y[1][same])
+    return complex(total)
+
+
+def action_deviation(xs: Actions, ys: Actions) -> float:
+    """Largest entry modulus of X - Y, (realize(xs) - realize(ys)).max_abs() with no block formed.
+
+    Every entry of X - Y is read at a permutation that writes its place, so
+    for one permutation each it is |p - q| where both land on the same row
+    of the same sector and max(|p|, |q|) elsewhere; 0.0 when both are empty.
+    """
+    return max((float(np.abs(_difference_at(p, xs, ys)).max()) for p in [*xs, *ys]), default=0.0)
+
+
+def action_distance(xs: Actions, ys: Actions) -> float:
+    """Hilbert-Schmidt norm of X - Y, with no block formed.
+
+    Each place is squared once, at the first permutation of xs, then of ys,
+    that writes it: for one permutation each a column adds |p - q|^2 where
+    both land on the same row of the same sector and |p|^2 + |q|^2 elsewhere.
+    """
+    perms = [*xs, *ys]
+    squares = 0.0
+    for i, p in enumerate(perms):
+        first = ~np.logical_or.reduce([_same(p, o) for o in perms[:i]], axis=0)
+        squares = squares + np.where(first, np.abs(_difference_at(p, xs, ys)) ** 2, 0.0)
+    return float(np.sqrt(np.sum(squares)))
 
 
 def dense_element(a: AlgebraElement | WeylMonomial, chain: ChainSpec) -> AlgebraElement:
@@ -300,23 +373,18 @@ def dense_element(a: AlgebraElement | WeylMonomial, chain: ChainSpec) -> Algebra
 def realize(a: AlgebraElement | WeylMonomial, chain: ChainSpec) -> DenseOperator:
     """Tensor-product embedding of an element on the chain, written as charge blocks.
 
-    A monomial of shift charge q maps the state at position j of sector c to
-    one state of sector c + q (``monomial_action``), so it adds one entry per
-    column to each of its d blocks (c + q, c).  Every block is its own array,
-    so an operator frees each block it drops; blocks that end up exactly zero
-    are left out.
+    Each generalised permutation of ``dense_actions``, of shift charge q,
+    maps the state at position j of sector c to one state of sector c + q,
+    so it writes one entry per column into each of its d blocks (c + q, c).
+    Every block is its own array, so an operator frees each block it drops;
+    blocks that end up exactly zero are left out.
     """
-    a = dense_element(a, chain)
-    d = chain.d
-    m = chain.dim // d
+    d, m = chain.d, chain.dim // chain.d
     cols = np.arange(m)
-    blocks = {((c + s) % d, c): np.zeros((m, m), dtype=complex) for s in a.charges() for c in range(d)}
-    for coeff, mono in a.monomials():
-        rows, phases = monomial_action(mono, chain)
-        values = coeff * phases
-        s = mono.charge()
+    blocks: Blocks = {}
+    for rows, values, q in dense_actions(a, chain):
         for c in range(d):
-            blocks[(c + s) % d, c][rows[c], cols] += values[c]
+            blocks.setdefault(((c + q) % d, c), np.zeros((m, m), dtype=complex))[rows[c], cols] += values[c]
     return DenseOperator(chain, {key: blk for key, blk in blocks.items() if blk.any()})
 
 

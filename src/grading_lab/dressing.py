@@ -24,9 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dense import ChainSpec, action_deviation, adjoint_action, compose, dense_action, realize
+from .dense import ChainSpec, action_deviation, action_distance, action_product, action_vdot, adjoint_action, dense_actions
 from .weyl import (
     AlgebraElement,
     GradingParams,
@@ -109,24 +107,25 @@ def dressed_commutation_report(
 
     The claimed reordering phase exp(i*pi*(j-k-l+n)*(x-y)) is checked both
     as written and with the exponent divided by d; the dense oracle is the
-    ground truth.  Both products are formed on charge blocks, and the phase
-    and the residual are Hilbert-Schmidt inner products summed over those
-    blocks.
+    ground truth.  Each unit is read by ``dense_actions`` and both products
+    are composed from those actions (``action_product``), with no block
+    formed: the phase is the Hilbert-Schmidt projection of uv on vu
+    (``action_vdot``) and the residual the Hilbert-Schmidt norm of
+    uv - phase * vu relative to that of vu (``action_distance``).
     """
     if x == y:
         raise ValueError("exchange report requires distinct sites")
     d = params.d
-    u = realize(dressed_matrix_unit(x, j, k, params, chain), chain)
-    v = realize(dressed_matrix_unit(y, l, n, params, chain), chain)
-    uv, vu = u @ v, v @ u
-    nvu = np.sqrt(vu.vdot(vu).real)
+    u = dense_actions(dressed_matrix_unit(x, j, k, params, chain), chain)
+    v = dense_actions(dressed_matrix_unit(y, l, n, params, chain), chain)
+    uv, vu = action_product(u, v), action_product(v, u)
+    nvu = action_distance(vu, [])
     if nvu < 1e-14:
         phase = None
-        residual = float(np.sqrt(uv.vdot(uv).real))
+        residual = action_distance(uv, [])
     else:
-        phase = complex(vu.vdot(uv) / nvu**2)
-        rest = uv - vu.scale(phase)
-        residual = float(np.sqrt(rest.vdot(rest).real) / nvu)
+        phase = complex(action_vdot(vu, uv) / nvu**2)
+        residual = action_distance(uv, [(rows, phase * values, q) for rows, values, q in vu]) / nvu
     raw = phase_value(d * (j - k - l + n) * (x - y), d)
     scaled = phase_value((j - k - l + n) * (x - y), d)
     if phase is None:
@@ -171,10 +170,8 @@ def shift_covariance_defect(x: int, params: GradingParams, chain: ChainSpec) -> 
         raise ValueError(f"need 0 < x < L, got x={x}, L={chain.L}")
     ux, u0 = _rotation_string(x, params, chain), _rotation_string(0, params, chain)
     defect = mono_mul(ux, mono_adjoint(u0))
-    rows_x, phases_x, q_x = dense_action(ux, chain)
-    rows_0, phases_0, q_0 = adjoint_action(dense_action(u0, chain))
-    ratio = (*compose((rows_x, phases_x), (rows_0, phases_0), q_0), q_x + q_0)
-    dev = action_deviation(dense_action(defect, chain), ratio)
+    ratio = action_product(dense_actions(ux, chain), [adjoint_action(p) for p in dense_actions(u0, chain)])
+    dev = action_deviation(dense_actions(defect, chain), ratio)
     return ShiftDefect(defect=defect, dense_deviation=dev)
 
 
@@ -211,7 +208,7 @@ def bilinear_connection(x: int, y: int, params: GradingParams, chain: ChainSpec)
             mono_mul(WeylMonomial.single(d, y, -params.j_plus, 0), WeylMonomial.single(d, y, 0, -1)),
         ),
     )
-    dev = action_deviation(dense_action(lhs_mono, chain), dense_action(rhs_mono, chain))
+    dev = action_deviation(dense_actions(lhs_mono, chain), dense_actions(rhs_mono, chain))
     correction = None
     if dev > 1e-12:
         correction = mono_mul(lhs_mono, mono_adjoint(rhs_mono))

@@ -55,7 +55,18 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .dense import ChainSpec, DenseOperator, compose, dense_element, gauge_unitary, monomial_action, op_norm, realize
+from .dense import (
+    ChainSpec,
+    DenseOperator,
+    action_deviation,
+    action_distance,
+    compose,
+    dense_actions,
+    dense_element,
+    monomial_action,
+    op_norm,
+    realize,
+)
 from .dressing import dressed_weyl, dressed_weyl_rs
 from .oneparticle import Hopping
 from .weyl import (
@@ -543,8 +554,9 @@ def _compare_claim(
     chain: ChainSpec,
     tol: float = 1e-9,
 ) -> AuditRow:
-    lhs_d = realize(lhs, chain)
-    devs = [(lhs_d - realize(c, chain)).max_abs() for c in candidates]
+    """The best of the candidates against lhs, by the largest entry of their difference (``dense.action_deviation``)."""
+    lhs_d = dense_actions(lhs, chain)
+    devs = [action_deviation(lhs_d, dense_actions(c, chain)) for c in candidates]
     best = min(devs) if devs else float("inf")
     status = "MATCH" if best <= tol else "MISMATCH"
     payload = str(lhs.prune(1e-12))
@@ -645,13 +657,11 @@ def reconstruct_spin_evolution(model: QuadraticModel) -> float:
     W, a and b are generalised permutations, one entry per column, each read
     from its ``monomial_action`` (checked for the chain as ``realize`` checks
     it), and the product a b is composed from two of them by
-    ``dense.compose``.  Column by column, W holds p and omega a b holds q:
-    where the two land on the same row of the same sector the column adds
-    |p - q|^2 to the squared norm, and elsewhere |p|^2 + |q|^2.  So it
-    still compares two independent computations, the clock's action against
-    the product of the factors' actions, and bounds the operator norm and
-    hence every entry; its working set is a few (d, m) arrays, with no m x m
-    array formed.
+    ``dense.compose``; the norm is ``dense.action_distance`` of the clock's
+    action against omega times the product's.  So it still compares two
+    independent computations, and bounds the operator norm and hence every
+    entry; its working set is a few (d, m) arrays, with no m x m array
+    formed.
     """
     ch, pr = model.chain, model.params
     site = ch.L // 2
@@ -663,14 +673,17 @@ def reconstruct_spin_evolution(model: QuadraticModel) -> float:
     rows, phases = compose(action_a, action_b, shift_b)
     # each (d, m) array is dropped once read, which keeps the working set at a few of them
     del action_a, action_b
-    same = (rows == rows_w) & ((shift_a + shift_b - shift_w) % ch.d == 0)
-    del rows
-    q = phase_value(2, ch.d) * phases
-    squares = np.where(same, np.abs(p - q) ** 2, np.abs(p) ** 2 + np.abs(q) ** 2)
-    return float(np.sqrt(squares.sum()))
+    product = (rows, phase_value(2, ch.d) * phases, shift_a + shift_b)
+    del rows, phases
+    return action_distance([(rows_w, p, shift_w)], [product])
 
 
 def gauge_invariance_defect(model: QuadraticModel) -> float:
-    """Operator norm of [H, G] for the global gauge unitary G."""
-    g = gauge_unitary(model.chain)
-    return op_norm(model.dense_hamiltonian.commutator(g))
+    """Largest |coefficient| of a monomial of H with nonzero shift charge; 0.0 when there is none.
+
+    A construction check, read from H's labels in O(terms): a monomial of
+    shift charge q maps charge sector c into c + q, so H commutes with the
+    global gauge unitary exactly when no monomial shifts, and the norm of
+    [H, G] is nonzero exactly when this is.
+    """
+    return max((abs(coeff) for coeff, mono in model.hamiltonian.monomials() if mono.charge()), default=0.0)

@@ -3,7 +3,6 @@
 import cmath
 import math
 import os
-import sys
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from grading_lab.dynamics import QuadraticModel, generator, smear, span_residual
 from grading_lab.oneparticle import Hopping
 from grading_lab.weyl import GradingParams, WeylMonomial
 
-from test_dense import forbid_full_matrix
+from test_dense import forbid_full_matrix, inject
 from test_dynamics import traced_peak
 
 PRESETS = os.path.join(os.path.dirname(__file__), "..", "src", "grading_lab", "presets")
@@ -337,17 +336,6 @@ class TestVerifyOutput:
         assert len(keys) == len(set(keys))
 
 
-def inject(monkeypatch, module, name, defect):
-    """Replace ``module.name`` by defect(original) in every grading_lab module that binds it, as the one function would be broken."""
-    original = getattr(module, name)
-    broken = defect(original)
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name == "grading_lab" or mod_name.startswith("grading_lab."):
-            for binding, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, binding, broken)
-
-
 def shifting_phase_times_i(action):
     """monomial_action with every entry of a shifting monomial multiplied by i."""
     def broken(mono, chain):
@@ -380,6 +368,14 @@ def adjoint_phase_plus_one(adjoint):
     return broken
 
 
+def bond_adjoint_without_shift(adjoint):
+    """mono_adjoint with its shift labels dropped: each bond of H then carries a net shift."""
+    def broken(a):
+        out = adjoint(a)
+        return WeylMonomial.from_labels(out.d, {x: (k, 0) for x, (k, _) in out.sites}, out.phase)
+    return broken
+
+
 class TestExactRowsCatchDefects:
     # one named defect per run, injected without editing the library: each
     # exact row it reaches reads FAILED and verify exits 1.  shift_defect
@@ -403,6 +399,17 @@ class TestExactRowsCatchDefects:
         _, rows = read_rows(out)
         assert [r["relation_id"] for r in rows if r["status"] == "FAILED"] == failed[config]
         assert all(r["tier"] == "exact" for r in rows if r["status"] == "FAILED")
+
+    @pytest.mark.parametrize("config", ["verify_d2", "verify_d3"])
+    def test_charged_bond_fails_the_gauge_row(self, tmp_path, monkeypatch, config):
+        # only the dynamics binding is broken, so H's bond keeps the shift of
+        # its first factor: H mixes charge sectors, and the gauge row, read
+        # from H's labels, is the one exact row that builds H
+        monkeypatch.setattr(dynamics, "mono_adjoint", bond_adjoint_without_shift(weyl.mono_adjoint))
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--config", preset(f"{config}.cfg"), "--out", str(out)]) == cli.EXIT_RELATION_FAILURE
+        _, rows = read_rows(out)
+        assert [r["relation_id"] for r in rows if r["status"] == "FAILED"] == ["gauge_invariant_hamiltonian"]
 
 
 class TestDeterminism:

@@ -1,19 +1,25 @@
 """Dense oracle layer: realization, norms, sectors, gauge, blocking."""
 
+import sys
+
 import numpy as np
 import pytest
 
 import grading_lab.dense as dense
 import grading_lab.dressing as dressing
+import grading_lab.dynamics as dynamics
 from grading_lab.dense import (
     HERMITICITY_TILE,
     ChainSpec,
     DenseOperator,
     DimensionCapError,
     action_deviation,
+    action_distance,
+    action_product,
+    action_vdot,
     adjoint_action,
     block_sites,
-    dense_action,
+    dense_actions,
     gauge_project,
     gauge_unitary,
     op_norm,
@@ -21,6 +27,8 @@ from grading_lab.dense import (
     refined_gauge_unitary,
     sector_decompose,
 )
+from grading_lab.dynamics import QuadraticModel
+from grading_lab.oneparticle import Hopping
 from grading_lab.weyl import AlgebraElement, GradingParams, WeylMonomial, mono_adjoint, mono_mul
 
 from test_weyl import isclose, random_element, random_monomial
@@ -256,13 +264,57 @@ class TestBlockDifference:
 ACTION_CHAINS = pytest.mark.parametrize("d, L", [(2, 5), (3, 4), (4, 3)])
 
 
+def inject(monkeypatch, module, name, defect):
+    """Replace ``module.name`` by defect(original) in every grading_lab module that binds it, as the one function would be broken."""
+    original = getattr(module, name)
+    broken = defect(original)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "grading_lab" or mod_name.startswith("grading_lab."):
+            for binding, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, binding, broken)
+
+
+def forbid_realize(monkeypatch):
+    """Make realize raise in every grading_lab module that binds it."""
+    def unreachable(*args):
+        raise AssertionError("realized a chain")
+
+    inject(monkeypatch, dense, "realize", lambda original: unreachable)
+
+
+def scattered(actions, chain):
+    """The d^L x d^L matrix of an element read as actions: each permutation's entries added at its places."""
+    flat = chain.sectors()
+    out = np.zeros((chain.dim, chain.dim), dtype=complex)
+    for rows, values, q in actions:
+        for c in range(chain.d):
+            np.add.at(out, (flat[(c + q) % chain.d][rows[c]], flat[c]), values[c])
+    return out
+
+
+def action_pairs(d, L):
+    """Seeded element pairs at d, L: several shift vectors each, shared complex terms, a clock sum whose entries cancel to exact zeros, one charge on other rows, and the zero element."""
+    rng = np.random.default_rng(90 + d)
+    # sum_k W_0(k, 0) is d |0><0| at site 0: 1 + w + ... + w^(d-1) cancels exactly off t_0 = 0
+    cancelling = AlgebraElement.from_monomials([(1.0, WeylMonomial.single(d, 0, k, 0)) for k in range(d)], d)
+    shared = random_element(rng, d, L, terms=4)
+    return {
+        "mixed": (random_element(rng, d, L, terms=5), random_element(rng, d, L, terms=5)),
+        "overlapping": (shared, shared + random_element(rng, d, L, terms=3)),
+        "cancelling": (cancelling + random_element(rng, d, L, terms=2), cancelling),
+        "other rows": (WeylMonomial.single(d, 0, 1, 1).as_element(), WeylMonomial.single(d, L - 1, 0, 1).as_element()),
+        "zero": (random_element(rng, d, L, terms=3), AlgebraElement.zero(d)),
+    }
+
+
 class TestActions:
     @ACTION_CHAINS
     def test_deviation_is_the_realized_difference(self, d, L):
         # y against x: the same rows and charge (a clock string times x), the
         # same charge on other rows (a shift moved from site 1 to site 0), and
         # another charge (one more shift); realize holds exactly the entries
-        # dense_action reads, so the two values agree bit for bit
+        # dense_actions reads, so the two values agree bit for bit
         rng = np.random.default_rng(70 + d)
         chain = ChainSpec(d, L)
         for q in range(d):
@@ -273,14 +325,14 @@ class TestActions:
                 "other rows": mono_mul(WeylMonomial.from_labels(d, {0: (0, 1), 1: (0, -1)}), x),
                 "other charge": mono_mul(WeylMonomial.single(d, 0, 0, 1), x),
             }
-            ax = dense_action(x, chain)
+            (ax,) = dense_actions(x, chain)
             for case, y in cases.items():
-                ay = dense_action(y, chain)
+                (ay,) = dense_actions(y, chain)
                 assert (ax[0] == ay[0]).all() == (case == "same rows"), case
                 assert ((ax[2] - ay[2]) % d == 0) == (case != "other charge"), case
-                got = action_deviation(ax, ay)
+                got = action_deviation([ax], [ay])
                 assert got == (realize(x, chain) - realize(y, chain)).max_abs() > 0.0, case
-            assert action_deviation(ax, ax) == 0.0
+            assert action_deviation([ax], [ax]) == 0.0
 
     @ACTION_CHAINS
     def test_adjoint_is_the_conjugate_transpose(self, d, L):
@@ -288,23 +340,59 @@ class TestActions:
         chain = ChainSpec(d, L)
         for q in range(d):
             x = charged_monomial(rng, d, L, q)
-            rows, phases, charge = adjoint_action(dense_action(x, chain))
+            (action,) = dense_actions(x, chain)
+            rows, phases, charge = adjoint_action(action)
             assert charge == -q % d
             want = realize(x, chain).entries.conj().T
             got = realize(mono_adjoint(x), chain).entries
             assert np.abs(got - want).max() < 1e-15
-            assert action_deviation((rows, phases, charge), dense_action(mono_adjoint(x), chain)) < 1e-15
+            assert action_deviation([(rows, phases, charge)], dense_actions(mono_adjoint(x), chain)) < 1e-15
             flat = chain.sectors()
             for c in range(d):
                 assert np.array_equal(want[flat[(c + charge) % d][rows[c]], flat[c]], phases[c])
 
+    @ACTION_CHAINS
+    def test_element_actions_are_realize(self, d, L):
+        # one permutation per shift vector, summed as realize sums it, so the
+        # scattered entries are realize's bit for bit; the clock sum leaves
+        # zeros inside a permutation, exact where w's powers are +-1 and +-i
+        chain = ChainSpec(d, L)
+        for case, (a, b) in action_pairs(d, L).items():
+            for element in (a, b):
+                actions = dense_actions(element, chain)
+                shifts = {tuple((x, l) for x, (_, l) in mono.sites if l) for _, mono in element.monomials()}
+                assert len(actions) == len(shifts), case
+                assert np.array_equal(scattered(actions, chain), realize(element, chain).entries), case
+        (values,) = [v for _, v, _ in dense_actions(action_pairs(d, L)["cancelling"][1], chain)]
+        zeros = values.size - values.size // d
+        assert (np.abs(values) < 1e-15).sum() == zeros
+        if d in (2, 4):
+            assert (values == 0.0).sum() == zeros
+
+    @ACTION_CHAINS
+    def test_helpers_are_the_realized_arithmetic(self, d, L):
+        # product, inner product, largest entry and Hilbert-Schmidt norm of a
+        # difference against realize's @, vdot, - then max_abs, and the norm
+        # of the difference; the largest entry is read from the same sums,
+        # so it agrees bit for bit
+        chain = ChainSpec(d, L)
+        for case, pair in action_pairs(d, L).items():
+            scale = max(1.0, *(np.abs(realize(e, chain).entries).max() for e in pair)) ** 2
+            for x, y in (pair, pair[::-1]):
+                xs, ys = dense_actions(x, chain), dense_actions(y, chain)
+                xd, yd = realize(x, chain), realize(y, chain)
+                assert action_deviation(xs, ys) == (xd - yd).max_abs(), case
+                assert abs(action_distance(xs, ys) - np.linalg.norm((xd - yd).entries)) <= 1e-12 * scale, case
+                assert abs(action_vdot(xs, ys) - np.vdot(xd.entries, yd.entries)) <= 1e-12 * scale * chain.dim, case
+                product = action_product(xs, ys)
+                assert np.abs(scattered(product, chain) - (xd @ yd).entries).max() <= 1e-13 * scale, case
+                # the composed pairs are summed into one permutation per shift vector
+                assert len({(q % d, rows.tobytes()) for rows, _, q in product}) == len(product), case
+        assert action_deviation([], []) == action_distance([], []) == 0.0 and action_product([], []) == []
+
     def test_dressing_rows_realize_nothing(self, monkeypatch):
         # at d = 2, L = 12 the two rows read (2, 2048) arrays, with no block formed
-        def unreachable(*args):
-            raise AssertionError("realized a chain")
-
-        monkeypatch.setattr(dense, "realize", unreachable)
-        monkeypatch.setattr(dressing, "realize", unreachable)
+        forbid_realize(monkeypatch)
         params, chain = GradingParams(2, 1, 1), ChainSpec(2, 12)
         sd = dressing.shift_covariance_defect(3, params, chain)
         assert set(sd.defect.support()) <= set(range(4)) and sd.dense_deviation == 0.0
@@ -313,6 +401,25 @@ class TestActions:
         bc, small = (dressing.bilinear_connection(1, 3, params, ch) for ch in (chain, ChainSpec(2, 5)))
         assert (bc.deviation, bc.correction) == (small.deviation, small.correction)
         assert bc.deviation == 2.0
+
+    @pytest.mark.parametrize("d, L", [(2, 12), (3, 7)])
+    def test_audit_rows_realize_nothing(self, monkeypatch, d, L):
+        # the unit exchange, the claim audit and the gauge row at the dense
+        # cap, with realize raising in every binding: each reads what it
+        # reads on a 5-site chain
+        params = GradingParams(d, 1, 1)
+        hopping = Hopping({1: -0.0625j, -1: 0.0625j} if d == 2 else {1: 0.5, -1: 0.5})
+
+        def rows(chain):
+            rep = dressing.dressed_commutation_report(0, 1, 0, 1, 1, 0, params, chain)
+            claims = [(r.claim_id, r.status) for r in dynamics.claimed_commutator_audit(params, chain, x=1, z=2)]
+            return rep.status, rep.oracle_phase, claims, dynamics.gauge_invariance_defect(QuadraticModel(chain, params, hopping))
+
+        status, phase, claims, gauge = rows(ChainSpec(d, 5))
+        forbid_realize(monkeypatch)
+        got = rows(ChainSpec(d, L))
+        assert (got[0], got[2], got[3]) == (status, claims, gauge) == (got[0], got[2], 0.0)
+        assert abs(got[1] - phase) < 1e-12
 
 
 class TestHermiticityDefect:
@@ -325,7 +432,9 @@ class TestHermiticityDefect:
         x_dag = DenseOperator(chain, {(c, r): blk.conj().T for (r, c), blk in x.blocks.items()})
         assert x.hermiticity_defect() == (x - x_dag).max_abs() > 0.0
         # X + X^dag is exactly hermitian: each entry is a + conj(b) against conj(b) + a
-        assert (x - x_dag.scale(-1.0)).hermiticity_defect() == 0.0
+        keys = x.blocks.keys() | x_dag.blocks.keys()
+        x_plus = DenseOperator(chain, {key: x.blocks.get(key, 0.0) + x_dag.blocks.get(key, 0.0) for key in keys})
+        assert x_plus.hermiticity_defect() == 0.0
         assert DenseOperator(chain, {}).hermiticity_defect() == 0.0
 
     def test_tiles_match_the_assembled_difference(self):
@@ -362,7 +471,8 @@ class TestOpNorm:
         chain = ChainSpec(2, 4)
         a = realize(random_element(rng, 2, 4), chain)
         na = op_norm(a)
-        assert abs(op_norm(a.scale(-2.5j)) - 2.5 * na) < 1e-10 * max(1, na)
+        scaled = DenseOperator(chain, {key: -2.5j * blk for key, blk in a.blocks.items()})
+        assert abs(op_norm(scaled) - 2.5 * na) < 1e-10 * max(1, na)
 
     @pytest.mark.parametrize("case", ["random_dim729", "near_degenerate_dim512"])
     def test_matches_full_svd(self, case):
