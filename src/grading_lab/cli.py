@@ -50,7 +50,7 @@ from .dynamics import (
     gauge_invariance_defect,
     generator,
     one_particle_flow,
-    phase_blocks,
+    phase_deviation,
     reconstruct_spin_evolution,
     span_residual,
 )
@@ -272,7 +272,7 @@ def cmd_evolve(cfg: ExperimentConfig, out: str, cap: int) -> int:
         # is written there once, and the field and every t's prediction combine them, one field at a time
         fields = eigenbasis_fields(model, [f0, *flows])
         a0 = next(fields)
-        flow_devs = [(phase_blocks(a0, model.propagator(t)) - predicted).max_abs() for t, predicted in zip(grid, fields)]
+        flow_devs = [phase_deviation(a0, model.propagator(t), predicted) for t, predicted in zip(grid, fields)]
     rows = [[t, flow_dev, res, rec] for t, flow_dev in zip(grid, flow_devs)]
     write_csv(out, ["t", "flow_deviation", "span_residual", "reconstruction_deviation"], rows)
     return EXIT_OK

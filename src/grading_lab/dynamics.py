@@ -223,9 +223,8 @@ class QuadraticModel:
         for (q, *_), (shift, acc) in sums.items():
             for c in range(d):
                 rotated = eig.vectors[(c + q) % d][shift].conj().transpose(0, 2, 1) @ (acc[c] @ eig.vectors[c])
-                for k in range(group):
-                    if rotated[k].any():
-                        blocks[(c + q) % d * group + int(shift[k]), c * group + k] = rotated[k]
+                for k in np.flatnonzero(rotated.any(axis=(1, 2))).tolist():
+                    blocks[(c + q) % d * group + int(shift[k]), c * group + k] = rotated[k]
         return DenseOperator(self.chain, blocks)
 
 
@@ -381,6 +380,30 @@ def phase_blocks(a: DenseOperator, u: np.ndarray) -> DenseOperator:
     return DenseOperator(a.chain, out)
 
 
+def phase_deviation(a: DenseOperator, u: np.ndarray, b: DenseOperator) -> float:
+    """Largest entry modulus of ``phase_blocks(a, u) - b``, the blocks of each stacked into one array.
+
+    Every block of an eigenbasis operator is n x n, so the blocks of the
+    keys either operand holds, an absent one read as zero, are phased and
+    compared in one pass each: the same products, differences and moduli,
+    entry for entry, as ``phase_blocks`` then ``DenseOperator.__sub__`` and
+    ``max_abs``, so the same value; 0.0 when neither holds a block.
+    """
+    keys = list(a.blocks.keys() | b.blocks.keys())
+    if not keys:
+        return 0.0
+    n = len(next(iter({**a.blocks, **b.blocks}.values())))
+    zero = np.zeros((n, n), dtype=complex)
+    parts = u.reshape(-1, n)
+    r, c = np.array(keys).T
+    # one stacked copy of a is phased and differenced in place
+    phased = np.stack([a.blocks.get(key, zero) for key in keys])
+    np.multiply(parts[r][:, :, None], phased, out=phased)
+    phased *= parts[c].conj()[:, None, :]
+    phased -= np.stack([b.blocks.get(key, zero) for key in keys])
+    return float(np.abs(phased).max())
+
+
 def heisenberg_evolve(a: AlgebraElement | WeylMonomial, model: QuadraticModel, t: float) -> DenseOperator:
     """Conjugate by exp(iHt): the Heisenberg picture at time t, in the site basis.
 
@@ -446,7 +469,9 @@ def eigenbasis_fields(model: QuadraticModel, fs: list[np.ndarray]) -> Iterator[D
     stacks: dict[tuple[int, int], np.ndarray] = {}  # key -> (n, n, len(reached)), zero where B_k holds no such block
     for i, k in enumerate(reached):
         for key, blk in model.eigenbasis_blocks(basis[k]).blocks.items():
-            stacks.setdefault(key, np.zeros((*blk.shape, len(reached)), dtype=complex))[..., i] = blk
+            if key not in stacks:
+                stacks[key] = np.zeros((*blk.shape, len(reached)), dtype=complex)
+            stacks[key][..., i] = blk
     for c in coeffs[:, reached]:
         yield DenseOperator(model.chain, {key: stack @ c for key, stack in stacks.items()})
 

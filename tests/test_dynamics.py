@@ -21,6 +21,7 @@ from grading_lab.dynamics import (
     generator,
     heisenberg_evolve,
     phase_blocks,
+    phase_deviation,
     reconstruct_spin_evolution,
     smear,
     span_residual,
@@ -601,6 +602,24 @@ class TestSectorBlocks:
         assert block_bits(blocks) == before
         want = {(r, c): u[r][:, None] * blk * u[c].conj() for (r, c), blk in blocks.items()}
         assert block_bits(got) == block_bits(want)
+
+    def test_phase_deviation_is_phase_blocks_then_difference(self):
+        # the stacked pass equals phase_blocks, -, max_abs exactly, with keys
+        # held by one operand only on both sides
+        rng = np.random.default_rng(41)
+        chain = ChainSpec(3, 3)
+        keys = [(r, c) for r in range(3) for c in range(3)]
+        a = DenseOperator(chain, signed_zero_blocks(rng, keys[:7], m=9))
+        b = DenseOperator(chain, signed_zero_blocks(rng, keys[2:], m=9))
+        u = np.exp(1j * rng.standard_normal((3, 9)))
+        before = block_bits(a.blocks), block_bits(b.blocks)
+        for x, y in [(a, b), (b, a), (a, a), (a, phase_blocks(a, u))]:
+            assert phase_deviation(x, u, y) == (phase_blocks(x, u) - y).max_abs()
+        assert (block_bits(a.blocks), block_bits(b.blocks)) == before
+        assert phase_deviation(a, u, phase_blocks(a, u)) == 0.0
+        empty = DenseOperator(chain, {})
+        assert phase_deviation(empty, u, empty) == 0.0
+        assert phase_deviation(empty, u, b) == b.max_abs()
 
 
 def clock_field_model(d, L, hopping=Hopping({1: 0.3 - 0.2j, -1: 0.3 + 0.2j})):
