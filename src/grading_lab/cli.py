@@ -159,12 +159,8 @@ def _verify_rows(cfg: ExperimentConfig, seed: int, cap: int) -> list[list]:
 
     # fixed-phase exchange of dressed generators
     expected = exchange_exponent(params)
-    ok = True
-    for x in range(L):
-        for y in range(x + 1, L):
-            ok = ok and commutation_phase(
-                dressed_weyl(x, 1, params, chain), dressed_weyl(y, 1, params, chain)
-            ) == expected
+    generators = [dressed_weyl(x, 1, params, chain) for x in range(L)]
+    ok = all(commutation_phase(u, v) == expected for x, u in enumerate(generators) for v in generators[x + 1 :])
     dd = ChainSpec(d, min(L, 4))
     a0 = dense_actions(dressed_weyl(0, 1, params, dd), dd)
     b0 = dense_actions(dressed_weyl(dd.L - 1, 1, params, dd), dd)

@@ -6,12 +6,15 @@ generator W(1, 0) realizes as diag(w^t) with w = exp(2i*pi/d) and the shift
 generator W(0, 1) maps |t> -> |t+1 mod d>.  Every monomial is therefore a
 generalized permutation matrix and is realized by exact index/phase
 arithmetic, written once in ``monomial_action``, and the product of two
-such actions once in ``compose``; each entry's phase is one exponent mod
-2d, looked up in ``weyl.roots``, so floating point enters only through
-that table and the coefficients.  Monomials with the same shift labels
-move every state alike, so an element is a sum of generalised
-permutations, one per shift vector, that share no entry
-(``dense_actions``); ``realize`` writes them into blocks.  Their product
+such actions once in ``compose``.  ``monomial_action`` reads the action
+from the chain's cached site tables (``ChainSpec.site_tables``): each
+labelled site adds one row of index shifts to the states and one row of
+exponent slopes, times its clock label, to the entries.  Each entry's
+phase is one exponent mod 2d, looked up in ``weyl.roots``, so floating
+point enters only through that table and the coefficients.  Monomials
+with the same shift labels move every state alike, so an element is a
+sum of generalised permutations, one per shift vector, that share no
+entry (``dense_actions``); ``realize`` writes them into blocks.  Their product
 (``action_product``), Hilbert-Schmidt inner product (``action_vdot``),
 the largest entry of a difference (``action_deviation``), the
 Hilbert-Schmidt norm of a difference (``action_distance``) and an
@@ -115,6 +118,22 @@ class ChainSpec:
         out.flags.writeable = False
         return out
 
+    @functools.cache
+    def site_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two (L, d, d, m) read-only arrays, read by ``monomial_action``: what W(k, l) at site x does to each sector state.
+
+        With t = t_x the digit at site x of state ``sectors()[c, j]``,
+        shift[x, l, c, j] = ((t + l) mod d - t) * d^(L-1-x) moves the state's
+        index to that of W(0, l)'s image, and slope[x, l, c, j] = 2 t + l is
+        the exponent mod 2d that W(k, l) adds, k times over, to the entry.
+        """
+        t = self.digits()[:, self.sectors()][:, None]  # (L, 1, d, m)
+        l = np.arange(self.d)[None, :, None, None]
+        place = self.d ** np.arange(self.L - 1, -1, -1)[:, None, None, None]
+        shift, slope = ((t + l) % self.d - t) * place, 2 * t + l
+        shift.flags.writeable = slope.flags.writeable = False
+        return shift, slope
+
 
 class DimensionCapError(ValueError):
     """Raised when a dense computation would exceed the configured cap."""
@@ -205,21 +224,22 @@ def monomial_action(mono: WeylMonomial, chain: ChainSpec) -> tuple[np.ndarray, n
     """Where a monomial of shift charge q sends the basis, sector by sector: two (d, m) arrays.
 
     State j of sector c (``chain.sectors()[c, j]``) goes to the state at
-    position rows[c, j] of sector c + q, with the entry phases[c, j].  Each
-    entry's phase is one integer exponent mod 2d, the monomial's own phase
-    included, read from ``weyl.roots``.  The support is not checked.
+    position rows[c, j] of sector c + q, with the entry phases[c, j].  The
+    action is read from ``ChainSpec.site_tables``: each labelled site (k, l)
+    adds its row of index shifts to the state's index and k times its row
+    of slopes to the entry's exponent, which starts at the monomial's own
+    phase and is taken mod 2d once, then read from ``weyl.roots``.  The
+    support is not checked.
     """
-    d = chain.d
-    sectors = chain.sectors()
-    digits = chain.digits()
-    target = sectors.copy()
-    q = np.full(sectors.shape, mono.phase, dtype=np.int64)
+    shift, slope = chain.site_tables()
+    target = chain.sectors().copy()
+    q = np.full(target.shape, mono.phase, dtype=np.int64)
     for x, (k, l) in mono.sites:
-        t = digits[x][sectors]
-        tl = (t + l) % d
-        target += (tl - t) * d ** (chain.L - 1 - x)
-        q += 2 * k * (t + l) - k * l
-    return chain.positions()[target], np.array(roots(d))[q % (2 * d)]
+        if l:
+            target += shift[x, l]
+        if k:
+            q += k * slope[x, l]
+    return chain.positions()[target], np.array(roots(chain.d))[q % (2 * chain.d)]
 
 
 def compose(outer: tuple[np.ndarray, np.ndarray], inner: tuple[np.ndarray, np.ndarray], q: int) -> tuple[np.ndarray, np.ndarray]:

@@ -46,19 +46,6 @@ def phase_value(q: int, d: int) -> complex:
     return roots(d)[q % (2 * d)]
 
 
-def _canonical_label(k: int, l: int, d: int) -> tuple[int, int, int]:
-    """Reduce (k, l) to representatives in [0, d).
-
-    Returns ``(k', l', dq)`` where ``W(k, l) = exp(i*pi*dq/d) W(k', l')``.
-    The adjustment ``dq = k'*l' - k*l`` follows from the multiplication rule
-    with ``W(d, 0) = W(0, d) = 1``.
-    """
-    kc = k % d
-    lc = l % d
-    dq = (kc * lc - k * l) % (2 * d)
-    return kc, lc, dq
-
-
 @dataclass(frozen=True)
 class WeylMonomial:
     """A scalar phase times a product of single-site Weyl generators.
@@ -78,16 +65,22 @@ class WeylMonomial:
 
     @staticmethod
     def from_labels(d: int, labels: dict[int, tuple[int, int]], phase: int = 0) -> "WeylMonomial":
-        """Build a monomial from raw integer labels, canonicalizing everything."""
+        """Build a monomial from raw integer labels, canonicalizing everything.
+
+        Each label (k, l) is reduced to (k mod d, l mod d), and the phase
+        exponent takes the adjustment k' l' - k l that the multiplication rule
+        with W(d, 0) = W(0, d) = 1 gives; a label that reduces to (0, 0) is
+        dropped.
+        """
         if d < 2:
             raise ValueError(f"qudit dimension must be >= 2, got {d}")
         q = phase
         kept = []
         for x in sorted(labels):
             k, l = labels[x]
-            kc, lc, dq = _canonical_label(k, l, d)
-            q += dq
-            if (kc, lc) != (0, 0):
+            kc, lc = k % d, l % d
+            q += kc * lc - k * l
+            if kc or lc:
                 kept.append((x, (kc, lc)))
         return WeylMonomial(d, tuple(kept), q % (2 * d))
 
@@ -139,17 +132,42 @@ class WeylMonomial:
 
 
 def mono_mul(a: WeylMonomial, b: WeylMonomial) -> WeylMonomial:
-    """Product of two monomials with exact phase bookkeeping."""
+    """Product of two monomials with exact phase bookkeeping.
+
+    Both site lists are sorted, so b's labels are merged into a's in one
+    pass.  A site that one factor carries keeps its canonical label; a site
+    that both carry adds the symplectic term k_a l_b - l_a k_b to the phase
+    exponent and takes the summed label, reduced as ``from_labels`` reduces
+    it, and is dropped when it cancels to (0, 0).
+    """
     if a.d != b.d:
         raise ValueError(f"dimension mismatch: {a.d} != {b.d}")
     d = a.d
-    lab = dict(a.sites)
     q = a.phase + b.phase
-    for x, (kb, lb) in b.sites:
-        ka, la = lab.get(x, (0, 0))
-        q += ka * lb - la * kb
-        lab[x] = (ka + kb, la + lb)
-    return WeylMonomial.from_labels(d, lab, q)
+    sa, sb = a.sites, b.sites
+    na, nb = len(sa), len(sb)
+    sites = []
+    i = j = 0
+    while i < na and j < nb:
+        xa, xb = sa[i][0], sb[j][0]
+        if xa < xb:
+            sites.append(sa[i])
+            i += 1
+        elif xb < xa:
+            sites.append(sb[j])
+            j += 1
+        else:
+            (ka, la), (kb, lb) = sa[i][1], sb[j][1]
+            k, l = ka + kb, la + lb
+            kc, lc = k % d, l % d
+            q += ka * lb - la * kb + kc * lc - k * l
+            if kc or lc:
+                sites.append((xa, (kc, lc)))
+            i += 1
+            j += 1
+    sites += sa[i:]
+    sites += sb[j:]
+    return WeylMonomial(d, tuple(sites), q % (2 * d))
 
 
 def mono_adjoint(a: WeylMonomial) -> WeylMonomial:

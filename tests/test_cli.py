@@ -376,6 +376,20 @@ def bond_adjoint_without_shift(adjoint):
     return broken
 
 
+def slope_off_by_one(tables):
+    """ChainSpec.site_tables with one slope entry one too high: a clock label at site 1 on the first state of sector 0."""
+    broken = {}
+
+    def site_tables(chain):
+        if chain not in broken:
+            shift, slope = tables(chain)
+            slope = slope.copy()
+            slope[1, 0, 0, 0] += 1
+            broken[chain] = shift, slope
+        return broken[chain]
+    return site_tables
+
+
 class TestExactRowsCatchDefects:
     # one named defect per run, injected without editing the library: each
     # exact row it reaches reads FAILED and verify exits 1.  shift_defect
@@ -398,6 +412,18 @@ class TestExactRowsCatchDefects:
         assert main(["verify", "--config", preset(f"{config}.cfg"), "--out", str(out)]) == cli.EXIT_RELATION_FAILURE
         _, rows = read_rows(out)
         assert [r["relation_id"] for r in rows if r["status"] == "FAILED"] == failed[config]
+        assert all(r["tier"] == "exact" for r in rows if r["status"] == "FAILED")
+
+    @pytest.mark.parametrize("config", ["verify_d2", "verify_d3"])
+    def test_wrong_site_table_fails_its_rows(self, tmp_path, monkeypatch, config):
+        # every monomial action is read from the site tables; one wrong slope
+        # moves the phase of one entry, which the product of two actions
+        # reads at other entries than the action of the product does
+        monkeypatch.setattr(ChainSpec, "site_tables", slope_off_by_one(ChainSpec.site_tables))
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--config", preset(f"{config}.cfg"), "--out", str(out)]) == cli.EXIT_RELATION_FAILURE
+        _, rows = read_rows(out)
+        assert [r["relation_id"] for r in rows if r["status"] == "FAILED"] == ["group_law_dense", "exchange_phase"]
         assert all(r["tier"] == "exact" for r in rows if r["status"] == "FAILED")
 
     @pytest.mark.parametrize("config", ["verify_d2", "verify_d3"])

@@ -29,7 +29,7 @@ from grading_lab.dense import (
 )
 from grading_lab.dynamics import QuadraticModel
 from grading_lab.oneparticle import Hopping
-from grading_lab.weyl import AlgebraElement, GradingParams, WeylMonomial, mono_adjoint, mono_mul
+from grading_lab.weyl import AlgebraElement, GradingParams, WeylMonomial, mono_adjoint, mono_mul, roots
 
 from test_weyl import isclose, random_element, random_monomial
 
@@ -259,6 +259,51 @@ class TestBlockDifference:
         want = {key: x.get(key, 0.0) - y.get(key, 0.0) for key in x.keys() | y.keys()}
         assert block_bits(got) == block_bits(want)
         assert not any(np.shares_memory(blk, src) for blk in got.values() for src in (*x.values(), *y.values()))
+
+
+def per_site_action(mono, chain):
+    """``monomial_action`` with the digits gathered and reduced site by site: the arithmetic the site tables hold."""
+    d, sectors = chain.d, chain.sectors()
+    target = sectors.copy()
+    q = np.full(sectors.shape, mono.phase, dtype=np.int64)
+    for x, (k, l) in mono.sites:
+        t = chain.digits()[x][sectors]
+        target += ((t + l) % d - t) * d ** (chain.L - 1 - x)
+        q += 2 * k * (t + l) - k * l
+    return chain.positions()[target], np.array(roots(d))[q % (2 * d)]
+
+
+class TestMonomialAction:
+    @pytest.mark.parametrize("d, L", [(2, 6), (3, 4), (4, 3), (5, 3), (2, 12)])
+    def test_tables_give_the_per_site_arithmetic(self, d, L):
+        # the same integers summed in another order, so the rows are equal
+        # and the phases, read from one table by the same exponents, bit for bit
+        rng = np.random.default_rng(60 + 10 * d + L)
+        chain = ChainSpec(d, L)
+        monos = [random_monomial(rng, d, L) for _ in range(40)]
+        monos += [charged_monomial(rng, d, L, q) for q in range(d)]  # a label on every site
+        monos += [
+            WeylMonomial.identity(d),
+            WeylMonomial.identity(d, phase=2 * d - 1),
+            WeylMonomial.from_labels(d, {x: (int(rng.integers(1, d)), 0) for x in range(L)}, 1),  # clocks only
+            WeylMonomial.from_labels(d, {x: (0, int(rng.integers(1, d))) for x in range(L)}, 1),  # shifts only
+        ]
+        for mono in monos:
+            rows, phases = dense.monomial_action(mono, chain)
+            want_rows, want_phases = per_site_action(mono, chain)
+            assert rows.dtype == want_rows.dtype and rows.shape == want_rows.shape and (rows == want_rows).all(), str(mono)
+            assert phases.dtype == want_phases.dtype and phases.tobytes() == want_phases.tobytes(), str(mono)
+
+    @pytest.mark.parametrize("d, L", [(2, 3), (3, 2), (5, 1)])
+    def test_site_tables_are_cached_and_read_only(self, d, L):
+        chain = ChainSpec(d, L)
+        tables = chain.site_tables()
+        assert chain.site_tables() is tables and len(tables) == 2
+        for table in tables:
+            assert table.shape == (L, d, d, d ** (L - 1))
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0, 0, 0] = 1
 
 
 ACTION_CHAINS = pytest.mark.parametrize("d, L", [(2, 5), (3, 4), (4, 3)])

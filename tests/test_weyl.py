@@ -162,6 +162,69 @@ class TestMonomials:
             )
 
 
+def summed_labels_product(a, b):
+    """a . b by the definition: the raw labels summed site by site, with the symplectic terms, then ``from_labels``."""
+    lab = dict(a.sites)
+    q = a.phase + b.phase
+    for x, (kb, lb) in b.sites:
+        ka, la = lab.get(x, (0, 0))
+        q += ka * lb - la * kb
+        lab[x] = (ka + kb, la + lb)
+    return WeylMonomial.from_labels(a.d, lab, q)
+
+
+def cancelling_partner(rng, a):
+    """A monomial that inverts a on a random half of its sites and carries random labels elsewhere, on and off a's support."""
+    d = a.d
+    labels = {x: (-k, -l) if rng.random() < 0.5 else (int(rng.integers(0, d)), int(rng.integers(0, d))) for x, (k, l) in a.sites}
+    labels.update({x: (int(rng.integers(0, d)), int(rng.integers(0, d))) for x in range(6, 9) if rng.random() < 0.5})
+    return WeylMonomial.from_labels(d, labels, int(rng.integers(0, 2 * d)))
+
+
+class TestOnePassProduct:
+    # mono_mul merges the two sorted site lists and re-reduces only the
+    # shared sites; the definition sums every raw label and reduces them all
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_the_summed_labels(self, d):
+        rng = np.random.default_rng(90 + d)
+        pairs = []
+        for _ in range(100):
+            a, b = random_monomial(rng, d, 6), random_monomial(rng, d, 6)
+            evens = WeylMonomial(d, tuple(s for s in a.sites if s[0] % 2 == 0), a.phase)
+            odds = WeylMonomial(d, tuple(s for s in b.sites if s[0] % 2), b.phase)
+            pairs += [
+                (a, b),  # overlapping supports
+                (a, lattice_shift(b, 6)),  # disjoint, one after the other
+                (evens, odds),  # disjoint, interleaved
+                (a, cancelling_partner(rng, a)),  # shared sites that cancel to (0, 0) and ones that do not
+            ]
+        pairs += [(b, a) for a, b in pairs]
+        assert len(pairs) == 800
+        cancelled = 0
+        for a, b in pairs:
+            got, want = mono_mul(a, b), summed_labels_product(a, b)
+            assert got == want and isinstance(got.sites, tuple)
+            cancelled += len(got.sites) < len(set(a.support()) | set(b.support()))
+        assert cancelled >= 100
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_inverse_and_powers(self, d):
+        # a . a^dag is the identity with phase 0; s^d is the identity with
+        # phase 0 or d, the sign block_symmetries reads from s.pow(d).phase
+        rng = np.random.default_rng(95 + d)
+        signs = set()
+        for _ in range(100):
+            a = random_monomial(rng, d, 6)
+            assert mono_mul(a, mono_adjoint(a)) == mono_mul(mono_adjoint(a), a) == WeylMonomial(d, (), 0)
+            power, want = a.pow(d), WeylMonomial.identity(d)
+            for _ in range(d):
+                want = summed_labels_product(want, a)
+            assert power == want and power.sites == ()
+            assert power.phase in (0, d)
+            signs.add(power.phase)
+        assert signs == {0, d}
+
+
 class TestElements:
     def test_commutator_with_self_vanishes(self):
         rng = np.random.default_rng(8)
